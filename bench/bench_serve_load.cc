@@ -317,6 +317,9 @@ void Run() {
          sat, clients, kWindow);
   RecordJson("serve/saturation-qps", sat);
   RecordJson("serve/saturation-query-seconds", sat > 0 ? 1.0 / sat : 0);
+  // Flush per phase: stdout to a pipe is block-buffered, and a crash in a
+  // later phase would otherwise lose everything the earlier ones printed.
+  fflush(stdout);
 
   printf("\n%-10s %10s %10s %10s %10s %10s\n", "load", "offered", "answered",
          "shed%", "p50", "p99");
@@ -335,6 +338,7 @@ void Run() {
     RecordJson(std::string("serve/shed-fraction@") + label,
                r.shed_fraction());
   }
+  fflush(stdout);
 
   // Phase 3: the robustness path. Repeat scans of an unchanged file do no
   // raw I/O by design (mmap once, then positional maps and column shreds
@@ -411,6 +415,7 @@ void Run() {
     RecordJson("serve/fault-client-retries", static_cast<double>(fr.retries));
     RecordJson("serve/fault-client-reconnects",
                static_cast<double>(fr.reconnects));
+    fflush(stdout);
   }
 
   server.Shutdown();

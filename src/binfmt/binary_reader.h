@@ -17,11 +17,14 @@ class BinaryReader {
  public:
   static StatusOr<std::unique_ptr<BinaryReader>> Open(const std::string& path,
                                                       BinaryLayout layout);
+  /// Reads through an already-mapped file (shared with its other readers).
+  static StatusOr<std::unique_ptr<BinaryReader>> Open(
+      std::shared_ptr<const MmapFile> file, BinaryLayout layout);
 
   const BinaryLayout& layout() const { return layout_; }
   int64_t num_rows() const { return num_rows_; }
   const char* data() const { return file_->data(); }
-  MmapFile* file() { return file_.get(); }
+  const MmapFile* file() const { return file_.get(); }
 
   /// Typed point reads; no bounds checks on the hot path beyond debug
   /// asserts — callers iterate within [0, num_rows).
@@ -33,11 +36,11 @@ class BinaryReader {
   }
 
  private:
-  BinaryReader(std::unique_ptr<MmapFile> file, BinaryLayout layout,
+  BinaryReader(std::shared_ptr<const MmapFile> file, BinaryLayout layout,
                int64_t num_rows)
       : file_(std::move(file)), layout_(std::move(layout)), num_rows_(num_rows) {}
 
-  std::unique_ptr<MmapFile> file_;
+  std::shared_ptr<const MmapFile> file_;
   BinaryLayout layout_;
   int64_t num_rows_;
 };

@@ -83,7 +83,7 @@ void MmapFile::AdviseRandom() {
   }
 }
 
-Status MmapFile::DropPageCache() {
+Status MmapFile::DropPageCache() const {
   if (data_ != nullptr) {
     if (::madvise(const_cast<char*>(data_), size_, MADV_DONTNEED) != 0) {
       return Status::IOError(ErrnoMessage("madvise(DONTNEED)", path_));

@@ -31,7 +31,7 @@ class MmapFile {
 
   /// Best-effort drop of this file's pages from the OS page cache; used by
   /// benchmarks to simulate a cold run without root privileges.
-  Status DropPageCache();
+  Status DropPageCache() const;
 
  private:
   MmapFile(std::string path, const char* data, size_t size, int fd)

@@ -21,20 +21,42 @@ bool FileSignature(const std::string& path, int64_t* mtime_ns, int64_t* size) {
 
 }  // namespace
 
+Status TableEntry::OpenLocked(const FormatDriver& driver) {
+  if (opened_) return Status::OK();
+  RAW_RETURN_NOT_OK(driver.OpenTable(*this));
+  opened_ = true;
+  RecordFileSignature();
+  return Status::OK();
+}
+
 Status TableEntry::EnsureOpen() {
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   {
     std::lock_guard<std::mutex> lock(open_mu_);
-    if (!opened_) {
-      RAW_RETURN_NOT_OK(driver->OpenTable(*this));
-      opened_ = true;
-      RecordFileSignature();
-    }
+    RAW_RETURN_NOT_OK(OpenLocked(*driver));
   }
   // Derived state may change between queries (e.g. REF row counts served by
   // a shared reader) — refresh on every lookup.
   driver->RefreshEntry(*this);
+  return Status::OK();
+}
+
+Status TableEntry::Pin(FormatScanContext& ctx) {
+  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
+                       FormatRegistry::Global().Require(info.format));
+  // open_mu_ orders this against CheckStale: the handles copied below are
+  // the complete set one OpenTable installed, never a half-dropped one.
+  std::lock_guard<std::mutex> open_lock(open_mu_);
+  RAW_RETURN_NOT_OK(OpenLocked(*driver));
+  std::lock_guard<std::mutex> lock(mu_);
+  ctx.file = mmap_;
+  ctx.bin_reader = bin_reader_;
+  ctx.csv_quoted = csv_quoted_;
+  ctx.published_pmap = pmap_;
+  ctx.format_state = format_state_;
+  ctx.row_count = row_count();
+  ctx.version = version();
   return Status::OK();
 }
 
@@ -85,34 +107,32 @@ bool TableEntry::CheckStale() {
     if (!FileSignature(info.path, &mtime_ns, &size)) return false;
     if (mtime_ns == file_mtime_ns_ && size == file_size_) return false;
   }
-  // The file changed underneath us. Retire the open handles (in-flight
-  // queries hold raw pointers into them), drop derived state, and force the
-  // next EnsureOpen to remap the new contents.
+  // The file changed underneath us. Drop the open handles (queries that
+  // pinned them keep their own references), drop derived state, and force
+  // the next EnsureOpen/Pin to remap the new contents.
   std::lock_guard<std::mutex> open_lock(open_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (mmap_ != nullptr) retired_mmaps_.push_back(std::move(mmap_));
-    if (bin_reader_ != nullptr) {
-      retired_bin_readers_.push_back(std::move(bin_reader_));
-    }
+    mmap_.reset();
+    bin_reader_.reset();
     pmap_.reset();
     format_state_.reset();
     loaded_.reset();
     row_count_.store(-1, std::memory_order_release);
     file_mtime_ns_ = mtime_ns;
     file_size_ = size;
+    version_.fetch_add(1, std::memory_order_acq_rel);
   }
-  version_.fetch_add(1, std::memory_order_acq_rel);
   opened_ = false;  // guarded by open_mu_
   return true;
 }
 
-StatusOr<const MmapFile*> TableEntry::EnsureMmap() {
+StatusOr<std::shared_ptr<const MmapFile>> TableEntry::EnsureMmap() {
   std::lock_guard<std::mutex> lock(mu_);
   if (mmap_ == nullptr) {
     RAW_ASSIGN_OR_RETURN(mmap_, MmapFile::Open(info.path));
   }
-  return mmap_.get();
+  return mmap_;
 }
 
 void TableEntry::SetCsvQuoted(bool quoted) {
@@ -121,11 +141,12 @@ void TableEntry::SetCsvQuoted(bool quoted) {
 }
 
 Status TableEntry::EnsureBinReader() {
+  RAW_ASSIGN_OR_RETURN(std::shared_ptr<const MmapFile> file, EnsureMmap());
   std::lock_guard<std::mutex> lock(mu_);
   if (bin_reader_ == nullptr) {
     RAW_ASSIGN_OR_RETURN(BinaryLayout layout, BinaryLayout::Create(info.schema));
-    RAW_ASSIGN_OR_RETURN(bin_reader_,
-                         BinaryReader::Open(info.path, std::move(layout)));
+    RAW_ASSIGN_OR_RETURN(
+        bin_reader_, BinaryReader::Open(std::move(file), std::move(layout)));
     StoreRowCount(bin_reader_->num_rows());
   }
   return Status::OK();
@@ -152,17 +173,17 @@ std::shared_ptr<const PositionalMap> TableEntry::pmap() const {
   return pmap_;
 }
 
-bool TableEntry::TryClaimPmapBuild() {
+bool TableEntry::TryClaimPmapBuild(int64_t pinned_version) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pmap_ != nullptr) return false;
+    if (pmap_ != nullptr || pinned_version != version()) return false;
   }
   bool expected = false;
   if (!pmap_building_.compare_exchange_strong(expected, true,
                                               std::memory_order_acq_rel)) {
     return false;
   }
-  pmap_claim_version_.store(version(), std::memory_order_release);
+  pmap_claim_version_.store(pinned_version, std::memory_order_release);
   return true;
 }
 
@@ -187,22 +208,17 @@ void TableEntry::PublishPmap(std::shared_ptr<const PositionalMap> map) {
   pmap_building_.store(false, std::memory_order_release);
 }
 
-std::shared_ptr<const FormatAdaptiveState> TableEntry::format_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return format_state_;
-}
-
-bool TableEntry::TryClaimFormatStateBuild() {
+bool TableEntry::TryClaimFormatStateBuild(int64_t pinned_version) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (format_state_ != nullptr) return false;
+    if (format_state_ != nullptr || pinned_version != version()) return false;
   }
   bool expected = false;
   if (!format_state_building_.compare_exchange_strong(
           expected, true, std::memory_order_acq_rel)) {
     return false;
   }
-  format_state_claim_version_.store(version(), std::memory_order_release);
+  format_state_claim_version_.store(pinned_version, std::memory_order_release);
   return true;
 }
 
@@ -226,34 +242,34 @@ void TableEntry::PublishFormatState(
 }
 
 StatusOr<std::shared_ptr<const InMemoryTable>> TableEntry::EnsureLoaded(
-    double* load_seconds) {
+    const FormatScanContext& ctx, double* load_seconds) {
   if (load_seconds != nullptr) *load_seconds = 0;
-  {
+  auto shared_copy = [&]() -> std::shared_ptr<const InMemoryTable> {
     std::lock_guard<std::mutex> lock(mu_);
-    if (loaded_ != nullptr) return loaded_;
-  }
+    return ctx.version == version() ? loaded_ : nullptr;
+  };
+  if (auto copy = shared_copy()) return copy;
   // Duplicate loaders serialize on load_mu_ (the work happens once), but
   // `mu_` stays free so concurrent readers of the entry's other state are
-  // not stalled behind a multi-second load. The file handles the driver
-  // reads below are stable after EnsureOpen, which every caller has been
-  // through.
+  // not stalled behind a multi-second load. The driver reads the handles
+  // pinned in `ctx`, which the caller keeps alive.
   std::lock_guard<std::mutex> load_lock(load_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (loaded_ != nullptr) return loaded_;  // lost the race; share it
-  }
+  if (auto copy = shared_copy()) return copy;  // lost the race; share it
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   Stopwatch watch;
   RAW_ASSIGN_OR_RETURN(std::unique_ptr<InMemoryTable> table,
-                       driver->LoadTable(*this));
+                       driver->LoadTable(ctx));
   std::shared_ptr<const InMemoryTable> loaded(std::move(table));
-  row_count_.store(loaded->num_rows(), std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mu_);
     load_seconds_ = watch.ElapsedSeconds();
     if (load_seconds != nullptr) *load_seconds = load_seconds_;
-    loaded_ = loaded;
+    // A copy of a displaced generation serves this query only.
+    if (ctx.version == version()) {
+      loaded_ = loaded;
+      row_count_.store(loaded->num_rows(), std::memory_order_release);
+    }
   }
   return loaded;
 }

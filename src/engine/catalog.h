@@ -69,38 +69,46 @@ struct TableStats {
 /// the positional map, format-specific adaptive state, discovered row
 /// counts, and (for the DBMS baseline) a fully loaded copy.
 ///
-/// Thread-safety: `info` is immutable after registration. File handles are
-/// opened once (EnsureOpen dispatches to the format driver, idempotent under
-/// the entry's open lock) and never reset, so their raw pointers stay valid
-/// for the engine's lifetime. Adaptive state — the positional map, the
-/// driver's format state, and the loaded copy — is published as immutable
-/// shared_ptr snapshots: planners take a snapshot per query, so
-/// ResetAdaptiveState() can drop the entry's reference while in-flight
-/// queries keep theirs.
+/// Thread-safety: `info` is immutable after registration. Open file handles
+/// (the mmap, the binary reader) are shared_ptr-owned: EnsureOpen installs
+/// them through the format driver, CheckStale drops them when the file
+/// changes, and queries never read them from the entry directly — Pin copies
+/// the current handles into the query's FormatScanContext under the entry
+/// mutex and the plan keeps them alive, so a displaced generation is freed
+/// when its last query finishes. Adaptive state — the positional map, the
+/// driver's format state, and the loaded copy — follows the same pattern:
+/// immutable shared_ptr snapshots pinned per query, so ResetAdaptiveState()
+/// can drop the entry's reference while in-flight queries keep theirs.
 struct TableEntry {
   TableInfo info;
 
   /// Opens the table through its format driver (idempotent, thread-safe):
-  /// dispatches FormatDriver::OpenTable once, then RefreshEntry on every
-  /// call so drivers can refresh derived state between queries.
+  /// dispatches FormatDriver::OpenTable when the entry has no open handles
+  /// (first use, or after CheckStale dropped them), then RefreshEntry on
+  /// every call so drivers can refresh derived state between queries.
   Status EnsureOpen();
 
-  // --- stable handles (valid after a successful EnsureOpen) ------------------
-  const MmapFile* mmap() const { return mmap_.get(); }
-  const BinaryReader* bin_reader() const { return bin_reader_.get(); }
+  /// Takes one query's snapshot of the table into `ctx` under the entry
+  /// mutex: the open handles, the published adaptive state, the row count
+  /// and the staleness epoch. When a concurrent lookup dropped the handles
+  /// since this query's own lookup, reopens first; a failed reopen returns
+  /// its typed error (kIOError for a failed open) and leaves `ctx` alone.
+  Status Pin(FormatScanContext& ctx);
+
+  /// REF tables share one reader per file, attached once and never replaced
+  /// (CheckStale skips them), so the raw pointer stays valid.
   RefReader* ref_reader() const { return ref_reader_.get(); }
-  bool csv_quoted() const { return csv_quoted_; }
 
   // --- driver-facing open hooks ----------------------------------------------
   // Called from FormatDriver catalog hooks (OpenTable/PrepareShared); each is
   // idempotent and takes the entry mutex internally.
 
-  /// Maps the table's file read-only; returns the stable handle.
-  StatusOr<const MmapFile*> EnsureMmap();
+  /// Maps the table's file read-only; returns the current handle.
+  StatusOr<std::shared_ptr<const MmapFile>> EnsureMmap();
   /// Records whether the (CSV-family) file uses quoting.
   void SetCsvQuoted(bool quoted);
-  /// Opens the fixed-layout binary reader for `info.schema` and discovers
-  /// the row count.
+  /// Opens the fixed-layout binary reader for `info.schema` over the mapped
+  /// file (EnsureMmap first) and discovers the row count.
   Status EnsureBinReader();
   /// Adopts a shared REF reader (first attach wins; later calls no-op).
   void AttachRefReader(std::shared_ptr<RefReader> reader);
@@ -128,11 +136,13 @@ struct TableEntry {
   /// The published (complete, immutable) map, or null.
   std::shared_ptr<const PositionalMap> pmap() const;
 
-  /// Claims the right to build this table's positional map. At most one
+  /// Claims the right to build this table's positional map for a query
+  /// that pinned the table at `pinned_version` (refused when the file has
+  /// changed since: the map would index displaced bytes). At most one
   /// in-flight query holds the claim; concurrent cold scans simply run
   /// without building. The claim ends with PublishPmap (successful full
   /// drain) or AbandonPmapBuild (partial scan, error, plan dropped).
-  bool TryClaimPmapBuild();
+  bool TryClaimPmapBuild(int64_t pinned_version);
   void AbandonPmapBuild();
   void PublishPmap(std::shared_ptr<const PositionalMap> map);
 
@@ -140,20 +150,18 @@ struct TableEntry {
   // Same publication protocol as the positional map, for structures only the
   // format driver understands (e.g. the compressed-CSV block-offset index).
 
-  /// The published (complete, immutable) driver state, or null.
-  std::shared_ptr<const FormatAdaptiveState> format_state() const;
-
-  bool TryClaimFormatStateBuild();
+  bool TryClaimFormatStateBuild(int64_t pinned_version);
   void AbandonFormatStateBuild();
   void PublishFormatState(std::shared_ptr<const FormatAdaptiveState> state);
 
   // --- DBMS-baseline loaded copy ---------------------------------------------
-  /// Loads the full table once through the format driver (thread-safe;
-  /// concurrent callers share the result). `load_seconds` (optional)
-  /// receives the one-off load time when this call performed the load,
-  /// else 0.
+  /// Loads the full table once through the format driver from the handles
+  /// pinned in `ctx` (thread-safe; concurrent callers share the result). A
+  /// copy of a generation the file has since moved past serves its caller
+  /// but is not published. `load_seconds` (optional) receives the one-off
+  /// load time when this call performed the load, else 0.
   StatusOr<std::shared_ptr<const InMemoryTable>> EnsureLoaded(
-      double* load_seconds);
+      const FormatScanContext& ctx, double* load_seconds);
   std::shared_ptr<const InMemoryTable> loaded() const;
 
   // --- workload access counters ----------------------------------------------
@@ -175,9 +183,9 @@ struct TableEntry {
   /// after every successful driver open so a reopened table re-anchors.
   void RecordFileSignature();
   /// Re-stats the backing file. When the signature changed since the last
-  /// open: bumps the version, drops adaptive state, retires the open file
-  /// handles (kept alive for in-flight raw-pointer readers) and arranges for
-  /// the next EnsureOpen to remap, then returns true. Never true before the
+  /// open: bumps the version, drops adaptive state and the open file handles
+  /// (queries that pinned them keep theirs) and arranges for the next
+  /// EnsureOpen or Pin to remap, then returns true. Never true before the
   /// first open, on stat failure, or for shared-reader (REF) tables.
   bool CheckStale();
   /// Monotonic staleness epoch; part of every cache key over this table.
@@ -191,24 +199,23 @@ struct TableEntry {
 
  private:
   mutable std::mutex mu_;
-  /// Serializes the one-off driver OpenTable without holding `mu_` (driver
-  /// hooks like EnsureMmap take `mu_` themselves).
+  /// Serializes the driver's OpenTable against CheckStale without holding
+  /// `mu_` (driver hooks like EnsureMmap take `mu_` themselves).
   std::mutex open_mu_;
   /// Serializes duplicate DBMS-baseline loads without holding `mu_` for the
   /// load's duration (readers of other entry state must not stall behind a
   /// multi-second load).
   std::mutex load_mu_;
+  /// Runs the driver's OpenTable unless the handles are open (open_mu_ held).
+  Status OpenLocked(const FormatDriver& driver);
+
   bool opened_ = false;  // guarded by open_mu_
-  std::unique_ptr<MmapFile> mmap_;           // raw file bytes
-  std::unique_ptr<BinaryReader> bin_reader_;  // binary layout view
-  std::shared_ptr<RefReader> ref_reader_;     // shared across one file's tables
+  // Current open generation (guarded by mu_; null until opened and after
+  // CheckStale). Queries pin these via Pin; the last holder frees them.
+  std::shared_ptr<const MmapFile> mmap_;           // raw file bytes
+  std::shared_ptr<const BinaryReader> bin_reader_;  // binary view of mmap_
   bool csv_quoted_ = false;
-  /// Handles displaced by a stale-file reopen. In-flight queries hold raw
-  /// pointers into them (the "stable handles" contract), so they retire here
-  /// instead of being destroyed; file replacement is rare, so the set stays
-  /// tiny.
-  std::vector<std::unique_ptr<MmapFile>> retired_mmaps_;
-  std::vector<std::unique_ptr<BinaryReader>> retired_bin_readers_;
+  std::shared_ptr<RefReader> ref_reader_;  // shared across one file's tables
 
   /// Recorded file signature (guarded by mu_; -1 size = not yet recorded).
   int64_t file_size_ = -1;

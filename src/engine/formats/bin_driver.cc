@@ -24,21 +24,24 @@ class BinaryFormatDriver final : public FormatDriver {
   FileFormat format() const override { return FileFormat::kBinary; }
   std::string_view name() const override { return "bin"; }
 
+  /// One mapping per generation: the binary reader reads through the same
+  /// mmap the JIT kernels walk.
   Status OpenTable(TableEntry& entry) const override {
-    RAW_RETURN_NOT_OK(entry.EnsureMmap().status());
     return entry.EnsureBinReader();
   }
 
   StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const override {
+      const FormatScanContext& tc) const override {
     std::vector<int> all;
-    for (int c = 0; c < entry.info.schema.num_fields(); ++c) all.push_back(c);
-    return LoadBinaryTable(entry.bin_reader(), all);
+    for (int c = 0; c < tc.entry->info.schema.num_fields(); ++c) {
+      all.push_back(c);
+    }
+    return LoadBinaryTable(tc.bin_reader.get(), all);
   }
 
   std::vector<ScanRange> SplitMorsels(const FormatScanContext& tc,
                                       int target_morsels) const override {
-    return SplitRowRanges(tc.entry->bin_reader()->num_rows(), target_morsels);
+    return SplitRowRanges(tc.bin_reader->num_rows(), target_morsels);
   }
 
   /// Full binary scan; with num_threads > 1, row-range morsels. Binary
@@ -72,10 +75,10 @@ class BinaryFormatDriver final : public FormatDriver {
         JitScanArgs args;
         args.spec = std::move(spec);
         args.output_schema = qualified;
-        args.file = entry->mmap();
+        args.file = tc.file.get();
         args.total_rows = count;
         args.batch_rows = opts.batch_rows;
-        if (first > 0 || count < entry->bin_reader()->num_rows()) {
+        if (first > 0 || count < tc.bin_reader->num_rows()) {
           const uint64_t width = static_cast<uint64_t>(layout.row_width());
           args.window_begin = static_cast<uint64_t>(first) * width;
           args.window_end = static_cast<uint64_t>(first + count) * width;
@@ -98,7 +101,7 @@ class BinaryFormatDriver final : public FormatDriver {
             qualified, std::move(children), std::move(popts)));
       }
       return OperatorPtr(std::make_unique<JitScanOperator>(
-          tc.jit, make_jit_args(0, entry->bin_reader()->num_rows())));
+          tc.jit, make_jit_args(0, tc.bin_reader->num_rows())));
     }
 
     auto make_insitu = [&](int64_t first, int64_t count) {
@@ -107,7 +110,7 @@ class BinaryFormatDriver final : public FormatDriver {
       spec.batch_rows = opts.batch_rows;
       spec.range = ScanRange::Rows(first, count);
       return WrapQualified(std::make_unique<InsituBinScanOperator>(
-                               entry->bin_reader(), std::move(spec)),
+                               tc.bin_reader.get(), std::move(spec)),
                            qualified);
     };
     if (morsels.size() > 1) {
@@ -123,7 +126,7 @@ class BinaryFormatDriver final : public FormatDriver {
       return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
           qualified, std::move(children), std::move(popts)));
     }
-    return make_insitu(0, entry->bin_reader()->num_rows());
+    return make_insitu(0, tc.bin_reader->num_rows());
   }
 
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
@@ -145,14 +148,14 @@ class BinaryFormatDriver final : public FormatDriver {
       JitScanArgs args;
       args.spec = std::move(spec);
       args.output_schema = qualified;
-      args.file = entry->mmap();
+      args.file = tc.file.get();
       return RowFetcherPtr(
           std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
     }
     BinScanSpec spec;
     spec.outputs = cols;
-    auto fetcher =
-        std::make_unique<InsituRowFetcher>(entry->bin_reader(), std::move(spec));
+    auto fetcher = std::make_unique<InsituRowFetcher>(tc.bin_reader.get(),
+                                                      std::move(spec));
     fetcher->set_fields(qualified);
     return RowFetcherPtr(std::move(fetcher));
   }
@@ -202,12 +205,12 @@ class BinaryFormatDriver final : public FormatDriver {
                             : req.output_schema;
     (*tc.desc) << "[fused-bin-scan " << info.name << "] ";
 
-    const int64_t num_rows = entry->bin_reader()->num_rows();
+    const int64_t num_rows = tc.bin_reader->num_rows();
     auto make_args = [&](int64_t first, int64_t count) {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
-      args.file = entry->mmap();
+      args.file = tc.file.get();
       args.total_rows = count;
       args.dense_row_base = first;
       args.dense_columns = req.dense_columns;

@@ -26,8 +26,8 @@ namespace {
 /// CSV JIT kernels tokenize with the branch-light unquoted fast path and only
 /// materialize fixed-width values; quoted files and string columns fall back
 /// to the interpreted, quote-aware scan.
-bool CsvJitEligible(const TableEntry& entry, const std::vector<int>& cols) {
-  return !AnyStringColumn(entry.info.schema, cols) && !entry.csv_quoted();
+bool CsvJitEligible(const FormatScanContext& tc, const std::vector<int>& cols) {
+  return !AnyStringColumn(tc.entry->info.schema, cols) && !tc.csv_quoted;
 }
 
 /// First-contact CSV scan: sequential, building the positional map en route.
@@ -48,7 +48,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
   PositionalMap* build = nullptr;
   if (opts.build_positional_map && !tc.has_complete_pmap() &&
       !tc.pmap_build_wired &&
-      (tc.building_pmap != nullptr || entry->TryClaimPmapBuild())) {
+      (tc.building_pmap != nullptr || entry->TryClaimPmapBuild(tc.version))) {
     if (tc.building_pmap == nullptr) {
       tc.building_pmap = std::make_shared<PositionalMap>(
           PositionalMap::WithStride(info.schema.num_fields(),
@@ -64,7 +64,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
   const bool use_jit =
       opts.access_path == AccessPathKind::kJit &&
       opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(*entry, cols);
+      CsvJitEligible(tc, cols);
 
   auto make_jit_spec = [&] {
     AccessPathSpec spec;
@@ -82,7 +82,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     spec.file_schema = info.schema;
     spec.outputs = cols;
     spec.options = info.csv_options;
-    spec.quoted = entry->csv_quoted();
+    spec.quoted = tc.csv_quoted;
     spec.batch_rows = opts.batch_rows;
     spec.policy = opts.malformed_row_policy;
     spec.health = tc.health;
@@ -113,7 +113,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
         JitScanArgs args;
         args.spec = make_jit_spec();
         args.output_schema = qualified;
-        args.file = entry->mmap();
+        args.file = tc.file.get();
         args.build_pmap = child_pmap;
         args.window_begin = static_cast<uint64_t>(m.begin);
         args.window_end = static_cast<uint64_t>(m.end);
@@ -125,7 +125,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
         spec.build_pmap = child_pmap;
         spec.range = m;
         children.push_back(WrapQualified(
-            std::make_unique<InsituCsvScanOperator>(entry->mmap(),
+            std::make_unique<InsituCsvScanOperator>(tc.file.get(),
                                                     std::move(spec)),
             qualified));
       }
@@ -140,7 +140,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     JitScanArgs args;
     args.spec = make_jit_spec();
     args.output_schema = qualified;
-    args.file = entry->mmap();
+    args.file = tc.file.get();
     args.build_pmap = build;
     args.batch_rows = opts.batch_rows;
     return wrap_publish(
@@ -149,7 +149,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
   CsvScanSpec spec = make_insitu_spec();
   spec.build_pmap = build;
   return wrap_publish(WrapQualified(std::make_unique<InsituCsvScanOperator>(
-                                        entry->mmap(), std::move(spec)),
+                                        tc.file.get(), std::move(spec)),
                                     qualified));
 }
 
@@ -172,7 +172,7 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
   const bool use_jit =
       opts.access_path == AccessPathKind::kJit &&
       opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(*entry, cols);
+      CsvJitEligible(tc, cols);
 
   auto make_jit_args = [&](RowSet rows) -> StatusOr<JitScanArgs> {
     RAW_RETURN_NOT_OK(FillPositions(pmap, pmap.SlotFor(anchor), &rows));
@@ -187,7 +187,7 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
     JitScanArgs args;
     args.spec = std::move(spec);
     args.output_schema = qualified;
-    args.file = entry->mmap();
+    args.file = tc.file.get();
     args.row_set = std::move(rows);
     args.batch_rows = opts.batch_rows;
     return args;
@@ -197,14 +197,14 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
     spec.file_schema = info.schema;
     spec.outputs = cols;
     spec.options = info.csv_options;
-    spec.quoted = entry->csv_quoted();
+    spec.quoted = tc.csv_quoted;
     spec.batch_rows = opts.batch_rows;
     spec.use_pmap = &pmap;
     spec.anchor_column = anchor;
     spec.row_set = std::move(rows);
     spec.health = tc.health;
     return WrapQualified(std::make_unique<InsituCsvScanOperator>(
-                             entry->mmap(), std::move(spec)),
+                             tc.file.get(), std::move(spec)),
                          qualified);
   };
   auto iota_rows = [](int64_t first, int64_t count) {
@@ -252,7 +252,8 @@ class CsvFormatDriver final : public FormatDriver {
   std::string_view name() const override { return "csv"; }
 
   Status OpenTable(TableEntry& entry) const override {
-    RAW_ASSIGN_OR_RETURN(const MmapFile* file, entry.EnsureMmap());
+    RAW_ASSIGN_OR_RETURN(std::shared_ptr<const MmapFile> file,
+                         entry.EnsureMmap());
     // One memchr pass over the file decides the tokenizer for every future
     // scan (quote handling must be known up front — a quote appearing late
     // would invalidate earlier row boundaries). The pass also warms the page
@@ -265,11 +266,12 @@ class CsvFormatDriver final : public FormatDriver {
   }
 
   StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const override {
+      const FormatScanContext& tc) const override {
+    const TableInfo& info = tc.entry->info;
     std::vector<int> all;
-    for (int c = 0; c < entry.info.schema.num_fields(); ++c) all.push_back(c);
-    return LoadCsvTable(entry.mmap(), entry.info.schema, all,
-                        entry.info.csv_options, entry.csv_quoted());
+    for (int c = 0; c < info.schema.num_fields(); ++c) all.push_back(c);
+    return LoadCsvTable(tc.file.get(), info.schema, all, info.csv_options,
+                        tc.csv_quoted);
   }
 
   /// Late scans need a positional map — one already published, or one this
@@ -286,7 +288,7 @@ class CsvFormatDriver final : public FormatDriver {
       return false;
     }
     if (tc.building_pmap != nullptr) return true;
-    if (!tc.entry->TryClaimPmapBuild()) return false;
+    if (!tc.entry->TryClaimPmapBuild(tc.version)) return false;
     // Claim taken here so the planning decision is binding; the base scan
     // wires this map in (BuildBaseScan guarantees the sequential scan runs
     // while the claim is unwired).
@@ -310,8 +312,7 @@ class CsvFormatDriver final : public FormatDriver {
     if (tc.has_complete_pmap()) {
       return SplitPmapRowRanges(*tc.published_pmap, target_morsels);
     }
-    const MmapFile* file = tc.entry->mmap();
-    return SplitCsvByteRanges(file->data(), file->size(),
+    return SplitCsvByteRanges(tc.file->data(), tc.file->size(),
                               tc.entry->info.csv_options, target_morsels);
   }
 
@@ -323,7 +324,7 @@ class CsvFormatDriver final : public FormatDriver {
       // The "external tables" baseline re-parses everything per query by
       // design; it stays serial (it is a comparison system, not a target).
       auto ext = std::make_unique<ExternalTableScanOperator>(
-          tc.entry->mmap(), tc.entry->info.schema, cols,
+          tc.file.get(), tc.entry->info.schema, cols,
           tc.entry->info.csv_options, opts.batch_rows);
       return WrapQualified(std::move(ext), qualified);
     }
@@ -352,7 +353,7 @@ class CsvFormatDriver final : public FormatDriver {
       if (t <= cols.front()) anchor = t;
     }
     if (tc.opts->access_path == AccessPathKind::kJit &&
-        CsvJitEligible(*entry, cols)) {
+        CsvJitEligible(tc, cols)) {
       AccessPathSpec spec;
       spec.format = FileFormat::kCsv;
       spec.mode = ScanMode::kByPosition;
@@ -364,7 +365,7 @@ class CsvFormatDriver final : public FormatDriver {
       JitScanArgs args;
       args.spec = std::move(spec);
       args.output_schema = qualified;
-      args.file = entry->mmap();
+      args.file = tc.file.get();
       return RowFetcherPtr(
           std::make_unique<JitRowFetcher>(tc.jit, std::move(args), pmap));
     }
@@ -372,12 +373,12 @@ class CsvFormatDriver final : public FormatDriver {
     spec.file_schema = info.schema;
     spec.outputs = cols;
     spec.options = info.csv_options;
-    spec.quoted = entry->csv_quoted();
+    spec.quoted = tc.csv_quoted;
     spec.use_pmap = pmap;
     spec.anchor_column = anchor;
     spec.health = tc.health;
     auto fetcher =
-        std::make_unique<InsituRowFetcher>(entry->mmap(), std::move(spec));
+        std::make_unique<InsituRowFetcher>(tc.file.get(), std::move(spec));
     fetcher->set_fields(qualified);
     return RowFetcherPtr(std::move(fetcher));
   }
@@ -415,7 +416,7 @@ class CsvFormatDriver final : public FormatDriver {
       return Status::NotImplemented(
           "fused CSV pipelines require a complete positional map");
     }
-    if (entry->csv_quoted()) {
+    if (tc.csv_quoted) {
       return Status::NotImplemented(
           "fused CSV pipelines do not handle quoted files");
     }
@@ -463,7 +464,7 @@ class CsvFormatDriver final : public FormatDriver {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
-      args.file = entry->mmap();
+      args.file = tc.file.get();
       args.row_set = std::move(rows);
       args.dense_columns = req.dense_columns;
       args.batch_rows = opts.batch_rows;

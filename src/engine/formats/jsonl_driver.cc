@@ -30,7 +30,7 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
   if (opts.access_path != AccessPathKind::kExternalTable &&
       opts.build_positional_map && !tc.has_complete_pmap() &&
       !tc.pmap_build_wired &&
-      (tc.building_pmap != nullptr || entry->TryClaimPmapBuild())) {
+      (tc.building_pmap != nullptr || entry->TryClaimPmapBuild(tc.version))) {
     if (tc.building_pmap == nullptr) {
       tc.building_pmap = std::make_shared<PositionalMap>(
           PositionalMap::WithStride(info.schema.num_fields(),
@@ -75,7 +75,7 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
       spec.build_pmap = child_pmap;
       spec.range = m;
       children.push_back(WrapQualified(
-          std::make_unique<JsonlScanOperator>(entry->mmap(), std::move(spec)),
+          std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
           qualified));
     }
     (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
@@ -87,7 +87,7 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
   JsonlScanSpec spec = make_spec();
   spec.build_pmap = build;
   return wrap_publish(WrapQualified(
-      std::make_unique<JsonlScanOperator>(entry->mmap(), std::move(spec)),
+      std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
       qualified));
 }
 
@@ -112,7 +112,7 @@ StatusOr<OperatorPtr> BuildJsonlPositionalScan(FormatScanContext& tc,
     spec.row_set = std::move(rows);
     spec.health = tc.health;
     return WrapQualified(
-        std::make_unique<JsonlScanOperator>(entry->mmap(), std::move(spec)),
+        std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
         qualified);
   };
   auto iota_rows = [](int64_t first, int64_t count) {
@@ -150,13 +150,13 @@ class JsonlFormatDriver final : public FormatDriver {
   }
 
   StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const override {
+      const FormatScanContext& tc) const override {
     JsonlScanSpec spec;
-    spec.file_schema = entry.info.schema;
-    for (int c = 0; c < entry.info.schema.num_fields(); ++c) {
+    spec.file_schema = tc.entry->info.schema;
+    for (int c = 0; c < spec.file_schema.num_fields(); ++c) {
       spec.outputs.push_back(c);
     }
-    JsonlScanOperator scan(entry.mmap(), std::move(spec));
+    JsonlScanOperator scan(tc.file.get(), std::move(spec));
     RAW_RETURN_NOT_OK(scan.Open());
     auto table = std::make_unique<InMemoryTable>(scan.output_schema());
     while (true) {
@@ -180,7 +180,7 @@ class JsonlFormatDriver final : public FormatDriver {
       return false;
     }
     if (tc.building_pmap != nullptr) return true;
-    if (!tc.entry->TryClaimPmapBuild()) return false;
+    if (!tc.entry->TryClaimPmapBuild(tc.version)) return false;
     tc.building_pmap = std::make_shared<PositionalMap>(
         PositionalMap::WithStride(tc.entry->info.schema.num_fields(),
                                   tc.entry->info.pmap_stride));
@@ -204,8 +204,8 @@ class JsonlFormatDriver final : public FormatDriver {
     if (tc.has_complete_pmap()) {
       return SplitPmapRowRanges(*tc.published_pmap, target_morsels);
     }
-    const MmapFile* file = tc.entry->mmap();
-    return SplitJsonlByteRanges(file->data(), file->size(), target_morsels);
+    return SplitJsonlByteRanges(tc.file->data(), tc.file->size(),
+                                target_morsels);
   }
 
   StatusOr<OperatorPtr> BuildScan(FormatScanContext& tc,
@@ -219,8 +219,7 @@ class JsonlFormatDriver final : public FormatDriver {
     std::vector<ScanRange> morsels;
     if (tc.num_threads > 1) {
       if (sequential) {
-        const MmapFile* file = tc.entry->mmap();
-        morsels = SplitJsonlByteRanges(file->data(), file->size(),
+        morsels = SplitJsonlByteRanges(tc.file->data(), tc.file->size(),
                                        tc.num_threads * 4);
       } else {
         morsels = SplitMorsels(tc, tc.num_threads * 4);
@@ -246,7 +245,7 @@ class JsonlFormatDriver final : public FormatDriver {
     spec.use_pmap = pmap;
     spec.health = tc.health;
     auto fetcher =
-        std::make_unique<JsonlRowFetcher>(tc.entry->mmap(), std::move(spec));
+        std::make_unique<JsonlRowFetcher>(tc.file.get(), std::move(spec));
     fetcher->set_fields(qualified);
     return RowFetcherPtr(std::move(fetcher));
   }

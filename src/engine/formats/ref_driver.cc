@@ -99,7 +99,8 @@ class RefFormatDriver final : public FormatDriver {
   }
 
   StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const override {
+      const FormatScanContext& tc) const override {
+    const TableEntry& entry = *tc.entry;
     if (entry.info.ref_group < 0) {
       return LoadRefEventTable(entry.ref_reader());
     }

@@ -76,14 +76,14 @@ class CsvGzFormatDriver final : public FormatDriver {
   }
 
   StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const override {
+      const FormatScanContext& tc) const override {
     ZcsvScanSpec spec;
-    spec.file_schema = entry.info.schema;
-    for (int c = 0; c < entry.info.schema.num_fields(); ++c) {
+    spec.file_schema = tc.entry->info.schema;
+    for (int c = 0; c < spec.file_schema.num_fields(); ++c) {
       spec.outputs.push_back(c);
     }
-    spec.options = entry.info.csv_options;
-    ZcsvScanOperator scan(entry.mmap(), std::move(spec));
+    spec.options = tc.entry->info.csv_options;
+    ZcsvScanOperator scan(tc.file.get(), std::move(spec));
     RAW_RETURN_NOT_OK(scan.Open());
     auto table = std::make_unique<InMemoryTable>(scan.output_schema());
     while (true) {
@@ -108,7 +108,7 @@ class CsvGzFormatDriver final : public FormatDriver {
       return false;
     }
     if (tc.building_format_state != nullptr) return true;
-    if (!tc.entry->TryClaimFormatStateBuild()) return false;
+    if (!tc.entry->TryClaimFormatStateBuild(tc.version)) return false;
     tc.building_format_state = std::make_shared<GzipBlockIndex>();
     return true;
   }
@@ -164,7 +164,7 @@ class CsvGzFormatDriver final : public FormatDriver {
           spec.index = index;
           spec.range = m;
           children.push_back(WrapQualified(
-              std::make_unique<ZcsvScanOperator>(entry->mmap(),
+              std::make_unique<ZcsvScanOperator>(tc.file.get(),
                                                  std::move(spec)),
               qualified));
         }
@@ -176,7 +176,7 @@ class CsvGzFormatDriver final : public FormatDriver {
       ZcsvScanSpec spec = make_spec();
       spec.index = index;
       return WrapQualified(
-          std::make_unique<ZcsvScanOperator>(entry->mmap(), std::move(spec)),
+          std::make_unique<ZcsvScanOperator>(tc.file.get(), std::move(spec)),
           qualified);
     }
 
@@ -187,7 +187,7 @@ class CsvGzFormatDriver final : public FormatDriver {
         opts.build_positional_map && tc.format_state == nullptr &&
         !tc.format_state_build_wired &&
         (tc.building_format_state != nullptr ||
-         entry->TryClaimFormatStateBuild())) {
+         entry->TryClaimFormatStateBuild(tc.version))) {
       if (tc.building_format_state == nullptr) {
         tc.building_format_state = std::make_shared<GzipBlockIndex>();
       }
@@ -198,7 +198,7 @@ class CsvGzFormatDriver final : public FormatDriver {
     ZcsvScanSpec spec = make_spec();
     spec.build_index = build;
     OperatorPtr op = WrapQualified(
-        std::make_unique<ZcsvScanOperator>(entry->mmap(), std::move(spec)),
+        std::make_unique<ZcsvScanOperator>(tc.file.get(), std::move(spec)),
         qualified);
     if (build != nullptr) {
       op = std::make_unique<IndexPublishOperator>(
@@ -219,7 +219,7 @@ class CsvGzFormatDriver final : public FormatDriver {
           "(none configured)");
     }
     auto fetcher = std::make_unique<ZcsvRowFetcher>(
-        tc.entry->mmap(), index, tc.entry->info.schema, cols,
+        tc.file.get(), index, tc.entry->info.schema, cols,
         tc.entry->info.csv_options);
     fetcher->set_fields(qualified);
     return RowFetcherPtr(std::move(fetcher));

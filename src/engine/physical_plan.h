@@ -97,22 +97,24 @@ int ResolveNumThreads(int requested);
 /// The executable plan: an operator tree plus bookkeeping the executor needs
 /// (JIT compile time for reporting, explain text).
 struct PhysicalPlan {
+  /// Immutable snapshots the operator tree references by raw pointer (file
+  /// handles, positional maps, loaded tables). Holding them here pins them
+  /// for the plan's whole lifetime — streaming cursors keep working even if
+  /// RawEngine::ResetAdaptiveState() or a stale-file reopen drops the
+  /// engine's own references mid-stream. Declared before `root` so they are
+  /// destroyed after it (operator destructors join scan workers that may
+  /// still be reading them).
+  std::vector<std::shared_ptr<const void>> resources;
+  /// Robustness counters scans of this plan update (rows skipped/null-filled
+  /// under a tolerant malformed-row policy, I/O faults observed). Owned here
+  /// (and, like `resources`, outliving `root`) so scan specs can hold a raw
+  /// pointer for the plan's whole lifetime; the executor folds the totals
+  /// into the query result.
+  std::shared_ptr<ScanHealth> health;
   OperatorPtr root;
   std::string description;      // EXPLAIN-style summary
   double compile_seconds = 0;   // JIT compilation charged to this query
   Deadline deadline;            // propagated from PlannerOptions
-  /// Immutable snapshots the operator tree references by raw pointer
-  /// (positional maps, loaded tables). Holding them here pins them for the
-  /// plan's whole lifetime — streaming cursors keep working even if
-  /// RawEngine::ResetAdaptiveState() drops the engine's own references
-  /// mid-stream.
-  std::vector<std::shared_ptr<const void>> resources;
-
-  /// Robustness counters scans of this plan update (rows skipped/null-filled
-  /// under a tolerant malformed-row policy, I/O faults observed). Owned here
-  /// so scan specs can hold a raw pointer for the plan's whole lifetime; the
-  /// executor folds the totals into the query result.
-  std::shared_ptr<ScanHealth> health;
 
   /// Describers invoked after the plan drains, appended to the reported
   /// plan description — for facts only known at execution time (hash-join

@@ -253,26 +253,31 @@ struct BuildCtx {
   std::map<TableEntry*, FormatScanContext>* tables = nullptr;
   ScanHealth* health = nullptr;  // owned by the PhysicalPlan under build
 
-  FormatScanContext& Ctx(TableEntry* entry) {
+  /// Creates the table's context on first touch in this query, snapshotting
+  /// the open file handles and adaptive state once (TableEntry::Pin), so the
+  /// whole plan sees one consistent view even while other sessions publish
+  /// maps, load copies, reset the engine, or reopen a changed file.
+  Status Pin(TableEntry* entry) {
     FormatScanContext& tc = (*tables)[entry];
-    if (tc.entry == nullptr) {
-      tc.entry = entry;
-      tc.opts = opts;
-      tc.jit = jit;
-      tc.num_threads = num_threads;
-      tc.desc = desc;
-      tc.health = health;
-      // Snapshot the adaptive state once when planning starts, so the whole
-      // plan sees one consistent view even while other sessions publish
-      // maps, load copies, or reset the engine.
-      tc.published_pmap = entry->pmap();
-      tc.format_state = entry->format_state();
-      tc.row_count = entry->row_count();
-      // First touch in this query: one scan tick per (query, table).
-      if (opts->count_accesses) entry->NoteScan();
+    if (tc.entry != nullptr) return Status::OK();
+    tc.entry = entry;
+    tc.opts = opts;
+    tc.jit = jit;
+    tc.num_threads = num_threads;
+    tc.desc = desc;
+    tc.health = health;
+    Status pinned = entry->Pin(tc);
+    if (!pinned.ok()) {
+      tables->erase(entry);
+      return pinned;
     }
-    return tc;
+    // First touch in this query: one scan tick per (query, table).
+    if (opts->count_accesses) entry->NoteScan();
+    return Status::OK();
   }
+
+  /// The context Pin created for `entry`.
+  FormatScanContext& Ctx(TableEntry* entry) { return tables->at(entry); }
 };
 
 /// Registered driver for the entry's format (annotated NotFound otherwise —
@@ -292,7 +297,7 @@ std::vector<int> SortedUnique(std::vector<int> v) {
 Status EnsureLoaded(BuildCtx& ctx, FormatScanContext& tc) {
   if (tc.loaded != nullptr) return Status::OK();
   double load_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(tc.loaded, tc.entry->EnsureLoaded(&load_seconds));
+  RAW_ASSIGN_OR_RETURN(tc.loaded, tc.entry->EnsureLoaded(tc, &load_seconds));
   tc.row_count = tc.loaded->num_rows();
   if (load_seconds > 0) {
     (*ctx.desc) << "[load " << tc.entry->info.name << " " << load_seconds
@@ -971,7 +976,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
   for (const std::string& t : query.tables) {
     RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_->Get(t));
     entries.push_back(entry);
-    ctx.Ctx(entry);  // snapshot adaptive state once per query
+    RAW_RETURN_NOT_OK(ctx.Pin(entry));  // snapshot the table once per query
   }
 
   // If planning fails after a table context claimed an adaptive-state build
@@ -1283,8 +1288,11 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
   }
 
   // Pin the per-query snapshots for the plan's lifetime: operators reference
-  // them by raw pointer, and streaming cursors may outlive engine-side state.
+  // them by raw pointer, and streaming cursors may outlive engine-side state
+  // (a stale-file reopen, ResetAdaptiveState).
   for (auto& [entry, tc] : table_ctxs) {
+    if (tc.file != nullptr) plan.resources.push_back(tc.file);
+    if (tc.bin_reader != nullptr) plan.resources.push_back(tc.bin_reader);
     if (tc.published_pmap != nullptr) plan.resources.push_back(tc.published_pmap);
     if (tc.building_pmap != nullptr) plan.resources.push_back(tc.building_pmap);
     if (tc.format_state != nullptr) plan.resources.push_back(tc.format_state);

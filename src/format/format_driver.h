@@ -20,9 +20,11 @@
 
 namespace raw {
 
+class BinaryReader;
 class Catalog;
 class InMemoryTable;
 class JitTemplateCache;
+class MmapFile;
 struct CostParams;
 struct FusedPipelineRequest;
 struct PipelineSpec;
@@ -61,11 +63,13 @@ struct FormatCostParams {
 };
 
 /// Per-(query, table) planning context threaded through every FormatDriver
-/// hook: the adaptive-state snapshot taken when planning started (one
-/// consistent view even while other sessions publish maps or reset the
-/// engine), the planner options, and the plan-description sink. The planner
-/// owns one per table; drivers update the build-claim fields when they wire
-/// adaptive-state construction into a scan.
+/// hook: the snapshot of the table taken when planning started (open file
+/// handles and adaptive state — one consistent view even while other
+/// sessions publish maps, reset the engine, or reopen a changed file), the
+/// planner options, and the plan-description sink. The planner owns one per
+/// table and the plan pins its shared handles for the plan's lifetime;
+/// drivers update the build-claim fields when they wire adaptive-state
+/// construction into a scan.
 struct FormatScanContext {
   TableEntry* entry = nullptr;
   const PlannerOptions* opts = nullptr;
@@ -75,6 +79,20 @@ struct FormatScanContext {
   /// Per-query robustness counters the driver threads into its scan specs
   /// (owned by the physical plan; may be null in tests).
   ScanHealth* health = nullptr;
+
+  // --- snapshot taken by TableEntry::Pin ------------------------------------
+  /// The file generation this query reads. Drivers read these, never the
+  /// entry's own handles: a concurrent stale-file check replaces the entry's
+  /// handles, while this query keeps (and frees, when it is the last holder)
+  /// the generation it pinned. Non-null for every handle the format's
+  /// OpenTable installs (null `file` for REF, null `bin_reader` for
+  /// non-binary formats).
+  std::shared_ptr<const MmapFile> file;
+  std::shared_ptr<const BinaryReader> bin_reader;
+  bool csv_quoted = false;  // CSV-family: the pinned file uses quoting
+  /// Staleness epoch of the snapshot; adaptive-state build claims carry it
+  /// so a structure built over a displaced generation is never published.
+  int64_t version = 0;
 
   /// Complete, immutable map published by an earlier query (may be null).
   std::shared_ptr<const PositionalMap> published_pmap;
@@ -117,9 +135,11 @@ struct FormatScanContext {
 ///
 /// The contract, hook by hook, is documented in docs/format-drivers.md
 /// ("Writing a format driver"); the short version:
-///  * OpenTable/RefreshEntry/PrepareShared run under the catalog's per-entry
-///    open lock; they install stable handles (mmap, readers) that outlive
-///    every query.
+///  * OpenTable runs under the entry's open lock and installs the handles
+///    (mmap, readers) that each query pins into its FormatScanContext; every
+///    later hook reads the pinned handles, never the entry's current ones.
+///    PrepareShared/RefreshEntry resolve shared readers and refresh derived
+///    state on each catalog lookup.
 ///  * BuildScan returns the complete (possibly morsel-parallel) scan
 ///    operator for `cols`, with outputs renamed to `qualified`; morsels come
 ///    from the driver's own SplitMorsels and must cover every row exactly
@@ -141,8 +161,10 @@ class FormatDriver {
 
   // --- catalog hooks ---------------------------------------------------------
 
-  /// Opens the per-table handles (runs once per entry, serialized by the
-  /// entry's open lock). Handles must stay valid for the engine's lifetime.
+  /// Opens the per-table handles (serialized by the entry's open lock). Runs
+  /// on first use and again after a stale-file check dropped the handles;
+  /// queries pin the installed handles per plan (TableEntry::Pin), so a
+  /// displaced generation lives until its last query finishes.
   virtual Status OpenTable(TableEntry& entry) const = 0;
 
   /// Runs on every catalog lookup after the entry is open — refresh derived
@@ -158,9 +180,10 @@ class FormatDriver {
     return Status::OK();
   }
 
-  /// Fully materializes the table — the "DBMS" baseline load (§2.1).
+  /// Fully materializes the table from the handles pinned in `ctx` — the
+  /// "DBMS" baseline load (§2.1).
   virtual StatusOr<std::unique_ptr<InMemoryTable>> LoadTable(
-      const TableEntry& entry) const = 0;
+      const FormatScanContext& ctx) const = 0;
 
   // --- planner hooks ---------------------------------------------------------
 

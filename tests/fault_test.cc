@@ -3,17 +3,24 @@
 // every injected fault must surface as a typed Status, never a crash or a
 // silent wrong answer), malformed-row policies (skip / null-fill) checked
 // against ground truth at 1 and 4 threads, staleness regressions
-// (truncate-under-warm-pmap, mutate-under-claim), and the serving tier's
-// typed-error / retry-reconnect behaviour.
+// (truncate-under-warm-pmap, mutate-under-claim, failed reopens under
+// pinned file handles), and the serving tier's typed-error /
+// retry-reconnect behaviour.
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -489,6 +496,49 @@ class StalenessTest : public testing::TempDirTest {
     testing::TempDirTest::SetUp();
     FaultInjector::Global().Disarm();
   }
+
+  void TearDown() override { FaultInjector::Global().Disarm(); }
+
+  /// The CSV and binary cases of the pinned-handle regressions.
+  struct PinCase {
+    const char* file;
+    bool binary;
+  };
+  static std::vector<PinCase> PinCases() {
+    return {{"pin.csv", false}, {"pin.bin", true}};
+  }
+
+  /// Writes `spec` to `path` the way a well-behaved producer replaces a
+  /// file — a new file renamed over the old one — so readers that mapped
+  /// the old file keep its bytes.
+  void ReplaceTable(const PinCase& c, const TableSpec& spec) {
+    const std::string path = Path(c.file);
+    const std::string next = path + ".next";
+    ASSERT_OK(c.binary ? WriteBinaryFile(spec, next)
+                       : WriteCsvFile(spec, next));
+    ASSERT_EQ(0, std::rename(next.c_str(), path.c_str()));
+  }
+
+  Status Register(RawEngine& engine, const PinCase& c, const Schema& schema) {
+    return c.binary ? engine.RegisterBinary("t", Path(c.file), schema)
+                    : engine.RegisterCsv("t", Path(c.file), schema);
+  }
+
+  /// Arms a one-shot EIO on the next open of `c`'s file.
+  void ArmFailingReopen(const PinCase& c) {
+    FaultSpec fault;
+    std::string err;
+    ASSERT_TRUE(FaultInjector::ParseSpec(
+        std::string("eio:path=") + c.file + ",nth=1,max=1", &fault, &err))
+        << err;
+    FaultInjector::Global().Arm(fault);
+  }
+
+  static int64_t CountOf(const QueryResult& result) {
+    auto count = result.ValueAt(0, 0);
+    EXPECT_OK(count.status());
+    return count.ok() ? count->int64_value() : -1;
+  }
 };
 
 TEST_F(StalenessTest, PositionalMapBeyondEofIsATypedCorruptionError) {
@@ -558,7 +608,7 @@ TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {
 
   // A scan claims the build, the file changes mid-claim, the scan finishes:
   // the publication must be refused — the map indexes the old bytes.
-  ASSERT_TRUE(entry->TryClaimPmapBuild());
+  ASSERT_TRUE(entry->TryClaimPmapBuild(entry->version()));
   ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n5,6\n7,8\n"));
   ASSERT_TRUE(entry->CheckStale());
   const uint64_t positions[2] = {0, 2};
@@ -570,12 +620,166 @@ TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {
 
   // A claim over the current bytes publishes normally.
   ASSERT_OK(entry->EnsureOpen());
-  ASSERT_TRUE(entry->TryClaimPmapBuild());
+  ASSERT_TRUE(entry->TryClaimPmapBuild(entry->version()));
   auto fresh_map =
       std::make_shared<PositionalMap>(PositionalMap::WithStride(2, 10));
   fresh_map->AppendRow(0, positions);
   entry->PublishPmap(fresh_map);
   EXPECT_NE(nullptr, entry->pmap());
+}
+
+TEST_F(StalenessTest, FailedReopenUnderAPinnedQueryIsTypedAndFreesTheOldFile) {
+  // The interleaving that used to crash the serving tier: one query's lookup
+  // has returned, another worker's lookup sees the file replaced and drops
+  // the entry's handles, and the reopen fails. Planning must then get a
+  // typed error (never a null handle), a query already in flight keeps the
+  // generation it pinned, and that generation is freed with its last query.
+  const TableSpec v1 = TableSpec::UniformInt32("t", 4, 200, /*seed=*/3);
+  const TableSpec v2 = TableSpec::UniformInt32("t", 4, 300, /*seed=*/4);
+  for (const PinCase& c : PinCases()) {
+    SCOPED_TRACE(c.file);
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v1));
+    Catalog catalog;
+    ASSERT_OK(c.binary ? catalog.RegisterBinary("t", Path(c.file),
+                                                v1.ToSchema())
+                       : catalog.RegisterCsv("t", Path(c.file),
+                                             v1.ToSchema()));
+    ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Get("t"));
+
+    FormatScanContext running;  // a query in flight on the first generation
+    running.entry = entry;
+    ASSERT_OK(entry->Pin(running));
+    ASSERT_NE(nullptr, running.file);
+    const size_t old_size = running.file->size();
+    std::weak_ptr<const MmapFile> old_file = running.file;
+    std::weak_ptr<const BinaryReader> old_reader = running.bin_reader;
+
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v2));
+    ASSERT_TRUE(entry->CheckStale());  // another worker's lookup
+    ASSERT_NO_FATAL_FAILURE(ArmFailingReopen(c));
+    const int64_t fired_before = FaultInjector::Global().fired();
+    FormatScanContext failed;
+    failed.entry = entry;
+    const Status pinned = entry->Pin(failed);
+    EXPECT_EQ(StatusCode::kIOError, pinned.code()) << pinned.ToString();
+    EXPECT_EQ(nullptr, failed.file);
+    EXPECT_EQ(nullptr, failed.bin_reader);
+    EXPECT_EQ(fired_before + 1, FaultInjector::Global().fired());
+
+    // The in-flight query still reads its own bytes...
+    ASSERT_FALSE(old_file.expired());
+    EXPECT_EQ(old_size, running.file->size());
+    // ...and the next query reopens (the one-shot fault is spent) and pins
+    // the new generation.
+    FormatScanContext next;
+    next.entry = entry;
+    ASSERT_OK(entry->Pin(next));
+    ASSERT_NE(nullptr, next.file);
+    EXPECT_GT(next.file->size(), old_size);
+    EXPECT_EQ(running.version + 1, next.version);
+    if (c.binary) {
+      ASSERT_NE(nullptr, next.bin_reader);
+      EXPECT_EQ(300, next.bin_reader->num_rows());
+      EXPECT_EQ(next.file.get(), next.bin_reader->file())
+          << "binary reader and JIT kernels must read one mapping";
+    }
+
+    // Nothing else retains the displaced generation: its mapping (and fd)
+    // goes away with the last query that pinned it.
+    running = FormatScanContext();
+    EXPECT_TRUE(old_file.expired()) << "displaced mapping leaked";
+    EXPECT_TRUE(old_reader.expired()) << "displaced binary reader leaked";
+  }
+}
+
+TEST_F(StalenessTest, QueriesAcrossAFailedReopenAreTypedOrCorrect) {
+  // End to end through sessions: a planned (streaming) query survives the
+  // file being replaced and the reopen failing underneath it, the query
+  // that hits the failed reopen gets a typed error, and the next query
+  // answers from the new file.
+  const TableSpec v1 = TableSpec::UniformInt32("t", 4, 200, /*seed=*/3);
+  const TableSpec v2 = TableSpec::UniformInt32("t", 4, 300, /*seed=*/4);
+  const std::string sql = "SELECT COUNT(*), MAX(col1) FROM t";
+  for (const PinCase& c : PinCases()) {
+    SCOPED_TRACE(c.file);
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v1));
+    RawEngine engine;
+    ASSERT_OK(Register(engine, c, v1.ToSchema()));
+    auto session = engine.OpenSession();
+
+    ASSERT_OK_AND_ASSIGN(Cursor cursor, session->Stream(sql));
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v2));
+    ASSERT_NO_FATAL_FAILURE(ArmFailingReopen(c));
+    auto failed = session->Query(sql);
+    ASSERT_FALSE(failed.ok()) << "the failed reopen was swallowed";
+    EXPECT_EQ(StatusCode::kIOError, failed.status().code())
+        << failed.status().ToString();
+
+    ASSERT_OK_AND_ASSIGN(QueryResult streamed, cursor.Consume());
+    EXPECT_EQ(200, CountOf(streamed)) << "the planned query lost its file";
+    ASSERT_OK(cursor.Close());
+
+    ASSERT_OK_AND_ASSIGN(QueryResult fresh, session->Query(sql));
+    EXPECT_EQ(300, CountOf(fresh));
+  }
+}
+
+TEST_F(StalenessTest, ChurnWithFailingReopensIsTypedOrCorrectUnderLoad) {
+  // The serving-tier fault loop in miniature (and a TSan target for the
+  // handle snapshot): sessions query while the file's mtime churns, every
+  // lookup reopens it, and a sample of the reopens fails. Each answer is
+  // either correct or a typed kIOError, whatever the interleaving.
+  const TableSpec spec = TableSpec::UniformInt32("t", 4, 200, /*seed=*/3);
+  const std::string sql = "SELECT COUNT(*), MAX(col1) FROM t";
+  for (const PinCase& c : PinCases()) {
+    SCOPED_TRACE(c.file);
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, spec));
+    RawEngine engine;
+    ASSERT_OK(Register(engine, c, spec.ToSchema()));
+    FaultSpec fault;
+    std::string err;
+    ASSERT_TRUE(FaultInjector::ParseSpec(
+        std::string("eio:path=") + c.file + ",sample=0.2,seed=5", &fault,
+        &err))
+        << err;
+    FaultInjector::Global().Arm(fault);
+
+    constexpr int kSessions = 3;
+    constexpr int kQueriesPerSession = 30;
+    std::atomic<bool> stop{false};
+    std::thread toucher([&] {
+      const std::string path = Path(c.file);
+      while (!stop.load(std::memory_order_relaxed)) {
+        ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    std::vector<std::vector<StatusOr<QueryResult>>> results(kSessions);
+    std::vector<std::thread> sessions;
+    for (int s = 0; s < kSessions; ++s) {
+      sessions.emplace_back([&, s] {
+        auto session = engine.OpenSession();
+        for (int q = 0; q < kQueriesPerSession; ++q) {
+          results[static_cast<size_t>(s)].push_back(session->Query(sql));
+        }
+      });
+    }
+    for (std::thread& t : sessions) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    toucher.join();
+    FaultInjector::Global().Disarm();
+
+    for (const auto& per_session : results) {
+      for (const StatusOr<QueryResult>& r : per_session) {
+        if (r.ok()) {
+          EXPECT_EQ(200, CountOf(*r));
+        } else {
+          EXPECT_EQ(StatusCode::kIOError, r.status().code())
+              << r.status().ToString();
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
