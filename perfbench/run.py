@@ -3,14 +3,15 @@
 one workload and passes its output through; the last line of standard output
 is the run's JSON result.
 
-    python3 perfbench/run.py --workload csv_explore --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload csv_explore --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --selftest
     python3 perfbench/run.py --print-expected --workload rawd_serve --seed 1
 
 The build goes to $CARGO_TARGET_DIR (default .bench_build) under the checkout
 root. Each run writes its inputs, and the JIT compiler its scratch files, to a
 private directory under .bench_run/ that is deleted when the run ends,
-whether it passes, fails or is interrupted.
+whether it passes, fails or is interrupted. A run still going 110 s after its
+measured seconds counts as hung: it is stopped, and run.py exits with 1.
 """
 import fcntl
 import os
@@ -44,6 +45,18 @@ def build():
     return build_dir
 
 
+def run_limit_s(args):
+    """How long a run may take before it counts as hung and is stopped:
+    its measured seconds plus 110 s for set-up, checks and the last round."""
+    for flag, value in zip(args, args[1:]):
+        if flag == "--seconds":
+            try:
+                return float(value) + 110
+            except ValueError:
+                break
+    return 600  # --selftest, --print-expected
+
+
 def main():
     try:
         build_dir = build()
@@ -71,18 +84,24 @@ def main():
     try:
         # Own process group, so nothing it started can outlive the run.
         child = subprocess.Popen(cmd, cwd=ROOT, env=env, start_new_session=True)
-        return child.wait()
+        try:
+            return child.wait(timeout=run_limit_s(sys.argv[1:]))
+        except subprocess.TimeoutExpired:
+            print("perfbench: run exceeded its time limit; stopping it", file=sys.stderr)
+            child.send_signal(signal.SIGTERM)
+            return 1
     finally:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         if child is not None:
             try:
-                child.wait(timeout=30)
+                child.wait(timeout=20)  # perfbench stops rawd within 10 s
             except subprocess.TimeoutExpired:
-                pass
-            child.wait()
-            # Anything left in the group (a JIT compiler an interrupted run
-            # had started) is killed, and the run ends once the group is empty.
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+            # Anything left in the group (rawd, or a JIT compiler an
+            # interrupted run had started) is killed, and the run ends once
+            # the group is empty.
             for _ in range(500):
                 try:
                     os.killpg(child.pid, signal.SIGKILL)

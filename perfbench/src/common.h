@@ -229,8 +229,8 @@ struct RunConfig {
   double start_s = 0;  // process start on the NowS() clock
 };
 
-/// Planner threads of every engine the benchmark runs (the library
-/// workloads' PlannerOptions::num_threads, rawd's RAW_NUM_THREADS). The
+/// Planner threads of the library workloads' engines
+/// (PlannerOptions::num_threads); rawd keeps its default, the CPU count. The
 /// default 0 resolves to a host-dependent count, and with more than one
 /// thread a query can deadlock now and then: a thread waiting in
 /// ThreadPool::HelpWait for a parallel late fetch runs a queued morsel

@@ -9,7 +9,6 @@
 // perfbench/run.py builds this binary and supplies --workdir and --rawd.
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,18 +23,12 @@
 
 namespace pb {
 
-extern std::atomic<pid_t> g_daemon_pid;  // rawd_serve.cc
-
 namespace {
 
 /// SIGINT/SIGTERM: stop and reap the daemon before exiting.
 void OnSignal(int sig) {
   const pid_t pid = g_daemon_pid.load();
-  if (pid > 0) {
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
+  if (pid > 0) StopChild(pid);
   ::_exit(128 + sig);
 }
 
@@ -199,7 +192,6 @@ int Main(int argc, char** argv) {
   ::signal(SIGINT, OnSignal);
   ::signal(SIGTERM, OnSignal);
   bool print_expected = false, selftest = false, seed_given = false;
-  bool oracle_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -214,9 +206,6 @@ int Main(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.seed = std::stoull(value());
       seed_given = true;
-    } else if (arg == "--oracle-seed") {
-      cfg.oracle_seed = std::stoull(value());
-      oracle_given = true;
     } else if (arg == "--seconds") {
       cfg.seconds = std::stod(value());
     } else if (arg == "--trace") {
@@ -225,8 +214,6 @@ int Main(int argc, char** argv) {
       cfg.workdir = value();
     } else if (arg == "--rawd") {
       cfg.rawd_path = value();
-    } else if (arg == "--small") {
-      cfg.small = true;
     } else if (arg == "--print-expected") {
       print_expected = true;
     } else if (arg == "--selftest") {
@@ -236,7 +223,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!oracle_given) cfg.oracle_seed = cfg.seed;
+  cfg.oracle_seed = cfg.seed;
   if (selftest) return SelfTest(cfg);
   WorkloadFn fn = Find(cfg.workload);
   if (fn == nullptr || (!print_expected && (!seed_given || cfg.workdir.empty()))) {

@@ -1,18 +1,21 @@
 // rawd_serve: the rawd daemon as shipped (default flags: 2 workers, autotune
 // on, 64 MB result cache) serving one CSV to a dashboard. The benchmark is
-// the load generator: 2 connections in a closed loop, one request in flight
-// each, so the default admission limits never shed. Each round sends 1000
-// requests: 60% repeated dashboard queries (result-cache hits after their
-// first send) and, with fresh literals, 27% ad-hoc filtered averages, 10%
+// the load generator: 1 connection in a closed loop, one request in flight,
+// so the default admission limits never shed. Each round sends 1000
+// requests: 85% repeated dashboard queries (result-cache hits after their
+// first send) and, with fresh literals, 9% ad-hoc filtered averages, 3%
 // GROUP BYs and 3% ad-hoc filtered COUNT/SUM/MAX aggregates. The last shape
 // is the one the planner fuses, and each fresh literal compiles a kernel, so
-// its share sets the tail.
+// its share sets the tail. With a second connection, hits often waited for a
+// CPU behind the other connection's scan, and p50 moved with that; with
+// fewer repeats, more hits follow a scan, which makes a hit slower.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,10 +23,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "common/rng.h"
 #include "perfbench/src/oracle.h"
@@ -33,16 +35,29 @@
 
 namespace pb {
 
-/// The running daemon's pid, for the signal handler in main.cc.
 std::atomic<pid_t> g_daemon_pid{0};
+
+void StopChild(pid_t pid) {
+  ::kill(pid, SIGTERM);
+  const timespec tick{0, 10 * 1000 * 1000};
+  int status = 0;
+  for (int waited_ms = 0; waited_ms < 10000; waited_ms += 10) {
+    if (::waitpid(pid, &status, WNOHANG) != 0) return;  // reaped, or gone
+    ::nanosleep(&tick, nullptr);
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+}
 
 namespace {
 
-constexpr int kClients = 2;
 constexpr int kRoundRequests = 1000;
+// A request that gets no answer in this time fails and ends the run, so a
+// hung query cannot hold the run (and rawd) past its time limit.
+constexpr int kIoTimeoutMs = 30000;
 
 /// The daemon as a child process: started on a free port, always stopped
-/// with SIGTERM and reaped.
+/// with SIGTERM (SIGKILL after 10 s) and reaped.
 class Daemon {
  public:
   Daemon() = default;
@@ -101,9 +116,7 @@ class Daemon {
   /// SIGTERM (graceful drain), then reap.
   void Stop() {
     if (pid_ <= 0) return;
-    ::kill(pid_, SIGTERM);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
+    StopChild(pid_);
     pid_ = 0;
     g_daemon_pid = 0;
   }
@@ -237,28 +250,43 @@ std::vector<Query> Dashboard(uint64_t seed) {
   };
 }
 
-/// One round's requests, drawn from (seed, round).
+/// The kinds of request in a round, with their counts out of kRoundRequests.
+/// The counts are exact, so every round does the same work whatever the seed.
+enum class Kind { kDashboard, kAvg, kGroupBy, kFused };
+constexpr std::pair<Kind, int> kRoundMix[] = {
+    {Kind::kDashboard, 850}, {Kind::kAvg, 90}, {Kind::kGroupBy, 30}, {Kind::kFused, 30}};
+static_assert([] {
+  int n = 0;
+  for (const auto& [kind, count] : kRoundMix) n += count;
+  return n;
+}() == kRoundRequests);
+
+/// One round's requests in an order and with literals drawn from (seed, round).
 std::vector<Request> Round(uint64_t seed, int round, const std::vector<Request>& dashboard,
                            const PrefixOracle& oracle) {
   raw::Rng rng(seed * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(round) * 7919 + 1);
+  std::vector<Kind> kinds;
+  for (const auto& [kind, count] : kRoundMix) kinds.insert(kinds.end(), count, kind);
+  for (size_t i = kinds.size() - 1; i > 0; --i) {
+    std::swap(kinds[i], kinds[rng.NextBelow(i + 1)]);
+  }
   std::vector<Request> out;
-  for (int i = 0; i < kRoundRequests; ++i) {
-    const uint64_t r = rng.NextBelow(100);
+  for (const Kind kind : kinds) {
     const double literal = rng.NextInt32(100000000, 900000000);
-    if (r < 60) {
+    if (kind == Kind::kDashboard) {
       out.push_back(dashboard[rng.NextBelow(dashboard.size())]);
-    } else if (r < 87 || r >= 97) {
-      const bool avg = r < 87;
+    } else if (kind == Kind::kGroupBy) {
+      const Query q{.table = "t", .group = "col0",
+                    .aggs = {{Agg::kCount, ""}, {Agg::kMax, "col3"}},
+                    .preds = {{"col2", '<', literal}}};
+      out.push_back({q.Sql(), oracle.GroupBy(literal), true});
+    } else {
+      const bool avg = kind == Kind::kAvg;
       const int p = static_cast<int>(rng.NextBelow(2));
       Query q{.table = "t", .preds = {{p == 0 ? "col1" : "col2", '<', literal}}};
       q.aggs = avg ? std::vector<AggItem>{{Agg::kCount, ""}, {Agg::kAvg, "col3"}}
                    : std::vector<AggItem>{{Agg::kCount, ""}, {Agg::kSum, "col3"}, {Agg::kMax, "col4"}};
       out.push_back({q.Sql(), oracle.AdHoc(p, literal, avg), false});
-    } else {
-      const Query q{.table = "t", .group = "col0",
-                    .aggs = {{Agg::kCount, ""}, {Agg::kMax, "col3"}},
-                    .preds = {{"col2", '<', literal}}};
-      out.push_back({q.Sql(), oracle.GroupBy(literal), true});
     }
   }
   return out;
@@ -305,95 +333,79 @@ raw::Status RawdServe(const RunConfig& cfg, RunReport* report,
     ScopedSpan span(&tracer, "serve.start");
     RAW_RETURN_NOT_OK(daemon.Start(cfg.rawd_path, csv, cfg.workdir));
   }
-  std::unique_ptr<raw::serve::RawClient> clients[kClients];
-  for (auto& c : clients) {
-    RAW_ASSIGN_OR_RETURN(c, raw::serve::RawClient::Connect("127.0.0.1", daemon.port()));
-    RAW_RETURN_NOT_OK(c->Hello());
-  }
+  raw::serve::RawClientOptions client_options;
+  client_options.io_timeout_ms = kIoTimeoutMs;
+  RAW_ASSIGN_OR_RETURN(std::unique_ptr<raw::serve::RawClient> client,
+                       raw::serve::RawClient::Connect("127.0.0.1", daemon.port(), client_options));
+  RAW_RETURN_NOT_OK(client->Hello());
   // Warm-up: the first scan tokenizes the file and builds its positional map.
   for (const char* sql : {"SELECT COUNT(*) FROM t", "SELECT MAX(col5) FROM t WHERE col0 < 3"}) {
     ScopedSpan span(&tracer, "serve.warmup");
-    RAW_ASSIGN_OR_RETURN(raw::serve::QueryResponse r, clients[0]->Query(sql));
+    RAW_ASSIGN_OR_RETURN(raw::serve::QueryResponse r, client->Query(sql));
     RAW_RETURN_NOT_OK(r.status);
   }
   const double setup_s = NowS() - cfg.start_s;
   compute_expected();
 
-  RAW_ASSIGN_OR_RETURN(const std::string stats_before, clients[0]->Stats());
+  RAW_ASSIGN_OR_RETURN(const std::string stats_before, client->Stats());
   std::vector<Sample> samples;
   std::vector<double> round_s;
   std::vector<int64_t> hit_qids, miss_qids;
   std::vector<double> server_plan_ms, server_exec_ms;
-  std::mutex mu;  // guards `seen`, `samples`, the vectors above and `report`
   std::unordered_set<std::string> seen;
-  Tracer thread_tracers[kClients] = {Tracer(cfg.trace), Tracer(cfg.trace)};
   int64_t sent = 0, responses = 0;
+  bool transport_failed = false;
   const double t0 = NowS();
-  for (int round = 0; round == 0 || NowS() - t0 < cfg.seconds; ++round) {
+  for (int round = 0; !transport_failed && (round == 0 || NowS() - t0 < cfg.seconds);
+       ++round) {
     const std::vector<Request> requests = Round(cfg.seed, round, dashboard, *oracle);
     const double start = NowS();
-    auto client_loop = [&](int c) {
-      for (size_t i = static_cast<size_t>(c); i < requests.size(); i += kClients) {
-        const Request& req = requests[i];
-        const int64_t qid = static_cast<int64_t>(round) * kRoundRequests + static_cast<int64_t>(i);
-        bool hit;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          hit = !seen.insert(req.sql).second;
-          ++sent;
-        }
-        const double t = NowS();
-        raw::StatusOr<raw::serve::QueryResponse> r = [&] {
-          ScopedSpan span(&thread_tracers[c], "client.query", qid);
-          return clients[c]->Query(req.sql);
-        }();
-        const double latency = NowS() - t;
-        Answer got;
-        const bool ok = r.ok() && r->status.ok();
-        if (ok) {
-          AppendBatch(r->table, &got);
-          if (req.grouped) got.SortRows();
-        }
-        const bool same = ok && SameAnswer(req.expected, got);
-        std::lock_guard<std::mutex> lock(mu);
-        samples.push_back({latency, hit});
-        (hit ? hit_qids : miss_qids).push_back(qid);
-        ++report->attempted;
-        if (r.ok()) ++responses;
-        if (!ok) {
-          ++report->failed;
-          std::fprintf(stderr, "perfbench: %s: %s\n", req.sql.c_str(),
-                       (r.ok() ? r->status : r.status()).ToString().c_str());
-          continue;
-        }
-        if (!hit) {  // hits are answered from the result cache
-          server_plan_ms.push_back(r->plan_seconds * 1e3);
-          server_exec_ms.push_back(r->execute_seconds * 1e3);
-        }
-        report->checks.Expect("answer", same, [&] {
-          return req.sql + " => " + got.ToString() + ", expected " + req.expected.ToString();
-        });
+    for (size_t i = 0; i < requests.size() && !transport_failed; ++i) {
+      const Request& req = requests[i];
+      const int64_t qid = static_cast<int64_t>(round) * kRoundRequests + static_cast<int64_t>(i);
+      const bool hit = !seen.insert(req.sql).second;
+      ++sent;
+      const double t = NowS();
+      raw::StatusOr<raw::serve::QueryResponse> r = [&] {
+        ScopedSpan span(&tracer, "client.query", qid);
+        return client->Query(req.sql);
+      }();
+      const double latency = NowS() - t;
+      samples.push_back({latency, hit});
+      (hit ? hit_qids : miss_qids).push_back(qid);
+      ++report->attempted;
+      if (r.ok()) ++responses;
+      if (!r.ok()) transport_failed = true;  // timed out or lost: the connection is gone
+      if (!r.ok() || !r->status.ok()) {
+        ++report->failed;
+        std::fprintf(stderr, "perfbench: %s: %s\n", req.sql.c_str(),
+                     (r.ok() ? r->status : r.status()).ToString().c_str());
+        continue;
       }
-    };
-    std::thread threads[kClients - 1];
-    for (int c = 1; c < kClients; ++c) threads[c - 1] = std::thread(client_loop, c);
-    client_loop(0);
-    for (auto& t : threads) t.join();
+      if (!hit) {  // hits are answered from the result cache
+        server_plan_ms.push_back(r->plan_seconds * 1e3);
+        server_exec_ms.push_back(r->execute_seconds * 1e3);
+      }
+      Answer got;
+      AppendBatch(r->table, &got);
+      if (req.grouped) got.SortRows();
+      report->checks.Expect("answer", SameAnswer(req.expected, got), [&] {
+        return req.sql + " => " + got.ToString() + ", expected " + req.expected.ToString();
+      });
+    }
     round_s.push_back(NowS() - start);
   }
-  RAW_ASSIGN_OR_RETURN(const std::string stats_after, clients[0]->Stats());
+  RAW_ASSIGN_OR_RETURN(const std::string stats_after, client->Stats());
   std::vector<double> stats_rtt;
   if (cfg.trace) {
     for (int i = 0; i < 50; ++i) {
       ScopedSpan span(&tracer, "client.stats");
-      RAW_RETURN_NOT_OK(clients[0]->Stats().status());
+      RAW_RETURN_NOT_OK(client->Stats().status());
     }
     stats_rtt = tracer.Seconds("client.stats");
   }
   const double daemon_rss_mb = PeakRssMb(std::to_string(daemon.pid()));
-  for (auto& c : clients) {
-    (void)c->Goodbye();
-  }
+  (void)client->Goodbye();
   daemon.Stop();
 
   auto delta = [&](const char* object, const char* key) {
@@ -426,11 +438,7 @@ raw::Status RawdServe(const RunConfig& cfg, RunReport* report,
 
   if (cfg.trace) {
     Values& l = out->per_layer;
-    std::map<int64_t, double> query_s;
-    for (const Tracer& t : thread_tracers) {
-      const auto q = t.SecondsByQuery("client.query");
-      query_s.insert(q.begin(), q.end());
-    }
+    const std::map<int64_t, double> query_s = tracer.SecondsByQuery("client.query");
     auto median_ms = [&](const std::vector<int64_t>& qids) {
       std::vector<double> v;
       for (int64_t q : qids) v.push_back(query_s.at(q) * 1e3);
@@ -456,11 +464,7 @@ raw::Status RawdServe(const RunConfig& cfg, RunReport* report,
     l["engine.plans_per_request"] = delta("", "queries_planned") / static_cast<double>(sent);
     l["autotune.materializer.actions_completed"] = delta("materializer", "actions_completed");
     l["serve.admission.shed"] = delta("admission", "shed");
-    const std::string base = ".bench_trace/rawd_serve-seed" + std::to_string(cfg.seed);
-    RAW_RETURN_NOT_OK(tracer.Write(base + ".jsonl"));
-    for (int c = 0; c < kClients; ++c) {
-      RAW_RETURN_NOT_OK(thread_tracers[c].Write(base + "-client" + std::to_string(c) + ".jsonl"));
-    }
+    RAW_RETURN_NOT_OK(tracer.Write(".bench_trace/rawd_serve-seed" + std::to_string(cfg.seed) + ".jsonl"));
   }
   return raw::Status::OK();
 }

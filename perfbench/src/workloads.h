@@ -4,6 +4,9 @@
 #ifndef PERFBENCH_WORKLOADS_H_
 #define PERFBENCH_WORKLOADS_H_
 
+#include <sys/types.h>
+
+#include <atomic>
 #include <string>
 
 #include "perfbench/src/common.h"
@@ -25,6 +28,13 @@ raw::Status MultiformatAnalytics(const RunConfig& cfg, RunReport* report,
                                  WorkloadResult* out, bool print_expected);
 raw::Status RawdServe(const RunConfig& cfg, RunReport* report,
                       WorkloadResult* out, bool print_expected);
+
+/// The running rawd child's pid (0 when none), for main.cc's signal handler.
+extern std::atomic<pid_t> g_daemon_pid;
+
+/// Stops a child with SIGTERM and reaps it; if it has not exited after
+/// 10 s (a drain stuck on a hung query), SIGKILL. Async-signal-safe.
+void StopChild(pid_t pid);
 
 }  // namespace pb
 
