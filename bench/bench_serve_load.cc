@@ -4,7 +4,9 @@
 //
 //   Phase 1 (windowed closed loop): N clients keep a window of pipelined
 //     queries in flight — the saturation throughput of this machine/table/
-//     query combination.
+//     query combination. The window per connection equals that connection's
+//     share of the admission queue, so the phase measures executed queries,
+//     not a shed-and-resend loop; the few sheds left are reported.
 //   Phase 2 (open loop): senders put queries on the wire on schedule at
 //     0.5x, 1x and 2x the measured saturation rate, regardless of how fast
 //     answers come back (what external load looks like); a reader thread
@@ -48,8 +50,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr int kWindow = 8;  // pipelined requests per connection, phase 1
-
 struct LoadResult {
   std::vector<double> latencies;  // answered queries only, seconds
   int64_t answered = 0;
@@ -72,12 +72,19 @@ struct LoadResult {
 const char* kQuery = "SELECT COUNT(*), MAX(value) FROM readings"
                      " WHERE value > 10.0";
 
-/// Windowed closed loop: each client keeps kWindow queries in flight and
+struct SaturationResult {
+  double qps = 0;    // answered queries per second
+  int64_t shed = 0;  // requests the admission controller shed
+};
+
+/// Windowed closed loop: each client keeps `window` queries in flight and
 /// sends a new one per answer. Returns the aggregate rate of *answered*
 /// queries — the service capacity, not limited by per-request round trips
-/// and not inflated by shed fast-fails.
-double MeasureSaturation(int port, int clients, double seconds) {
+/// and not inflated by shed fast-fails — and the sheds seen on the way.
+SaturationResult MeasureSaturation(int port, int clients, int window,
+                                   double seconds) {
   std::atomic<int64_t> done{0};
+  std::atomic<int64_t> shed{0};
   std::vector<std::thread> threads;
   const auto end = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                       std::chrono::duration<double>(seconds));
@@ -87,7 +94,7 @@ double MeasureSaturation(int port, int clients, double seconds) {
       if (!client.ok() || !(*client)->Hello().ok()) return;
       uint64_t next_id = 1;
       int64_t in_flight = 0;
-      for (; in_flight < kWindow; ++in_flight) {
+      for (; in_flight < window; ++in_flight) {
         if (!(*client)->SendQuery(next_id++, kQuery).ok()) return;
       }
       while (in_flight > 0) {
@@ -96,7 +103,11 @@ double MeasureSaturation(int port, int clients, double seconds) {
         --in_flight;
         // Sheds are responses but not service; only answered queries count
         // toward the saturation rate.
-        if (!resp->overloaded && resp->status.ok()) done.fetch_add(1);
+        if (resp->overloaded) {
+          shed.fetch_add(1);
+        } else if (resp->status.ok()) {
+          done.fetch_add(1);
+        }
         if (Clock::now() < end) {
           if (!(*client)->SendQuery(next_id++, kQuery).ok()) return;
           ++in_flight;
@@ -106,7 +117,7 @@ double MeasureSaturation(int port, int clients, double seconds) {
     });
   }
   for (std::thread& t : threads) t.join();
-  return static_cast<double>(done.load()) / seconds;
+  return {static_cast<double>(done.load()) / seconds, shed.load()};
 }
 
 /// Open loop: each connection's sender puts queries on the wire on schedule
@@ -310,12 +321,17 @@ void Run() {
     CheckOk(client->Goodbye(), "goodbye");
   }
 
-  const double sat = MeasureSaturation(server.port(), clients,
-                                       static_cast<double>(phase_seconds));
+  // In flight per connection: the connection's share of the admission
+  // queue. More would only be shed and resent.
+  const int window = options.admission.max_total_queued / clients;
+  const SaturationResult saturation = MeasureSaturation(
+      server.port(), clients, window, static_cast<double>(phase_seconds));
+  const double sat = saturation.qps;
   printf("\nsaturation: %.0f qps (windowed closed loop, %d clients x %d in "
-         "flight)\n",
-         sat, clients, kWindow);
+         "flight, %lld shed)\n",
+         sat, clients, window, static_cast<long long>(saturation.shed));
   RecordJson("serve/saturation-qps", sat);
+  RecordJson("serve/saturation-sheds", static_cast<double>(saturation.shed));
   RecordJson("serve/saturation-query-seconds", sat > 0 ? 1.0 / sat : 0);
   // Flush per phase: stdout to a pipe is block-buffered, and a crash in a
   // later phase would otherwise lose everything the earlier ones printed.

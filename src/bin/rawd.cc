@@ -42,10 +42,11 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseIntFlag(const char* arg, const char* name, int* out) {
+bool ParseIntFlag(const char* arg, const char* name, int* out,
+                  int64_t min_value = 1) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  auto v = raw::ParseInt64Strict(arg + len + 1, 1, 1 << 20);
+  auto v = raw::ParseInt64Strict(arg + len + 1, min_value, 1 << 20);
   if (!v.has_value()) {
     fprintf(stderr, "rawd: bad value for %s\n", name);
     exit(2);
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (ParseIntFlag(arg, "--port", &options.port)) continue;
+    // 0 asks the OS for an ephemeral port; the bound port is printed below.
+    if (ParseIntFlag(arg, "--port", &options.port, /*min_value=*/0)) continue;
     if (std::strncmp(arg, "--autotune=", 11) == 0) {
       auto v = raw::ParseInt64Strict(arg + 11, 0, 1);
       if (!v.has_value()) return Usage(argv[0]);

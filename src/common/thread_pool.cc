@@ -30,19 +30,20 @@ void ThreadPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
+      task = std::move(queue_.front().fn);
       queue_.pop_front();
     }
     task();
   }
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
+std::future<void> ThreadPool::Submit(std::function<void()> fn,
+                                     TaskKind kind) {
   std::packaged_task<void()> task(std::move(fn));
   std::future<void> fut = task.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task), kind});
   }
   cv_.notify_one();
   return fut;
@@ -52,9 +53,12 @@ bool ThreadPool::TryRunPendingTask() {
   std::packaged_task<void()> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
+    auto it = std::find_if(queue_.begin(), queue_.end(), [](const Task& t) {
+      return t.kind == TaskKind::kHelpable;
+    });
+    if (it == queue_.end()) return false;
+    task = std::move(it->fn);
+    queue_.erase(it);
   }
   task();
   return true;

@@ -22,10 +22,22 @@ namespace raw {
 /// an outside caller waiting for results) can drain queued tasks through
 /// TryRunPendingTask(), so nested submission (a task that submits subtasks
 /// and waits for them) makes progress even when every worker is busy.
-/// Exceptions thrown by a task are captured in the future returned by
+/// Tasks submitted as kWorkerOnly are the exception: only pool workers run
+/// them. Exceptions thrown by a task are captured in the future returned by
 /// Submit() and rethrown to whoever calls get().
 class ThreadPool {
  public:
+  /// Who may run a task.
+  enum class TaskKind {
+    /// Any pool worker, or any thread helping while it waits.
+    kHelpable,
+    /// Pool workers only: for tasks that may block until the submitting
+    /// thread makes progress. A parallel scan's morsel workers wait on their
+    /// consumer's backpressure; had the consumer run one inline while
+    /// waiting for other work (HelpWait), it would wait for itself.
+    kWorkerOnly,
+  };
+
   /// Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(int num_threads);
 
@@ -36,10 +48,12 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Enqueues `fn`; the future completes when it ran (or threw).
-  std::future<void> Submit(std::function<void()> fn);
+  std::future<void> Submit(std::function<void()> fn,
+                           TaskKind kind = TaskKind::kHelpable);
 
-  /// Runs one queued task on the calling thread, if any is pending. Returns
-  /// true when a task was run. Lets waiting callers help instead of blocking.
+  /// Runs the oldest queued helpable task on the calling thread, if any.
+  /// Returns true when a task was run. Lets waiting callers help instead of
+  /// blocking.
   bool TryRunPendingTask();
 
   /// Blocks until `fut` is ready, draining queued tasks meanwhile. Safe to
@@ -68,11 +82,16 @@ class ThreadPool {
   int64_t queue_depth() const;
 
  private:
+  struct Task {
+    std::packaged_task<void()> fn;
+    TaskKind kind = TaskKind::kHelpable;
+  };
+
   void WorkerLoop();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<Task> queue_;
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

@@ -195,11 +195,12 @@ void TableEntry::PublishPmap(std::shared_ptr<const PositionalMap> map) {
   // A map built against bytes that changed mid-scan (CheckStale bumped the
   // epoch since the claim) indexes the old file; publishing it would hand
   // later queries offsets into unrelated data. Drop it silently — the next
-  // query re-claims and rebuilds against the fresh mapping.
-  const bool fresh =
-      pmap_claim_version_.load(std::memory_order_acquire) == version();
+  // query re-claims and rebuilds against the fresh mapping. The version is
+  // read under mu_, which CheckStale holds while it bumps it.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool fresh =
+        pmap_claim_version_.load(std::memory_order_acquire) == version();
     if (fresh && pmap_ == nullptr && map != nullptr && !map->empty()) {
       pmap_ = std::move(map);
       SetRowCountIfUnknown(pmap_->num_rows());
@@ -227,15 +228,16 @@ void TableEntry::AbandonFormatStateBuild() {
 }
 
 void TableEntry::PublishFormatState(
-    std::shared_ptr<const FormatAdaptiveState> state) {
+    std::shared_ptr<const FormatAdaptiveState> state, int64_t row_count) {
   // Same mutate-under-claim guard as PublishPmap: an index of the old bytes
-  // must never describe the remapped file.
-  const bool fresh = format_state_claim_version_.load(
-                         std::memory_order_acquire) == version();
+  // must never describe the remapped file, nor its row count.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool fresh = format_state_claim_version_.load(
+                           std::memory_order_acquire) == version();
     if (fresh && format_state_ == nullptr && state != nullptr) {
       format_state_ = std::move(state);
+      if (row_count >= 0) SetRowCountIfUnknown(row_count);
     }
   }
   format_state_building_.store(false, std::memory_order_release);

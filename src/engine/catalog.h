@@ -152,7 +152,10 @@ struct TableEntry {
 
   bool TryClaimFormatStateBuild(int64_t pinned_version);
   void AbandonFormatStateBuild();
-  void PublishFormatState(std::shared_ptr<const FormatAdaptiveState> state);
+  /// `row_count`: the rows the state's scan counted (-1 = not counted); like
+  /// the map's row count, recorded only when the state itself is published.
+  void PublishFormatState(std::shared_ptr<const FormatAdaptiveState> state,
+                          int64_t row_count);
 
   // --- DBMS-baseline loaded copy ---------------------------------------------
   /// Loads the full table once through the format driver from the handles

@@ -91,8 +91,12 @@ void ParallelTableScanOperator::StartWorkers() {
                          ? options_.max_inflight_morsels
                          : std::max<int64_t>(2 * workers, 4);
   workers_.reserve(static_cast<size_t>(workers));
+  // Worker-only: a morsel worker blocks on this scan's backpressure, so a
+  // thread waiting in HelpWait (possibly this scan's own consumer, e.g. a
+  // parallel late fetch above the scan) must never run one inline.
   for (int w = 0; w < workers; ++w) {
-    workers_.push_back(options_.pool->Submit([this] { WorkerLoop(); }));
+    workers_.push_back(options_.pool->Submit(
+        [this] { WorkerLoop(); }, ThreadPool::TaskKind::kWorkerOnly));
   }
 }
 

@@ -45,8 +45,8 @@ class IndexPublishOperator : public Operator {
     if (finished_) return;
     finished_ = true;
     if (publish && index_ != nullptr && index_->CheckConsistency().ok()) {
-      entry_->SetRowCountIfUnknown(index_->total_rows());
-      entry_->PublishFormatState(std::move(index_));
+      const int64_t rows = index_->total_rows();
+      entry_->PublishFormatState(std::move(index_), rows);
     } else {
       entry_->AbandonFormatStateBuild();
     }

@@ -459,8 +459,8 @@ bool CanonicalizeFusedLiteral(DataType col_type, const Datum& lit,
       auto v = lit.AsDouble();
       if (!v.ok()) return false;
       const float f = static_cast<float>(v.value());
-      // Generated source spells float literals in hexfloat, which cannot
-      // represent inf/nan.
+      // Non-finite literals stay interpreted: fused compares are only
+      // checked bit-exact against the typed kernel on finite values.
       if (!std::isfinite(f)) return false;
       *out = Datum::Float32(f);
       return true;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/mmap_file.h"
 #include "common/stopwatch.h"
@@ -35,6 +36,22 @@ int RunCommand(const std::string& command, std::string* output) {
   char buf[4096];
   while (fgets(buf, sizeof(buf), pipe) != nullptr) *output += buf;
   return pclose(pipe);
+}
+
+/// True when `source` includes a C++ header (`#include <charconv>`), whose
+/// code may call into the C++ runtime; C headers end in ".h".
+bool IncludesCxxHeader(const std::string& source) {
+  constexpr std::string_view kInclude = "#include <";
+  for (size_t pos = source.find(kInclude); pos != std::string::npos;
+       pos = source.find(kInclude, pos)) {
+    pos += kInclude.size();
+    const size_t end = source.find('>', pos);
+    if (end == std::string::npos) return true;
+    if (!std::string_view(source).substr(pos, end - pos).ends_with(".h")) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -74,6 +91,7 @@ StatusOr<CompiledKernel> CcCompiler::Compile(const std::string& source,
   std::string command = options_.cxx + " " + options_.flags + " -I" +
                         options_.include_dir + " -o " + lib_path + " " +
                         src_path;
+  if (!IncludesCxxHeader(source)) command += " -nostdlib";
   std::string output;
   int rc = RunCommand(command, &output);
   if (rc != 0) {

@@ -39,7 +39,12 @@ struct CcCompilerOptions {
 /// Drives the external C++ compiler: writes a generated translation unit to
 /// a scratch directory, produces a shared object, dlopens it and resolves the
 /// kernel entry point. This is the paper's compilation strategy ("the
-/// freshly-compiled library is dynamically loaded into RAW", §3).
+/// freshly-compiled library is dynamically loaded into RAW", §3). A TU that
+/// includes C headers only is linked with -nostdlib: it calls nothing from
+/// the C++ runtime, and its few libc calls (memchr) bind to the libc the
+/// host process already loaded, so its link step is several times cheaper.
+/// A TU that includes a C++ header (<charconv> for CSV float parsing) links
+/// the standard libraries.
 class CcCompiler {
  public:
   explicit CcCompiler(CcCompilerOptions options = CcCompilerOptions());

@@ -2,6 +2,7 @@
 #define RAW_JIT_CODEGEN_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/statusor.h"
@@ -34,6 +35,10 @@ std::string_view CTypeName(DataType type);
 /// the field terminator (delimiter or newline).
 void EmitCsvParseField(SourceBuilder* src, DataType type,
                        const std::string& target, char delim);
+/// True when parsing `outputs` calls std::from_chars (a float field), so the
+/// TU must include <charconv>; integer-only CSV kernels include C headers
+/// alone and link without the C++ runtime.
+bool CsvParsesFloats(const std::vector<OutputField>& outputs);
 /// Emits code skipping `count` fields including their trailing delimiter.
 void EmitCsvSkipFields(SourceBuilder* src, int count, char delim);
 }  // namespace jit_internal

@@ -1,6 +1,6 @@
 #include <algorithm>
+#include <cstdio>
 #include <set>
-#include <sstream>
 
 #include "jit/codegen.h"
 #include "jit/source_builder.h"
@@ -73,6 +73,12 @@ void EmitCsvParseField(SourceBuilder* src, DataType type,
   }
 }
 
+bool CsvParsesFloats(const std::vector<OutputField>& outputs) {
+  return std::any_of(outputs.begin(), outputs.end(), [](const OutputField& f) {
+    return f.type == DataType::kFloat32 || f.type == DataType::kFloat64;
+  });
+}
+
 /// Emits code skipping `count` fields including their trailing delimiter.
 /// Small counts unroll fully (§4.1: "the column loop ... can be unrolled");
 /// larger gaps use a constant-trip-count loop the compiler unrolls itself.
@@ -111,13 +117,17 @@ void EmitSkipFields(SourceBuilder* src, int count, char delim) {
   jit_internal::EmitCsvSkipFields(src, count, delim);
 }
 
-/// Emits the standard prelude of every generated TU.
+/// Emits the standard prelude of every generated TU. <charconv> is included
+/// only when a float field is parsed (std::from_chars): integer-only kernels
+/// include C headers alone, compile faster and link without the C++ runtime.
 void EmitPrelude(SourceBuilder* src, const AccessPathSpec& spec) {
   src->Line("// Generated by RAW JIT access-path compiler.");
   src->Line("// spec: " + spec.CacheKey());
   src->Line("#include <stdint.h>");
   src->Line("#include <string.h>");
-  src->Line("#include <charconv>");
+  if (jit_internal::CsvParsesFloats(spec.outputs)) {
+    src->Line("#include <charconv>");
+  }
   src->Line("#include \"jit/jit_abi.h\"");
   src->Blank();
 }

@@ -24,6 +24,15 @@ typedef struct RawJitRefApi {
                         int64_t count, void* out);
 } RawJitRefApi;
 
+// One predicate literal of a fused pipeline, stored in the member matching
+// the compared column's type so int32/float32 values keep their exact bits.
+typedef union RawJitLiteral {
+  int32_t i32;
+  int64_t i64;
+  float f32;
+  double f64;
+} RawJitLiteral;
+
 // Execution context handed to a generated scan kernel for each batch.
 // The kernel fills output buffers and advances the cursor fields.
 typedef struct RawJitContext {
@@ -83,9 +92,14 @@ typedef struct RawJitContext {
   uint8_t* agg_init;
   // Scratch row mask (capacity max_rows) for the dense-predicate prepass.
   uint8_t* sel_mask;
-  // Active KernelTier as an int (0=scalar..3=avx2); >=3 enables the AVX2
-  // mask loop when the CPU supports it.
+  // Active KernelTier as an int (0=scalar..3=avx2), already clamped to what
+  // the CPU supports; >=3 selects the AVX2 mask loop.
   int32_t kernel_tier;
+  // Predicate literals, one slot per PipelineSpec predicate in spec order,
+  // each holding the canonicalized literal in the member of the compared
+  // column's type. Fused kernels read them at run time, so one compiled
+  // kernel serves every literal of its query shape.
+  const RawJitLiteral* pred_literals;
 } RawJitContext;
 
 // Every generated library exports this symbol. Returns the number of rows

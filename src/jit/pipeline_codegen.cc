@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <sstream>
 
 #include "format/format_driver.h"
 #include "jit/codegen.h"
@@ -35,31 +34,18 @@ std::string_view CompareOpCpp(CompareOp op) {
   return "?";
 }
 
-/// Spells a canonicalized literal as a C++ constant with the exact bit
-/// pattern the interpreted compare kernel uses (hexfloat round-trips floats
-/// exactly; decimal would not).
-StatusOr<std::string> LiteralCpp(const Datum& lit) {
-  switch (lit.type()) {
+/// The RawJitLiteral member holding a literal of `type` (a canonicalized
+/// literal is always one of the four fusable numeric types).
+std::string_view LiteralMember(DataType type) {
+  switch (type) {
     case DataType::kInt32:
-      return std::to_string(lit.int32_value());
-    case DataType::kInt64: {
-      int64_t v = lit.int64_value();
-      if (v == INT64_MIN) return std::string("(-9223372036854775807ll - 1)");
-      return std::to_string(v) + "ll";
-    }
-    case DataType::kFloat32: {
-      std::ostringstream os;
-      os << std::hexfloat << static_cast<double>(lit.float32_value()) << "f";
-      return os.str();
-    }
-    case DataType::kFloat64: {
-      std::ostringstream os;
-      os << std::hexfloat << lit.float64_value();
-      return os.str();
-    }
+      return "i32";
+    case DataType::kInt64:
+      return "i64";
+    case DataType::kFloat32:
+      return "f32";
     default:
-      return Status::InvalidArgument(
-          "fused pipelines only compare numeric literals");
+      return "f64";
   }
 }
 
@@ -181,16 +167,62 @@ Status ValidateAndLayOut(const PipelineSpec& spec, PipelineLayout* out) {
   return Status::OK();
 }
 
+/// `needs_charconv`: the TU parses CSV float fields (std::from_chars). Every
+/// other kernel includes C headers only, so it compiles faster and links
+/// without the C++ runtime (see CcCompiler).
 void EmitPrelude(SourceBuilder* src, const PipelineSpec& spec,
-                 std::string_view plugin) {
+                 std::string_view plugin, bool needs_charconv = false) {
   src->Line("// Generated by RAW JIT pipeline-fusion compiler (" +
             std::string(plugin) + " plug-in).");
   src->Line("// spec: " + spec.CacheKey());
   src->Line("#include <stdint.h>");
   src->Line("#include <string.h>");
-  src->Line("#include <charconv>");
+  if (needs_charconv) src->Line("#include <charconv>");
   src->Line("#include \"jit/jit_abi.h\"");
   src->Blank();
+}
+
+/// A predicate's ctx->pred_literals slot: its index in spec.predicates.
+std::string LiteralSlot(const PipelineSpec& spec, const PipelinePredicate* p) {
+  return std::to_string(p - spec.predicates.data());
+}
+
+/// Local name of a predicate's literal: lit<slot>.
+std::string LiteralName(const PipelineSpec& spec, const PipelinePredicate* p) {
+  return "lit" + LiteralSlot(spec, p);
+}
+
+/// Loads each predicate's literal from its run-time slot into a const local
+/// before the loops, so compares stay against a loop-invariant value.
+void EmitLiteralBindings(SourceBuilder* src, const PipelineSpec& spec,
+                         const std::vector<const PipelinePredicate*>& preds) {
+  for (const PipelinePredicate* p : preds) {
+    const DataType type = p->literal.type();
+    src->Line("const " + std::string(CTypeName(type)) + " " +
+              LiteralName(spec, p) + " = ctx->pred_literals[" +
+              LiteralSlot(spec, p) + "]." +
+              std::string(LiteralMember(type)) + ";");
+  }
+}
+
+/// All file-column predicates, in input order.
+std::vector<const PipelinePredicate*> FilePredicates(
+    const PipelineLayout& lay) {
+  std::vector<const PipelinePredicate*> out;
+  for (const auto& preds : lay.file_preds) {
+    out.insert(out.end(), preds.begin(), preds.end());
+  }
+  return out;
+}
+
+/// `if (!(<value> <op> lit<slot>)) continue;` for each of `preds`.
+void EmitFileTests(SourceBuilder* src, const PipelineSpec& spec,
+                   const std::vector<const PipelinePredicate*>& preds,
+                   const std::string& value) {
+  for (const PipelinePredicate* p : preds) {
+    src->Line("if (!(" + value + " " + std::string(CompareOpCpp(p->op)) +
+              " " + LiteralName(spec, p) + ")) continue;");
+  }
 }
 
 /// Emits the dense-predicate mask body once; callers wrap it in the scalar
@@ -206,22 +238,24 @@ void EmitMaskBody(SourceBuilder* src, const PipelineSpec& spec,
     src->Line("const " + t + "* const d" + std::to_string(k) + " = (const " +
               t + "*)ctx->in_dense[" + std::to_string(k) + "];");
   }
+  EmitLiteralBindings(src, spec, lay.dense_preds);
   src->Open("for (int64_t t = 0; t < n; ++t) {");
   src->Line("const int64_t r = " + row_expr + ";");
   src->Line("uint8_t keep = 1;");
   for (const PipelinePredicate* p : lay.dense_preds) {
-    std::string lit = LiteralCpp(p->literal).value();
     src->Line("keep &= (uint8_t)(d" + std::to_string(p->input) + "[r] " +
-              std::string(CompareOpCpp(p->op)) + " " + lit + ");");
+              std::string(CompareOpCpp(p->op)) + " " + LiteralName(spec, p) +
+              ");");
   }
   src->Line("m[t] = keep;");
   src->Close();
 }
 
 /// Emits the scalar + AVX2 mask functions and the runtime dispatcher. The
-/// two copies share one body with exact typed compares, so whichever the CPU
-/// picks produces the same mask bit for bit; RAW_KERNELS (ctx->kernel_tier)
-/// can force the scalar copy.
+/// two copies share one body with exact typed compares, so either produces
+/// the same mask bit for bit. ctx->kernel_tier picks the copy: the host
+/// clamps it to what the CPU supports, and RAW_KERNELS can force the scalar
+/// copy.
 void EmitMaskFunctions(SourceBuilder* src, const PipelineSpec& spec,
                        const PipelineLayout& lay, const std::string& row_expr) {
   src->Open(
@@ -243,9 +277,7 @@ void EmitMaskFunctions(SourceBuilder* src, const PipelineSpec& spec,
       "typedef void (*RawMaskFn)(const RawJitContext*, int64_t, int64_t);");
   src->Open("static RawMaskFn raw_resolve_mask(const RawJitContext* ctx) {");
   src->Line("#if defined(__x86_64__) || defined(__i386__)");
-  src->Line(
-      "if (ctx->kernel_tier >= 3 && __builtin_cpu_supports(\"avx2\")) return "
-      "&raw_eval_mask_avx2;");
+  src->Line("if (ctx->kernel_tier >= 3) return &raw_eval_mask_avx2;");
   src->Line("#endif");
   src->Line("(void)ctx;");
   src->Line("return &raw_eval_mask_scalar;");
@@ -430,7 +462,8 @@ StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
   const bool agg = spec.mode == PipelineOutputMode::kAggregate;
   const bool masked = !lay.dense_preds.empty();
   SourceBuilder src;
-  EmitPrelude(&src, spec, "csv");
+  EmitPrelude(&src, spec, "csv",
+              jit_internal::CsvParsesFloats(spec.scan.outputs));
   if (masked) {
     EmitMaskFunctions(&src, spec, lay, "ctx->in_row_ids[base + t]");
   }
@@ -446,6 +479,7 @@ StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
     src.Line("int64_t produced = 0;");
   }
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, FilePredicates(lay));
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   if (agg) {
@@ -471,11 +505,7 @@ StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
     src.Line(std::string(CTypeName(in.type)) + " v" + std::to_string(k) + ";");
     EmitCsvParseField(&src, in.type, "v" + std::to_string(k),
                       spec.scan.delimiter);
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(v" + std::to_string(k) + " " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitFileTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
     if (--remaining_file > 0) {
       src.Line("++p;  // consume delimiter");
       cursor_col = in.column + 1;
@@ -530,6 +560,7 @@ StatusOr<std::string> GenerateBinPipeline(const PipelineSpec& spec,
     src.Line("int64_t produced = 0;");
   }
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, FilePredicates(lay));
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   if (agg) {
@@ -554,11 +585,7 @@ StatusOr<std::string> GenerateBinPipeline(const PipelineSpec& spec,
     src.Line("memcpy(&v" + std::to_string(k) +
              ", data + (uint64_t)(row + t) * " + rw + "ull + " + off +
              "ull, sizeof(v" + std::to_string(k) + "));");
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(v" + std::to_string(k) + " " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitFileTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
   }
   EmitRowOutputs(&src, spec, lay, "rid", "ctx->row_cursor = row + t + 1;");
   src.Close();  // for
@@ -600,6 +627,7 @@ StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
   src.Line("const int64_t end = ctx->total_rows;");
   EmitAggLoads(&src, spec);
   EmitDenseValueBindings(&src, spec, lay);
+  EmitLiteralBindings(&src, spec, FilePredicates(lay));
   if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
   src.Blank();
   src.Open("while (row < end) {");
@@ -631,12 +659,8 @@ StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
   if (masked) src.Line("if (!ctx->sel_mask[t]) continue;");
   src.Line("const int64_t rid = row + t;");
   for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (spec.inputs[k].dense) continue;
-    for (const PipelinePredicate* p : lay.file_preds[k]) {
-      RAW_ASSIGN_OR_RETURN(std::string lit, LiteralCpp(p->literal));
-      src.Line("if (!(b" + std::to_string(k) + "[t] " +
-               std::string(CompareOpCpp(p->op)) + " " + lit + ")) continue;");
-    }
+    EmitFileTests(&src, spec, lay.file_preds[k],
+                  "b" + std::to_string(k) + "[t]");
   }
   for (size_t s = 0; s < spec.aggs.size(); ++s) {
     const PipelineAgg& agg_spec = spec.aggs[s];

@@ -18,10 +18,13 @@ StatusOr<std::string> GeneratePipelineSource(const PipelineSpec& spec);
 
 /// Built-in format plug-ins. Each composes the format's scan loop with the
 /// generated predicate/aggregate bodies:
+///  * predicate literals are read from ctx->pred_literals into loop-invariant
+///    locals, so the source depends on each literal's type, never its value;
 ///  * dense (already-cached) input predicates run in a block mask prepass
 ///    emitted twice — a scalar copy and an AVX2 target-attribute copy chosen
-///    at runtime via __builtin_cpu_supports when ctx->kernel_tier allows —
-///    with exact typed compares, so both copies agree bit for bit;
+///    at runtime from ctx->kernel_tier (clamped by the host to what the CPU
+///    supports) — with exact typed compares, so both copies agree bit for
+///    bit;
 ///  * file-column predicates are tested right after their field is parsed,
 ///    skipping the remaining parse work for failing rows;
 ///  * aggregate updates replicate AggAccumulator's int/numeric paths

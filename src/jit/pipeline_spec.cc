@@ -1,6 +1,5 @@
 #include "jit/pipeline_spec.h"
 
-#include <cstring>
 #include <sstream>
 
 namespace raw {
@@ -15,40 +14,6 @@ std::string_view PipelineOutputModeToString(PipelineOutputMode mode) {
   return "?";
 }
 
-namespace {
-
-/// Exact-bit literal encoding: two float literals that print the same but
-/// differ in the last ulp must not share a compiled kernel.
-void AppendLiteralKey(std::ostringstream& os, const Datum& lit) {
-  switch (lit.type()) {
-    case DataType::kInt32:
-      os << "i32:" << lit.int32_value();
-      return;
-    case DataType::kInt64:
-      os << "i64:" << lit.int64_value();
-      return;
-    case DataType::kFloat32: {
-      float v = lit.float32_value();
-      uint32_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      os << "f32:" << std::hex << bits << std::dec;
-      return;
-    }
-    case DataType::kFloat64: {
-      double v = lit.float64_value();
-      uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      os << "f64:" << std::hex << bits << std::dec;
-      return;
-    }
-    default:
-      os << "?:" << lit.ToString();
-      return;
-  }
-}
-
-}  // namespace
-
 std::string PipelineSpec::CacheKey() const {
   std::ostringstream os;
   os << "pipe1|" << scan.CacheKey() << "|in=";
@@ -58,9 +23,9 @@ std::string PipelineSpec::CacheKey() const {
   }
   os << "|pred=";
   for (const PipelinePredicate& p : predicates) {
-    os << p.input << ':' << CompareOpToString(p.op) << ':';
-    AppendLiteralKey(os, p.literal);
-    os << ',';
+    // The literal's type, not its value: values are bound at run time.
+    os << p.input << ':' << CompareOpToString(p.op) << ':'
+       << DataTypeToString(p.literal.type()) << ',';
   }
   os << "|mode=" << PipelineOutputModeToString(mode) << "|proj=";
   for (int p : projections) os << p << ',';

@@ -40,7 +40,8 @@ struct PipelineInput {
 /// `inputs[input] op literal`, with the literal already canonicalized to the
 /// column's comparison type (exactly the coercion the interpreted
 /// const-compare kernel applies, so fused and interpreted filters agree bit
-/// for bit).
+/// for bit). The literal's type is part of the compiled kernel; its value is
+/// bound at run time (RawJitContext::pred_literals).
 struct PipelinePredicate {
   int input = 0;
   CompareOp op = CompareOp::kLt;
@@ -54,9 +55,13 @@ struct PipelineAgg {
 };
 
 /// Complete description of a fused scan→filter→project→aggregate kernel —
-/// the pipeline-fusion generalization of AccessPathSpec. Everything the
-/// generated loop hard-codes is captured here, so equal specs are
-/// interchangeable compiled artifacts (the template-cache contract).
+/// the pipeline-fusion generalization of AccessPathSpec. The template-cache
+/// contract: everything the generated loop hard-codes is captured by
+/// CacheKey(), so specs with equal keys are interchangeable compiled
+/// artifacts. Predicate literal values are the one part of a spec the code
+/// does not hard-code: the kernel loads them from ctx->pred_literals (filled
+/// by FusedPipelineOperator from `predicates`), so specs that differ only in
+/// literal values share one kernel.
 struct PipelineSpec {
   /// The embedded scan access path. Its outputs are exactly the non-dense
   /// inputs, in input order.
@@ -80,8 +85,10 @@ struct PipelineSpec {
   std::vector<PipelineAgg> aggs;
 
   /// Stable identity for the template cache. Namespaced ("pipe1|...") so
-  /// fused kernels never collide with plain scan kernels; literals are
-  /// encoded with exact bit patterns.
+  /// fused kernels never collide with plain scan kernels. Lists the scan
+  /// key, each input's column, type and denseness, each predicate's input,
+  /// op and canonical literal *type* (never its value), the output mode,
+  /// the projections and the aggregates.
   std::string CacheKey() const;
 
   std::string ToString() const { return CacheKey(); }

@@ -117,6 +117,32 @@ Status FusedPipelineOperator::Open() {
   }
   ctx_.kernel_tier = static_cast<int32_t>(ActiveKernelTier());
 
+  // Bind this request's literals. The kernel is shared by every spec with
+  // the same CacheKey(), which fixes each literal's type but not its value.
+  pred_literals_.assign(spec.predicates.size(), RawJitLiteral{});
+  for (size_t j = 0; j < spec.predicates.size(); ++j) {
+    const Datum& lit = spec.predicates[j].literal;
+    RawJitLiteral& slot = pred_literals_[j];
+    switch (lit.type()) {
+      case DataType::kInt32:
+        slot.i32 = lit.int32_value();
+        break;
+      case DataType::kInt64:
+        slot.i64 = lit.int64_value();
+        break;
+      case DataType::kFloat32:
+        slot.f32 = lit.float32_value();
+        break;
+      case DataType::kFloat64:
+        slot.f64 = lit.float64_value();
+        break;
+      default:
+        return Status::InvalidArgument(
+            "fused pipelines only compare numeric literals");
+    }
+  }
+  ctx_.pred_literals = pred_literals_.data();
+
   if (agg_mode) {
     agg_count_.assign(spec.aggs.size(), 0);
     agg_dacc_.assign(spec.aggs.size(), 0.0);

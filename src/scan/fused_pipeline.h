@@ -97,6 +97,8 @@ class FusedPipelineOperator : public Operator {
   std::vector<int64_t> agg_iacc_;
   std::vector<uint8_t> agg_init_;
   std::vector<uint8_t> sel_mask_scratch_;
+  /// ctx.pred_literals: the spec's predicate literals, bound at Open().
+  std::vector<RawJitLiteral> pred_literals_;
   std::vector<int64_t> row_id_scratch_;
   std::vector<void*> out_ptr_scratch_;
   /// REF aggregate kernels decode branch ranges into these host-owned

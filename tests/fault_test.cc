@@ -628,6 +628,60 @@ TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {
   EXPECT_NE(nullptr, entry->pmap());
 }
 
+TEST_F(StalenessTest, BlockIndexBuiltOverAReplacedCsvGzRecordsNoRowCount) {
+  // A cold csv.gz scan claims the block-index build; the file is replaced
+  // while the scan is still streaming. Neither the index nor the row count
+  // it counted may be published for the new generation.
+  const TableSpec v1 = TableSpec::UniformInt32("t", 3, 20000, /*seed=*/5);
+  const TableSpec v2 = TableSpec::UniformInt32("t", 3, 700, /*seed=*/6);
+  const std::string path = Path("idx.csv.gz");
+  ASSERT_OK(WriteCsvGzTable(v1, path, /*block_bytes=*/4096));
+  RawEngine engine;
+  ASSERT_OK(engine.RegisterCsvGz("t", path, v1.ToSchema()));
+  PlannerOptions options;
+  options.num_threads = 1;
+  // No shred caching: a full cached scan records the row count too.
+  options.use_shred_cache = false;
+  options.populate_shred_cache = false;
+  auto session = engine.OpenSession(options);
+
+  ASSERT_OK_AND_ASSIGN(Cursor cursor, session->Stream("SELECT col0 FROM t"));
+  ASSERT_OK_AND_ASSIGN(ColumnBatch first, cursor.Next());
+  ASSERT_GT(first.num_rows(), 0);
+  ASSERT_FALSE(cursor.done()) << "the scan must still be building the index";
+
+  const std::string next = path + ".next";
+  ASSERT_OK(WriteCsvGzTable(v2, next, /*block_bytes=*/4096));
+  ASSERT_EQ(0, std::rename(next.c_str(), path.c_str()));
+  // The next query notices the replacement; it cannot claim the build the
+  // streaming scan still holds, so it publishes nothing itself.
+  ASSERT_OK_AND_ASSIGN(QueryResult fresh,
+                       session->Query("SELECT COUNT(*) FROM t"));
+  ASSERT_OK_AND_ASSIGN(Datum fresh_count, fresh.Scalar());
+  EXPECT_EQ(700, fresh_count.int64_value());
+
+  // Drain the first-generation scan: its index covers 20000 displaced rows.
+  while (true) {
+    ASSERT_OK_AND_ASSIGN(ColumnBatch batch, cursor.Next());
+    if (batch.empty()) break;
+  }
+  ASSERT_OK(cursor.Close());
+  const EngineStats stats = engine.Stats();
+  const TableStats* table = stats.table("t");
+  ASSERT_NE(nullptr, table);
+  EXPECT_NE(20000, table->row_count) << "stale row count published";
+  EXPECT_EQ(0, table->format_state_bytes) << "stale block index published";
+
+  // The next cold scan builds and publishes over the current bytes.
+  ASSERT_OK_AND_ASSIGN(QueryResult rebuilt,
+                       session->Query("SELECT COUNT(*) FROM t"));
+  ASSERT_OK_AND_ASSIGN(Datum rebuilt_count, rebuilt.Scalar());
+  EXPECT_EQ(700, rebuilt_count.int64_value());
+  const EngineStats after = engine.Stats();
+  EXPECT_EQ(700, after.table("t")->row_count);
+  EXPECT_GT(after.table("t")->format_state_bytes, 0);
+}
+
 TEST_F(StalenessTest, FailedReopenUnderAPinnedQueryIsTypedAndFreesTheOldFile) {
   // The interleaving that used to crash the serving tier: one query's lookup
   // has returned, another worker's lookup sees the file replaced and drops

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -360,6 +363,130 @@ TEST_F(FusionTest, StatsCountFusedAndInterpretedPlans) {
   ASSERT_TRUE(Fused(again));
   EXPECT_EQ(engine->Stats().jit_cache.compiles, compiles);
   EXPECT_EQ(engine->Stats().plans_fused, 2);
+}
+
+// --- run-time literal binding ------------------------------------------------
+
+/// Runs the prepared `COUNT(*), MAX(col4) WHERE col<column> < ?` with each of
+/// `literals`, fused and interpreted, at 1 and 4 threads: every fused answer
+/// must equal the interpreted one, and the fused executions together must
+/// compile exactly one kernel.
+void SweepLiterals(RawEngine& engine, int column,
+                   const std::vector<Datum>& literals,
+                   const std::string& context) {
+  auto session = engine.OpenSession();
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery query,
+      session->Prepare("SELECT COUNT(*), MAX(col4) FROM f WHERE col" +
+                       std::to_string(column) + " < ?"));
+  int64_t fused_compiles = 0;
+  for (int threads : {1, 4}) {
+    for (const Datum& lit : literals) {
+      const std::string where = context + " threads=" +
+                                std::to_string(threads) + " col" +
+                                std::to_string(column) + " < " +
+                                lit.ToString();
+      session->set_planner_options(Opts(JitFusion::kOn, threads));
+      const int64_t before = engine.Stats().jit_cache.compiles;
+      ASSERT_OK_AND_ASSIGN(QueryResult fused, query.Execute({lit}));
+      fused_compiles += engine.Stats().jit_cache.compiles - before;
+      EXPECT_TRUE(Fused(fused)) << fused.plan_description << " " << where;
+      session->set_planner_options(Opts(JitFusion::kOff, threads));
+      ASSERT_OK_AND_ASSIGN(QueryResult interp, query.Execute({lit}));
+      ExpectSameResults(fused, interp, where);
+    }
+  }
+  EXPECT_EQ(fused_compiles, 1) << context << " col" << column;
+}
+
+/// Literals around `v` (a value the column holds) and the type's extremes;
+/// neighbours one unit / one ulp apart straddle `v`, so a literal bound with
+/// the wrong bits changes the count.
+std::vector<Datum> LiteralsAround(const Datum& v) {
+  switch (v.type()) {
+    case DataType::kInt32:
+      return {Datum::Int32(INT32_MIN), Datum::Int32(INT32_MAX),
+              Datum::Int32(v.int32_value()), Datum::Int32(v.int32_value() + 1),
+              Datum::Int32(0)};
+    case DataType::kInt64:
+      return {Datum::Int64(INT64_MIN), Datum::Int64(INT64_MAX),
+              Datum::Int64(v.int64_value()), Datum::Int64(v.int64_value() + 1),
+              Datum::Int64(-1)};
+    case DataType::kFloat32: {
+      const float f = v.float32_value();
+      return {Datum::Float32(f),
+              Datum::Float32(std::nextafter(f, INFINITY)),
+              Datum::Float32(std::nextafter(f, -INFINITY)),
+              Datum::Float32(-FLT_MAX), Datum::Float32(FLT_MAX)};
+    }
+    default: {
+      const double d = v.float64_value();
+      return {Datum::Float64(d), Datum::Float64(std::nextafter(d, INFINITY)),
+              Datum::Float64(std::nextafter(d, -INFINITY)),
+              Datum::Float64(-DBL_MAX), Datum::Float64(DBL_MAX)};
+    }
+  }
+}
+
+TEST_F(FusionTest, OneShapeCompilesOnceForEveryLiteral) {
+  // col0 int32, col1 int64, col2 float32, col3 float64, col4 int32.
+  spec_ = TableSpec::UniformInt32("f", 5, 3000, 17);
+  spec_.columns[1].type = DataType::kInt64;
+  spec_.columns[2].type = DataType::kFloat32;
+  spec_.columns[3].type = DataType::kFloat64;
+  TableDataSource source(spec_);
+  for (bool csv : {true, false}) {
+    auto engine = csv ? CsvEngine() : BinEngine();
+    if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+    for (int column = 0; column < 4; ++column) {
+      const std::vector<Datum> literals =
+          LiteralsAround(source.Value(0, column));
+      // The neighbours straddle row 0's value: the sweep is sensitive to
+      // a literal bound with the wrong bits.
+      const std::string sql =
+          "SELECT COUNT(*) FROM f WHERE col" + std::to_string(column) + " < ";
+      ASSERT_OK_AND_ASSIGN(
+          QueryResult at,
+          engine->Query(sql + literals[2].ToString(), Opts(JitFusion::kOff, 1)));
+      ASSERT_OK_AND_ASSIGN(
+          QueryResult above,
+          engine->Query(sql + literals[3].ToString(), Opts(JitFusion::kOff, 1)));
+      ASSERT_NE(at.Scalar()->ToString(), above.Scalar()->ToString()) << sql;
+
+      SweepLiterals(*engine, column, literals, csv ? "csv" : "bin");
+    }
+    if (csv) {
+      // The predicate column cached whole: it now feeds the kernel densely
+      // through the mask prepass, a new shape compiled once.
+      PlannerOptions warm = Opts(JitFusion::kOff, 1);
+      warm.populate_shred_cache = true;
+      ASSERT_OK(engine->Query("SELECT SUM(col0) FROM f", warm).status());
+      ASSERT_TRUE(engine->ShredCacheContainsFull("f", 0));
+      SweepLiterals(*engine, 0, LiteralsAround(source.Value(0, 0)),
+                    "csv dense");
+    }
+  }
+}
+
+TEST_F(FusionTest, PreparedReexecutionWithFreshParamsAddsNoCompiles) {
+  auto engine = CsvEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  auto session = engine->OpenSession(Opts(JitFusion::kOn, 1));
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery query,
+      session->Prepare("SELECT MAX(col2), COUNT(*) FROM f WHERE col1 < ?"));
+  ASSERT_OK_AND_ASSIGN(QueryResult first,
+                       query.Execute({spec_.SelectivityLiteral(1, 0.5)}));
+  ASSERT_TRUE(Fused(first)) << first.plan_description;
+  const int64_t compiles = engine->Stats().jit_cache.compiles;
+  for (double fraction : {0.1, 0.3, 0.7, 0.9}) {
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult again,
+        query.Execute({spec_.SelectivityLiteral(1, fraction)}));
+    EXPECT_TRUE(Fused(again)) << again.plan_description;
+    EXPECT_EQ(again.compile_seconds, 0.0) << fraction;
+  }
+  EXPECT_EQ(engine->Stats().jit_cache.compiles, compiles);
 }
 
 }  // namespace

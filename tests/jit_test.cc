@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/mmap_file.h"
 #include "csv/csv_writer.h"
 #include "jit/access_path_spec.h"
@@ -100,6 +102,95 @@ TEST(CacheKeyTest, DistinguishesSpecs) {
   b = CsvSeqSpec();
   b.mode = ScanMode::kByPosition;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
+}
+
+// --- fused pipeline specs: run-time literals and lean TUs ---------------------
+
+/// A fused binary aggregate: SUM(col2) WHERE col1 < 123456789 over a file
+/// column (col1, int32) and a dense cached column (col2, int64).
+PipelineSpec BinPipelineSpec() {
+  PipelineSpec spec;
+  spec.scan.format = FileFormat::kBinary;
+  spec.scan.mode = ScanMode::kSequential;
+  spec.scan.outputs = {{1, DataType::kInt32}};
+  spec.scan.row_width = 20;
+  spec.scan.column_offsets = {4};
+  spec.inputs = {{1, DataType::kInt32, false}, {2, DataType::kInt64, true}};
+  spec.predicates = {{0, CompareOp::kLt, Datum::Int32(123456789)}};
+  spec.mode = PipelineOutputMode::kAggregate;
+  spec.aggs = {{AggKind::kSum, 1}};
+  return spec;
+}
+
+TEST(PipelineCacheKeyTest, IgnoresLiteralValuesButNotTheShape) {
+  const PipelineSpec a = BinPipelineSpec();
+  PipelineSpec b = BinPipelineSpec();
+  for (int32_t v : {INT32_MIN, -1, 0, 7, INT32_MAX}) {
+    b.predicates[0].literal = Datum::Int32(v);
+    EXPECT_EQ(a.CacheKey(), b.CacheKey()) << v;
+  }
+  EXPECT_EQ(a.CacheKey().find("123456789"), std::string::npos)
+      << a.CacheKey();
+
+  b = BinPipelineSpec();
+  b.predicates[0].op = CompareOp::kGe;
+  EXPECT_NE(a.CacheKey(), b.CacheKey()) << "op";
+  b = BinPipelineSpec();
+  b.predicates[0].literal = Datum::Int64(123456789);
+  EXPECT_NE(a.CacheKey(), b.CacheKey()) << "literal type";
+  b = BinPipelineSpec();
+  b.predicates[0].input = 1;
+  b.predicates[0].literal = Datum::Int64(123456789);
+  EXPECT_NE(a.CacheKey(), b.CacheKey()) << "input";
+  b = BinPipelineSpec();
+  b.inputs[1].dense = false;
+  EXPECT_NE(a.CacheKey(), b.CacheKey()) << "denseness";
+}
+
+TEST(PipelineCodegenTest, LiteralsAreLoadedNotSpelled) {
+  ASSERT_OK_AND_ASSIGN(std::string src,
+                       GenerateBinPipelineSource(BinPipelineSpec()));
+  EXPECT_EQ(src.find("123456789"), std::string::npos) << src;
+  EXPECT_NE(src.find("ctx->pred_literals[0].i32"), std::string::npos) << src;
+  // Integer-only TUs include C headers alone, and the mask dispatcher trusts
+  // the host-clamped kernel tier instead of probing the CPU.
+  EXPECT_EQ(src.find("<charconv>"), std::string::npos) << src;
+  EXPECT_EQ(src.find("__builtin_cpu_supports"), std::string::npos) << src;
+
+  // Same for a CSV fused kernel over int columns, with the predicate on a
+  // dense input (the AVX2/scalar mask prepass).
+  PipelineSpec csv;
+  csv.scan.format = FileFormat::kCsv;
+  csv.scan.mode = ScanMode::kByPosition;
+  csv.scan.outputs = {{3, DataType::kInt64}};
+  csv.inputs = {{1, DataType::kInt32, true}, {3, DataType::kInt64, false}};
+  csv.predicates = {{0, CompareOp::kGe, Datum::Int32(-987654321)},
+                    {1, CompareOp::kNe, Datum::Int64(INT64_MIN)}};
+  csv.mode = PipelineOutputMode::kProject;
+  csv.projections = {1};
+  ASSERT_OK_AND_ASSIGN(src, GenerateCsvPipelineSource(csv));
+  EXPECT_EQ(src.find("987654321"), std::string::npos) << src;
+  EXPECT_EQ(src.find("9223372036854775"), std::string::npos) << src;
+  EXPECT_NE(src.find("ctx->pred_literals[0].i32"), std::string::npos) << src;
+  EXPECT_NE(src.find("ctx->pred_literals[1].i64"), std::string::npos) << src;
+  EXPECT_EQ(src.find("<charconv>"), std::string::npos) << src;
+
+  // A CSV float field is parsed with std::from_chars, which needs the header.
+  csv.scan.outputs[0].type = DataType::kFloat64;
+  csv.inputs[1].type = DataType::kFloat64;
+  csv.predicates[1].literal = Datum::Float64(0.25);
+  ASSERT_OK_AND_ASSIGN(src, GenerateCsvPipelineSource(csv));
+  EXPECT_NE(src.find("<charconv>"), std::string::npos) << src;
+  EXPECT_NE(src.find("ctx->pred_literals[1].f64"), std::string::npos) << src;
+}
+
+TEST(CodegenTest, IntegerCsvScanIncludesNoCxxHeader) {
+  AccessPathSpec spec = CsvSeqSpec();
+  spec.outputs = {{0, DataType::kInt32}, {2, DataType::kInt64}};
+  ASSERT_OK_AND_ASSIGN(std::string src, GenerateCsvScanSource(spec));
+  EXPECT_EQ(src.find("<charconv>"), std::string::npos) << src;
+  ASSERT_OK_AND_ASSIGN(src, GenerateCsvScanSource(CsvSeqSpec()));
+  EXPECT_NE(src.find("<charconv>"), std::string::npos) << src;
 }
 
 // --- compile & execute ----------------------------------------------------------
@@ -307,6 +398,61 @@ TEST_F(JitExecTest, NegativeAndFloatFieldsParseCorrectly) {
   EXPECT_EQ(ints[0], -2147483647);
   EXPECT_DOUBLE_EQ(floats[0], -0.5);
   EXPECT_DOUBLE_EQ(floats[1], 1e300);
+}
+
+TEST_F(JitExecTest, FusedKernelBindsLiteralsAtRunTime) {
+  // 100 binary rows of one int32 column holding 0..99.
+  std::string data;
+  for (int32_t i = 0; i < 100; ++i) {
+    data.append(reinterpret_cast<const char*>(&i), sizeof(i));
+  }
+  const std::string path = Path("lit.bin");
+  ASSERT_OK(WriteStringToFile(path, data));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
+
+  // COUNT(*), SUM(col0) WHERE col0 < literal: an integer-only TU, linked
+  // without the C++ runtime and loaded with RTLD_NOW.
+  PipelineSpec spec;
+  spec.scan.format = FileFormat::kBinary;
+  spec.scan.mode = ScanMode::kSequential;
+  spec.scan.outputs = {{0, DataType::kInt32}};
+  spec.scan.row_width = 4;
+  spec.scan.column_offsets = {0};
+  spec.inputs = {{0, DataType::kInt32, false}};
+  spec.predicates = {{0, CompareOp::kLt, Datum::Int32(0)}};
+  spec.mode = PipelineOutputMode::kAggregate;
+  spec.aggs = {{AggKind::kCount, -1}, {AggKind::kSum, 0}};
+
+  struct Case {
+    int32_t literal;
+    int64_t count;
+    int64_t sum;
+  };
+  for (const Case& c : {Case{50, 50, 1225}, Case{INT32_MIN, 0, 0},
+                        Case{INT32_MAX, 100, 4950}, Case{1, 1, 0}}) {
+    spec.predicates[0].literal = Datum::Int32(c.literal);
+    ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
+    int64_t count[2] = {0, 0};
+    double dacc[2] = {0, 0};
+    int64_t iacc[2] = {0, 0};
+    uint8_t init[2] = {0, 0};
+    RawJitLiteral literal;
+    literal.i32 = c.literal;
+    RawJitContext ctx = {};
+    ctx.file_data = file->data();
+    ctx.file_size = file->size();
+    ctx.total_rows = 100;
+    ctx.max_rows = 64;
+    ctx.agg_count = count;
+    ctx.agg_dacc = dacc;
+    ctx.agg_iacc = iacc;
+    ctx.agg_init = init;
+    ctx.pred_literals = &literal;
+    ASSERT_EQ(kernel.entry(&ctx), 100) << c.literal;
+    EXPECT_EQ(count[0], c.count) << c.literal;
+    EXPECT_EQ(iacc[1], c.sum) << c.literal;
+  }
+  EXPECT_EQ(cache_.Stats().compiles, 1);
 }
 
 TEST_F(JitExecTest, CompileErrorSurfacesDiagnostics) {

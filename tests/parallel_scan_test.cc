@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -16,7 +20,10 @@
 
 #include "columnar/hash_group_by.h"
 #include "columnar/hash_join.h"
+#include "columnar/in_memory_table.h"
 #include "common/mmap_file.h"
+#include "common/thread_pool.h"
+#include "engine/executor.h"
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
 #include "scan/morsel.h"
@@ -582,6 +589,108 @@ TEST_F(ParallelScanTest, LateScanUsesParallelFetchInPlan) {
       << actual.plan_description;
   EXPECT_NE(actual.plan_description.find("[late-scan"), std::string::npos)
       << actual.plan_description;
+}
+
+/// Runs `fn` on its own thread; if it has not finished after `limit`, the
+/// process aborts (a deadlocked thread cannot be joined or cancelled).
+template <typename Fn>
+void WithWatchdog(std::chrono::seconds limit, const char* what, Fn fn) {
+  std::future<void> done = std::async(std::launch::async, std::move(fn));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    fprintf(stderr, "watchdog: %s did not finish in %llds (deadlock?)\n",
+            what, static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  done.get();
+}
+
+TEST(ParallelScanDeadlockTest, ConsumerHelpingThePoolNeverRunsItsOwnWorkers) {
+  // The consumer of a parallel scan waits in HelpWait on the same pool (as
+  // a parallel late fetch above the scan does) while one of the scan's
+  // morsel workers is still queued. Run inline, that worker would block on
+  // backpressure only this consumer can release. One pool thread and a
+  // one-morsel window make the interleaving certain.
+  ThreadPool pool(1);
+  InMemoryTable table(Schema{{"v", DataType::kInt32}});
+  {
+    ColumnBatch batch(table.schema());
+    auto col = std::make_shared<Column>(DataType::kInt32);
+    for (int32_t i = 0; i < 64; ++i) col->Append<int32_t>(i);
+    batch.AddColumn(std::move(col));
+    batch.SetNumRows(64);
+    ASSERT_OK(table.AppendBatch(batch));
+  }
+  constexpr int kMorsels = 16;
+  WithWatchdog(std::chrono::seconds(60), "parallel scan consumer", [&] {
+    std::vector<OperatorPtr> children;
+    for (int m = 0; m < kMorsels; ++m) {
+      children.push_back(table.CreateScan(/*batch_rows=*/16));
+    }
+    ParallelTableScanOperator::Options options;
+    options.pool = &pool;
+    options.num_threads = 2;
+    options.max_inflight_morsels = 1;
+    ParallelTableScanOperator scan(table.schema(), std::move(children),
+                                   std::move(options));
+    ASSERT_OK(scan.Open());
+    int64_t rows = 0;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(ColumnBatch batch, scan.Next());
+      if (batch.end_of_stream()) break;
+      rows += batch.num_rows();
+      ASSERT_OK(pool.ParallelFor(4, 2, [](int64_t) { return Status::OK(); }));
+    }
+    ASSERT_OK(scan.Close());
+    EXPECT_EQ(rows, kMorsels * 64);
+  });
+}
+
+TEST_F(ParallelScanTest, JoinOverParallelLateFetchAlwaysFinishes) {
+  // End to end: a hash join over a late fetch (parallel fetch x2) above a
+  // parallel CSV scan, at num_threads=2, repeated. Every run must finish
+  // and agree with the serial plan.
+  const std::string f1 = dir_->FilePath("lf1.csv");
+  const std::string f2 = dir_->FilePath("lf2.csv");
+  TableSpec s1 = TableSpec::UniformInt32("lf1", 6, 40000, 5);
+  TableSpec s2 = TableSpec::UniformInt32("lf2", 3, 2000, 6);
+  s1.columns[0].max_value = 999;
+  s2.columns[0].max_value = 999;
+  ASSERT_OK(WriteCsvFile(s1, f1));
+  ASSERT_OK(WriteCsvFile(s2, f2));
+  const std::string sql =
+      "SELECT MAX(lf1.col4), COUNT(*) FROM lf1 JOIN lf2 ON lf1.col0 = "
+      "lf2.col0 WHERE lf1.col2 < 900000000";
+  PlannerOptions options;
+  options.access_path = AccessPathKind::kInSitu;
+  options.use_shred_cache = false;
+  options.populate_shred_cache = false;
+  options.num_threads = 1;
+  QueryResult reference;
+  {
+    RawEngine engine;
+    ASSERT_OK(engine.RegisterCsv("lf1", f1, s1.ToSchema()));
+    ASSERT_OK(engine.RegisterCsv("lf2", f2, s2.ToSchema()));
+    ASSERT_OK_AND_ASSIGN(reference, engine.Query(sql, options));
+  }
+  options.num_threads = 2;
+  WithWatchdog(std::chrono::seconds(120), "join over parallel late fetch",
+               [&] {
+                 for (int run = 0; run < 20; ++run) {
+                   RawEngine engine;
+                   ASSERT_OK(engine.RegisterCsv("lf1", f1, s1.ToSchema()));
+                   ASSERT_OK(engine.RegisterCsv("lf2", f2, s2.ToSchema()));
+                   for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+                     ASSERT_OK_AND_ASSIGN(QueryResult result,
+                                          engine.Query(sql, options));
+                     ExpectSameTable(reference, result,
+                                     "run " + std::to_string(run));
+                     EXPECT_NE(result.plan_description.find(
+                                   "[parallel-fetch x2"),
+                               std::string::npos)
+                         << result.plan_description;
+                   }
+                 }
+               });
 }
 
 // =============================================================================

@@ -2,10 +2,16 @@
 // controller's quota/shedding/priority/deadline semantics (deterministically,
 // with jobs the test blocks and releases), and the full network path —
 // concurrent clients against in-process ground truth, typed overload sheds,
-// session release on abrupt disconnect, and graceful drain.
+// session release on abrupt disconnect, and graceful drain; and the rawd
+// binary itself (--port=0 binds an ephemeral port and prints it).
+
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -611,6 +617,77 @@ TEST_F(ServeTest, InfiniteDeadlineSucceeds) {
   auto result = session->Query("SELECT COUNT(*) FROM readings", options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
+
+// ---------------------------------------------------------------------------
+// The rawd binary
+// ---------------------------------------------------------------------------
+
+#ifdef RAWD_PATH
+/// Starts rawd with `args`; `*out` receives its standard output.
+pid_t SpawnRawd(const std::vector<std::string>& args, FILE** out) {
+  // argv is built before fork: the child of a multi-threaded process may
+  // only make async-signal-safe calls before exec.
+  std::vector<char*> argv = {const_cast<char*>(RAWD_PATH)};
+  for (const std::string& a : args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  int fds[2];
+  if (::pipe(fds) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv(RAWD_PATH, argv.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  *out = ::fdopen(fds[0], "r");
+  return pid;
+}
+
+int WaitExitCode(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(RawdTest, PortZeroBindsAnEphemeralPortAndPrintsIt) {
+  FILE* out = nullptr;
+  const pid_t pid =
+      SpawnRawd({"--port=0", "--demo=100", "--autotune=0"}, &out);
+  ASSERT_GT(pid, 0);
+  ASSERT_NE(nullptr, out);
+  char line[256] = {0};
+  ASSERT_NE(nullptr, std::fgets(line, sizeof(line), out));
+  int port = 0;
+  ASSERT_EQ(1, std::sscanf(line, "rawd: listening on 127.0.0.1:%d", &port))
+      << line;
+  EXPECT_GT(port, 0);
+
+  auto client = RawClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->Hello().ok());
+  auto resp = (*client)->Query("SELECT COUNT(*) FROM demo");
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
+  EXPECT_EQ("100", resp->table.column(0)->GetDatum(0).ToString());
+  EXPECT_TRUE((*client)->Goodbye().ok());
+
+  ASSERT_EQ(0, ::kill(pid, SIGTERM));
+  EXPECT_EQ(0, WaitExitCode(pid));
+  std::fclose(out);
+}
+
+TEST(RawdTest, NegativePortIsRejected) {
+  FILE* out = nullptr;
+  const pid_t pid = SpawnRawd({"--port=-1"}, &out);
+  ASSERT_GT(pid, 0);
+  EXPECT_EQ(2, WaitExitCode(pid));
+  std::fclose(out);
+}
+#endif  // RAWD_PATH
 
 }  // namespace
 }  // namespace serve

@@ -1,14 +1,17 @@
 // ThreadPool semantics the parallel scan layer leans on: every submitted
 // task runs exactly once, exceptions surface through futures, errors in
 // ParallelFor propagate, nested submission cannot deadlock (waiters help
-// drain the queue), and a many-tiny-tasks stress run completes. The stress
-// cases double as the TSan targets of the `concurrency` ctest label.
+// drain the queue, but never run worker-only tasks), and a many-tiny-tasks
+// stress run completes. The stress cases double as the TSan targets of the
+// `concurrency` ctest label.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -102,6 +105,37 @@ TEST(ThreadPoolTest, NestedSubmitWithHelpWaitCompletes) {
   pool.HelpWait(outer);
   outer.get();
   EXPECT_EQ(inner_runs.load(), 8);
+}
+
+TEST(ThreadPoolTest, HelpersNeverRunWorkerOnlyTasks) {
+  ThreadPool pool(1);
+  // Park the only worker so queued tasks wait for a helper.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> parked = pool.Submit([released] { released.wait(); });
+  while (pool.queue_depth() > 0) std::this_thread::yield();
+
+  const std::thread::id helper = std::this_thread::get_id();
+  std::thread::id worker_only_ran_on;
+  std::future<void> worker_only = pool.Submit(
+      [&worker_only_ran_on] {
+        worker_only_ran_on = std::this_thread::get_id();
+      },
+      ThreadPool::TaskKind::kWorkerOnly);
+  std::thread::id helpable_ran_on;
+  std::future<void> helpable = pool.Submit(
+      [&helpable_ran_on] { helpable_ran_on = std::this_thread::get_id(); });
+
+  // The helper skips the older worker-only task and runs the helpable one.
+  pool.HelpWait(helpable);
+  EXPECT_EQ(helpable_ran_on, helper);
+  EXPECT_FALSE(pool.TryRunPendingTask());
+  EXPECT_EQ(pool.queue_depth(), 1);
+
+  release.set_value();
+  worker_only.get();
+  EXPECT_NE(worker_only_ran_on, helper);
+  parked.get();
 }
 
 TEST(ThreadPoolStressTest, ManyTinyTasks) {
