@@ -13,6 +13,9 @@
 // finish in-flight queries, flush responses, exit 0.
 
 #include <signal.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +61,15 @@ bool ParseIntFlag(const char* arg, const char* name, int* out,
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // One malloc arena for the whole daemon. glibc gives each busy thread its
+  // own arena, and each arena keeps the high-water mark of the transient
+  // plan and scan buffers its thread allocated, so the daemon's RSS grew
+  // with the number of requests served: after 25 s of perfbench rawd_serve,
+  // 43-48 MB against 31 MB with one arena, at the same request rate.
+  // MALLOC_ARENA_MAX in the environment still takes precedence.
+  if (std::getenv("MALLOC_ARENA_MAX") == nullptr) mallopt(M_ARENA_MAX, 1);
+#endif
   raw::serve::ServerOptions options;
   options.port = 4300;
   int64_t demo_rows = 0;
