@@ -86,6 +86,7 @@ void Run() {
          query.c_str());
 
   PlannerOptions options;
+  options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   {
     auto probe = D30CsvEngine(&dataset, /*stride=*/10);
     options.access_path = probe->Stats().jit_compiler_available()

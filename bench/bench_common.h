@@ -117,6 +117,8 @@ inline std::vector<SystemConfig> AccessPathSystems(bool include_external) {
     SystemConfig config;
     config.name = std::move(name);
     config.options.access_path = kind;
+    // JIT systems wait for the compiler, as the figures measure them.
+    config.options.jit_fusion = JitFusion::kOn;
     config.options.shred_policy = ShredPolicy::kFullColumns;
     config.pmap_stride = stride;
     systems.push_back(std::move(config));

@@ -29,6 +29,7 @@ void Run() {
   for (const Row& system : systems) {
     PlannerOptions options;
     options.access_path = system.kind;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     options.shred_policy = ShredPolicy::kFullColumns;
     std::vector<double> row;
     bool skipped = false;

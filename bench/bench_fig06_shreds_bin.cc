@@ -24,6 +24,7 @@ void Run() {
   for (const Row& system : systems) {
     PlannerOptions options;
     options.access_path = AccessPathKind::kJit;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     options.shred_policy = system.policy;
     std::vector<double> row;
     bool skipped = false;

@@ -36,6 +36,7 @@ void Run() {
       CheckOk(engine->RegisterCsv("t", path, spec.ToSchema()), "register");
       PlannerOptions options;
       options.access_path = system.access;
+      options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
       options.shred_policy = system.policy;
       if (system.access == AccessPathKind::kJit &&
           !engine->Stats().jit_compiler_available()) {

@@ -35,6 +35,7 @@ void Run() {
       auto engine = D30CsvEngine(&dataset, /*stride=*/9);
       auto session = engine->OpenSession();
       PlannerOptions options;
+      options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
       options.access_path = engine->Stats().jit_compiler_available()
                                 ? AccessPathKind::kJit
                                 : AccessPathKind::kInSitu;

@@ -57,6 +57,7 @@ void Run() {
       auto session = engine->OpenSession();
       PlannerOptions options;
       options.access_path = system.access;
+      options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
       if (system.access == AccessPathKind::kJit &&
           !engine->Stats().jit_compiler_available()) {
         options.access_path = AccessPathKind::kInSitu;

@@ -36,6 +36,7 @@ void RunFormat(Dataset* dataset, bool csv) {
     }
     PlannerOptions options;
     options.access_path = row.access;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     options.shred_policy = row.policy;
     if (row.access == AccessPathKind::kJit &&
         !engine->Stats().jit_compiler_available()) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/executor.h"
@@ -37,8 +38,12 @@ struct ResultCacheStats {
 ///
 /// Thread-safety mirrors ShredCache: sharded by key hash, per-shard mutex +
 /// LRU list, one global atomic byte total so the budget is cache-wide.
-/// Cached results hold shared immutable columns — returned copies stay
-/// valid after eviction or Clear().
+///
+/// Most cached results are a row or two, so an entry stores its result
+/// packed into one buffer (schema, values, row ids, plan text, timings)
+/// rather than as a table of small heap objects, and keeps one copy of its
+/// key: a daemon answering many one-off queries holds a few hundred bytes
+/// per result instead of over a kilobyte. Lookup rebuilds a fresh table.
 class ResultCache {
  public:
   static constexpr int kDefaultNumShards = 8;
@@ -69,7 +74,7 @@ class ResultCache {
  private:
   struct Entry {
     std::string key;
-    QueryResult result;
+    std::string packed;  // PackResult
     std::vector<std::string> tables;
     int64_t bytes = 0;
   };
@@ -81,7 +86,8 @@ class ResultCache {
 
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recent
-    std::map<std::string, std::list<Entry>::iterator> index;
+    /// Keyed by a view of the entry's own key (list nodes never move).
+    std::map<std::string_view, std::list<Entry>::iterator> index;
     int64_t bytes_cached = 0;
     int64_t hits = 0;
     int64_t misses = 0;

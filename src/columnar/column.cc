@@ -125,6 +125,33 @@ Column Column::Gather(const int64_t* indices, int64_t count) const {
   return GatherImpl(*this, type_, indices, count);
 }
 
+Column Column::Slice(int64_t offset, int64_t length) const {
+  Column out(type_);
+  if (type_ == DataType::kString) {
+    out.strings_.assign(strings_.begin() + offset,
+                        strings_.begin() + offset + length);
+  } else {
+    const size_t width = static_cast<size_t>(FixedWidth(type_));
+    out.data_.assign(data_.begin() + static_cast<size_t>(offset) * width,
+                     data_.begin() +
+                         static_cast<size_t>(offset + length) * width);
+  }
+  out.length_ = length;
+  if (!loaded_.empty()) {
+    out.MarkAllMissing();
+    for (int64_t i = 0; i < length; ++i) {
+      if (IsLoaded(offset + i)) out.SetLoaded(i);
+    }
+  }
+  return out;
+}
+
+void Column::ShrinkToFit() {
+  data_.shrink_to_fit();
+  strings_.shrink_to_fit();
+  loaded_.shrink_to_fit();
+}
+
 Status Column::AppendColumn(const Column& other) {
   if (other.type_ != type_) {
     return Status::InvalidArgument("AppendColumn: type mismatch");

@@ -80,12 +80,19 @@ class Column {
 
   void Reserve(int64_t capacity);
 
+  /// Releases spare buffer capacity (e.g. before a column built by appends
+  /// is kept for a long time).
+  void ShrinkToFit();
+
   /// Returns element `i` boxed as a Datum.
   Datum GetDatum(int64_t i) const;
 
   /// Returns a new column with rows at `indices` (gather).
   Column Gather(const int32_t* indices, int64_t count) const;
   Column Gather(const int64_t* indices, int64_t count) const;
+
+  /// Returns a new column holding rows [offset, offset + length).
+  Column Slice(int64_t offset, int64_t length) const;
 
   /// Appends all rows of `other` (same type) to this column.
   Status AppendColumn(const Column& other);

@@ -45,9 +45,9 @@ inline std::optional<MalformedRowPolicy> ParseMalformedRowPolicy(
   return std::nullopt;
 }
 
-/// Per-query scan-robustness counters, shared by every scan operator of one
-/// physical plan (morsel workers increment concurrently; relaxed atomics —
-/// the totals are read after the drain barrier).
+/// Per-query scan counters, shared by every scan operator of one physical
+/// plan (morsel workers increment concurrently; relaxed atomics — the totals
+/// are read after the drain barrier).
 struct ScanHealth {
   std::atomic<int64_t> rows_skipped{0};
   std::atomic<int64_t> rows_nulled{0};
@@ -55,6 +55,20 @@ struct ScanHealth {
   /// errors (truncated-under-pmap detection, corrupt gzip members,
   /// failed REF cluster reads).
   std::atomic<int64_t> io_faults{0};
+  /// Time this plan's generated operators waited for the JIT compiler, in
+  /// nanoseconds (0 when every kernel was already compiled).
+  std::atomic<int64_t> jit_wait_ns{0};
+
+  void AddJitWait(double seconds) {
+    if (seconds > 0) {
+      jit_wait_ns.fetch_add(static_cast<int64_t>(seconds * 1e9),
+                            std::memory_order_relaxed);
+    }
+  }
+  double jit_wait_seconds() const {
+    return static_cast<double>(jit_wait_ns.load(std::memory_order_relaxed)) *
+           1e-9;
+  }
 };
 
 }  // namespace raw

@@ -127,6 +127,17 @@ bool TableEntry::CheckStale() {
   return true;
 }
 
+bool TableEntry::PublishIfCurrent(int64_t pinned_version,
+                                  const std::function<void()>& publish) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pinned_version != version()) {
+    stale_publishes_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  publish();
+  return true;
+}
+
 StatusOr<std::shared_ptr<const MmapFile>> TableEntry::EnsureMmap() {
   std::lock_guard<std::mutex> lock(mu_);
   if (mmap_ == nullptr) {
@@ -201,6 +212,7 @@ void TableEntry::PublishPmap(std::shared_ptr<const PositionalMap> map) {
     std::lock_guard<std::mutex> lock(mu_);
     const bool fresh =
         pmap_claim_version_.load(std::memory_order_acquire) == version();
+    if (!fresh) stale_publishes_.fetch_add(1, std::memory_order_relaxed);
     if (fresh && pmap_ == nullptr && map != nullptr && !map->empty()) {
       pmap_ = std::move(map);
       SetRowCountIfUnknown(pmap_->num_rows());
@@ -235,6 +247,7 @@ void TableEntry::PublishFormatState(
     std::lock_guard<std::mutex> lock(mu_);
     const bool fresh = format_state_claim_version_.load(
                            std::memory_order_acquire) == version();
+    if (!fresh) stale_publishes_.fetch_add(1, std::memory_order_relaxed);
     if (fresh && format_state_ == nullptr && state != nullptr) {
       format_state_ = std::move(state);
       if (row_count >= 0) SetRowCountIfUnknown(row_count);
@@ -305,6 +318,7 @@ TableStats TableEntry::Stats() const {
   stats.version = version_.load(std::memory_order_acquire);
   stats.file_size = file_size_;
   stats.file_mtime_ns = file_mtime_ns_;
+  stats.stale_publishes = stale_publishes_.load(std::memory_order_relaxed);
   stats.scans = scan_count_.load(std::memory_order_relaxed);
   stats.column_accesses = ColumnAccessSnapshot();
   return stats;

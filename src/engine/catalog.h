@@ -63,6 +63,9 @@ struct TableStats {
   /// File signature recorded at open (-1 / 0 before the first open).
   int64_t file_size = -1;
   int64_t file_mtime_ns = 0;
+  /// Publishes of adaptive state (shreds, row count, map, format state)
+  /// dropped because they described a file generation since replaced.
+  int64_t stale_publishes = 0;
 };
 
 /// Per-table runtime state accumulated across queries: open file handles,
@@ -117,10 +120,24 @@ struct TableEntry {
   /// Best-effort OS page-cache drop for cold-run benchmarks.
   Status DropPageCache() const;
 
+  // --- version-guarded publication -------------------------------------------
+  /// Runs `publish` (which publishes state a query derived from the file
+  /// generation it pinned at `pinned_version`: shreds, a row count) under
+  /// the entry mutex when that generation is still the current one and
+  /// returns true; otherwise drops it, counts it in stale_publishes and
+  /// returns false. CheckStale bumps the version under the same mutex and
+  /// purges the table's shreds only after that, so whatever `publish` adds
+  /// either describes the current generation or is purged with the old one.
+  /// `publish` must not take the entry mutex.
+  bool PublishIfCurrent(int64_t pinned_version,
+                        const std::function<void()>& publish);
+
   // --- discovered row count --------------------------------------------------
   int64_t row_count() const {
     return row_count_.load(std::memory_order_acquire);
   }
+  /// Records a row count nothing has recorded yet. Callers that counted the
+  /// rows of a pinned generation go through PublishIfCurrent.
   void SetRowCountIfUnknown(int64_t rows) {
     int64_t expected = -1;
     row_count_.compare_exchange_strong(expected, rows,
@@ -224,6 +241,7 @@ struct TableEntry {
   int64_t file_size_ = -1;
   int64_t file_mtime_ns_ = 0;
   std::atomic<int64_t> version_{0};
+  std::atomic<int64_t> stale_publishes_{0};
 
   std::atomic<int64_t> scan_count_{0};
   /// Fixed-size once InitAccessCounters runs (never resized, so concurrent

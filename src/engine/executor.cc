@@ -32,7 +32,6 @@ StatusOr<QueryResult> Executor::Run(PhysicalPlan plan) {
     return Status::ResourceExhausted("query deadline exceeded");
   }
   QueryResult result;
-  result.compile_seconds = plan.compile_seconds;
   Stopwatch watch;
   RAW_ASSIGN_OR_RETURN(result.table, CollectAll(plan.root.get()));
   result.execute_seconds = watch.ElapsedSeconds();
@@ -45,6 +44,7 @@ StatusOr<QueryResult> Executor::Run(PhysicalPlan plan) {
     result.rows_nulled =
         plan.health->rows_nulled.load(std::memory_order_relaxed);
     result.io_faults = plan.health->io_faults.load(std::memory_order_relaxed);
+    result.compile_seconds = plan.health->jit_wait_seconds();
   }
   return result;
 }

@@ -24,7 +24,7 @@ struct QueryResult {
   double execute_seconds = 0;  // drain time (excludes planning)
   double plan_seconds = 0;     // planning time (includes JIT compilation
                                // and, for the DBMS baseline, data loading)
-  double compile_seconds = 0;  // JIT compilation charged to this query
+  double compile_seconds = 0;  // time this query waited for the JIT compiler
   std::string plan_description;
   /// Robustness totals copied from the plan's ScanHealth after the drain:
   /// rows dropped / zero-filled under a tolerant malformed-row policy, and

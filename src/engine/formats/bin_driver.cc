@@ -60,21 +60,23 @@ class BinaryFormatDriver final : public FormatDriver {
       morsels = SplitMorsels(tc, tc.num_threads * 4);
     }
 
-    if (opts.access_path == AccessPathKind::kJit) {
-      RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
-                           BinaryLayout::Create(info.schema));
+    RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
+                         BinaryLayout::Create(info.schema));
+    AccessPathSpec jit_spec;
+    jit_spec.format = FileFormat::kBinary;
+    jit_spec.mode = ScanMode::kSequential;
+    jit_spec.row_width = layout.row_width();
+    for (int c : cols) {
+      jit_spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
+      jit_spec.column_offsets.push_back(layout.ColumnOffset(c));
+    }
+    if (opts.access_path == AccessPathKind::kJit &&
+        JitKernelReady(tc, jit_spec)) {
       auto make_jit_args = [&](int64_t first, int64_t count) {
-        AccessPathSpec spec;
-        spec.format = FileFormat::kBinary;
-        spec.mode = ScanMode::kSequential;
-        spec.row_width = layout.row_width();
-        for (int c : cols) {
-          spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-          spec.column_offsets.push_back(layout.ColumnOffset(c));
-        }
         JitScanArgs args;
-        args.spec = std::move(spec);
+        args.spec = jit_spec;
         args.output_schema = qualified;
+        args.health = tc.health;
         args.file = tc.file.get();
         args.total_rows = count;
         args.batch_rows = opts.batch_rows;
@@ -145,12 +147,15 @@ class BinaryFormatDriver final : public FormatDriver {
         spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
         spec.column_offsets.push_back(layout.ColumnOffset(c));
       }
-      JitScanArgs args;
-      args.spec = std::move(spec);
-      args.output_schema = qualified;
-      args.file = tc.file.get();
-      return RowFetcherPtr(
-          std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+      if (JitKernelReady(tc, spec)) {
+        JitScanArgs args;
+        args.spec = std::move(spec);
+        args.output_schema = qualified;
+        args.health = tc.health;
+        args.file = tc.file.get();
+        return RowFetcherPtr(
+            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+      }
     }
     BinScanSpec spec;
     spec.outputs = cols;
@@ -203,6 +208,9 @@ class BinaryFormatDriver final : public FormatDriver {
     Schema out_schema = req.mode == PipelineOutputMode::kAggregate
                             ? FusedAggPartialSchema(req.aggs)
                             : req.output_schema;
+    if (!JitKernelReady(tc, spec)) {
+      return Status::NotImplemented("fused binary kernel not compiled yet");
+    }
     (*tc.desc) << "[fused-bin-scan " << info.name << "] ";
 
     const int64_t num_rows = tc.bin_reader->num_rows();
@@ -210,6 +218,7 @@ class BinaryFormatDriver final : public FormatDriver {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
+      args.health = tc.health;
       args.file = tc.file.get();
       args.total_rows = count;
       args.dense_row_base = first;

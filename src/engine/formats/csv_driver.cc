@@ -58,14 +58,6 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     build = tc.building_pmap.get();
   }
   (*tc.desc) << "[seq-scan " << info.name << "] ";
-  // Generated kernels fail hard on the first malformed value, so tolerant
-  // row policies always take the interpreted scan (the planner already
-  // downgrades access_path; this guard keeps the driver safe on its own).
-  const bool use_jit =
-      opts.access_path == AccessPathKind::kJit &&
-      opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(tc, cols);
-
   auto make_jit_spec = [&] {
     AccessPathSpec spec;
     spec.format = FileFormat::kCsv;
@@ -77,6 +69,13 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     if (build != nullptr) spec.pmap_tracked = build->tracked_columns();
     return spec;
   };
+  // Generated kernels fail hard on the first malformed value, so tolerant
+  // row policies always take the interpreted scan (the planner already
+  // downgrades access_path; this guard keeps the driver safe on its own).
+  const bool use_jit =
+      opts.access_path == AccessPathKind::kJit &&
+      opts.malformed_row_policy == MalformedRowPolicy::kFail &&
+      CsvJitEligible(tc, cols) && JitKernelReady(tc, make_jit_spec());
   auto make_insitu_spec = [&] {
     CsvScanSpec spec;
     spec.file_schema = info.schema;
@@ -113,6 +112,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
         JitScanArgs args;
         args.spec = make_jit_spec();
         args.output_schema = qualified;
+        args.health = tc.health;
         args.file = tc.file.get();
         args.build_pmap = child_pmap;
         args.window_begin = static_cast<uint64_t>(m.begin);
@@ -140,6 +140,7 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     JitScanArgs args;
     args.spec = make_jit_spec();
     args.output_schema = qualified;
+    args.health = tc.health;
     args.file = tc.file.get();
     args.build_pmap = build;
     args.batch_rows = opts.batch_rows;
@@ -169,24 +170,25 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
     if (t <= cols.front()) anchor = t;
   }
   (*tc.desc) << "[pmap-scan " << info.name << " anchor=" << anchor << "] ";
+  AccessPathSpec jit_spec;
+  jit_spec.format = FileFormat::kCsv;
+  jit_spec.mode = ScanMode::kByPosition;
+  jit_spec.delimiter = info.csv_options.delimiter;
+  jit_spec.anchor_column = anchor;
+  for (int c : cols) {
+    jit_spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
+  }
   const bool use_jit =
       opts.access_path == AccessPathKind::kJit &&
       opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(tc, cols);
+      CsvJitEligible(tc, cols) && JitKernelReady(tc, jit_spec);
 
   auto make_jit_args = [&](RowSet rows) -> StatusOr<JitScanArgs> {
     RAW_RETURN_NOT_OK(FillPositions(pmap, pmap.SlotFor(anchor), &rows));
-    AccessPathSpec spec;
-    spec.format = FileFormat::kCsv;
-    spec.mode = ScanMode::kByPosition;
-    spec.delimiter = info.csv_options.delimiter;
-    spec.anchor_column = anchor;
-    for (int c : cols) {
-      spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-    }
     JitScanArgs args;
-    args.spec = std::move(spec);
+    args.spec = jit_spec;
     args.output_schema = qualified;
+    args.health = tc.health;
     args.file = tc.file.get();
     args.row_set = std::move(rows);
     args.batch_rows = opts.batch_rows;
@@ -362,12 +364,15 @@ class CsvFormatDriver final : public FormatDriver {
       for (int c : cols) {
         spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
       }
-      JitScanArgs args;
-      args.spec = std::move(spec);
-      args.output_schema = qualified;
-      args.file = tc.file.get();
-      return RowFetcherPtr(
-          std::make_unique<JitRowFetcher>(tc.jit, std::move(args), pmap));
+      if (JitKernelReady(tc, spec)) {
+        JitScanArgs args;
+        args.spec = std::move(spec);
+        args.output_schema = qualified;
+        args.health = tc.health;
+        args.file = tc.file.get();
+        return RowFetcherPtr(
+            std::make_unique<JitRowFetcher>(tc.jit, std::move(args), pmap));
+      }
     }
     CsvScanSpec spec;
     spec.file_schema = info.schema;
@@ -450,6 +455,9 @@ class CsvFormatDriver final : public FormatDriver {
     Schema out_schema = req.mode == PipelineOutputMode::kAggregate
                             ? FusedAggPartialSchema(req.aggs)
                             : req.output_schema;
+    if (!JitKernelReady(tc, spec)) {
+      return Status::NotImplemented("fused CSV kernel not compiled yet");
+    }
     (*tc.desc) << "[fused-pmap-scan " << info.name << " anchor=" << anchor
                << "] ";
 
@@ -464,6 +472,7 @@ class CsvFormatDriver final : public FormatDriver {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
+      args.health = tc.health;
       args.file = tc.file.get();
       args.row_set = std::move(rows);
       args.dense_columns = req.dense_columns;

@@ -1,8 +1,31 @@
 #include "engine/formats/driver_util.h"
 
 #include "engine/planner.h"
+#include "jit/template_cache.h"
 
 namespace raw {
+
+namespace {
+
+template <typename Spec>
+bool KernelReady(FormatScanContext& tc, const Spec& spec) {
+  if (tc.opts->jit_fusion != JitFusion::kAuto) return true;
+  const JitKernelState state = tc.jit->Request(spec);
+  if (state == JitKernelState::kReady) return true;
+  tc.jit_deferred = true;
+  (*tc.desc) << "[jit: " << JitKernelStateReason(state) << "] ";
+  return false;
+}
+
+}  // namespace
+
+bool JitKernelReady(FormatScanContext& tc, const AccessPathSpec& spec) {
+  return KernelReady(tc, spec);
+}
+
+bool JitKernelReady(FormatScanContext& tc, const PipelineSpec& spec) {
+  return KernelReady(tc, spec);
+}
 
 SelectColumnsOperator::SelectColumnsOperator(OperatorPtr child,
                                              std::vector<int> indices,

@@ -72,6 +72,16 @@ OperatorPtr WrapQualified(OperatorPtr op, const Schema& qualified);
 /// fixed-width values; string columns take the interpreted path.
 bool AnyStringColumn(const Schema& schema, const std::vector<int>& cols);
 
+/// Whether the plan may use the generated kernel for `spec` now. Under
+/// JitFusion::kAuto this asks the template cache without blocking; a kernel
+/// that is not compiled yet is queued for the background compiler, the plan
+/// says why (`[jit: compiling]`, `[jit: no compiler]`, `[jit: compile
+/// failed]`), `ctx.jit_deferred` is set, and the caller builds the
+/// interpreted twin instead. Under kOn and kOff always true: the generated
+/// operator compiles at Open() and the query waits for it.
+bool JitKernelReady(FormatScanContext& ctx, const AccessPathSpec& spec);
+bool JitKernelReady(FormatScanContext& ctx, const PipelineSpec& spec);
+
 }  // namespace raw
 
 #endif  // RAW_ENGINE_FORMATS_DRIVER_UTIL_H_

@@ -134,24 +134,28 @@ class RefFormatDriver final : public FormatDriver {
         needs_event_id_derivation = true;
       }
     }
-    const bool use_jit = opts.access_path == AccessPathKind::kJit &&
-                         !needs_event_id_derivation;
-
-    auto make_jit_args = [&](int64_t first,
-                             int64_t count) -> StatusOr<JitScanArgs> {
-      AccessPathSpec spec;
-      spec.format = FileFormat::kRef;
-      spec.mode = ScanMode::kSequential;
+    bool use_jit = opts.access_path == AccessPathKind::kJit &&
+                   !needs_event_id_derivation;
+    AccessPathSpec jit_spec;
+    if (use_jit) {
+      jit_spec.format = FileFormat::kRef;
+      jit_spec.mode = ScanMode::kSequential;
       for (size_t i = 0; i < cols.size(); ++i) {
         RAW_ASSIGN_OR_RETURN(
             int branch, RefBranchFor(*entry->ref_reader(), info.ref_group,
                                      field_names[i]));
-        spec.outputs.push_back(OutputField{
-            branch, info.schema.field(cols[i]).type});
+        jit_spec.outputs.push_back(
+            OutputField{branch, info.schema.field(cols[i]).type});
       }
+      use_jit = JitKernelReady(tc, jit_spec);
+    }
+
+    auto make_jit_args = [&](int64_t first,
+                             int64_t count) -> StatusOr<JitScanArgs> {
       JitScanArgs args;
-      args.spec = std::move(spec);
+      args.spec = jit_spec;
       args.output_schema = qualified;
+      args.health = tc.health;
       args.ref_reader = entry->ref_reader();
       args.first_row = first;
       args.total_rows = first + count;  // REF kernels scan [cursor, total)
@@ -233,12 +237,15 @@ class RefFormatDriver final : public FormatDriver {
         spec.outputs.push_back(
             OutputField{branch, info.schema.field(cols[i]).type});
       }
-      JitScanArgs args;
-      args.spec = std::move(spec);
-      args.output_schema = qualified;
-      args.ref_reader = entry->ref_reader();
-      return RowFetcherPtr(
-          std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+      if (JitKernelReady(tc, spec)) {
+        JitScanArgs args;
+        args.spec = std::move(spec);
+        args.output_schema = qualified;
+        args.health = tc.health;
+        args.ref_reader = entry->ref_reader();
+        return RowFetcherPtr(
+            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+      }
     }
     return RowFetcherPtr(std::make_unique<RefRowFetcher>(
         entry->ref_reader(), info.ref_group, field_names, qualified));
@@ -294,12 +301,16 @@ class RefFormatDriver final : public FormatDriver {
     spec.projections = req.projections;
     spec.aggs = req.aggs;
     Schema out_schema = FusedAggPartialSchema(req.aggs);
+    if (!JitKernelReady(tc, spec)) {
+      return Status::NotImplemented("fused REF kernel not compiled yet");
+    }
     (*tc.desc) << "[fused-ref-scan " << info.name << "] ";
 
     auto make_args = [&](int64_t first, int64_t count) {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
+      args.health = tc.health;
       args.ref_reader = entry->ref_reader();
       args.first_row = first;
       args.total_rows = first + count;  // REF kernels scan [cursor, total)

@@ -96,6 +96,16 @@ class CsvGzFormatDriver final : public FormatDriver {
     return table;
   }
 
+  /// A late fetch inflates every gzip member holding a wanted row, and at
+  /// ~500 rows per member almost any filter touches every member: the fetch
+  /// would inflate the whole file a second time. Queries therefore read all
+  /// their columns in the base scan (whose cold pass still builds the block
+  /// index).
+  std::string_view FullColumnsReason(
+      const FormatScanContext& /*tc*/) const override {
+    return "late fetches re-inflate members";
+  }
+
   /// Late scans navigate through the block-offset index: published, or
   /// claimed for construction as a side effect of this query's cold scan
   /// (the format-state analogue of the CSV positional-map protocol).

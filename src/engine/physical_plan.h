@@ -42,9 +42,12 @@ std::string_view JoinProjectionPlacementToString(JoinProjectionPlacement p);
 /// Whether the planner may fuse whole scan→filter→project/aggregate
 /// pipelines into one JIT-generated loop (RAW_JIT_FUSION).
 enum class JitFusion {
-  kOff,   // always interpreted operators
-  kOn,    // fuse every eligible single-table pipeline
-  kAuto,  // like kOn today; reserved for cost-model arbitration
+  kOff,   // always interpreted operators (JIT scans still compile and wait)
+  kOn,    // fuse every eligible pipeline; queries wait for the compiler
+  /// Fuse and JIT-scan only with kernels already compiled: a missing kernel
+  /// is compiled in the background while this query runs interpreted, so no
+  /// query waits for the compiler (JitKernelReady).
+  kAuto,
 };
 
 std::string_view JitFusionToString(JitFusion fusion);
@@ -95,7 +98,7 @@ struct PlannerOptions {
 int ResolveNumThreads(int requested);
 
 /// The executable plan: an operator tree plus bookkeeping the executor needs
-/// (JIT compile time for reporting, explain text).
+/// (per-query counters, explain text).
 struct PhysicalPlan {
   /// Immutable snapshots the operator tree references by raw pointer (file
   /// handles, positional maps, loaded tables). Holding them here pins them
@@ -105,15 +108,15 @@ struct PhysicalPlan {
   /// destroyed after it (operator destructors join scan workers that may
   /// still be reading them).
   std::vector<std::shared_ptr<const void>> resources;
-  /// Robustness counters scans of this plan update (rows skipped/null-filled
-  /// under a tolerant malformed-row policy, I/O faults observed). Owned here
+  /// Counters scans of this plan update (rows skipped/null-filled under a
+  /// tolerant malformed-row policy, I/O faults observed, time spent waiting
+  /// for the JIT compiler). Owned here
   /// (and, like `resources`, outliving `root`) so scan specs can hold a raw
   /// pointer for the plan's whole lifetime; the executor folds the totals
   /// into the query result.
   std::shared_ptr<ScanHealth> health;
   OperatorPtr root;
   std::string description;      // EXPLAIN-style summary
-  double compile_seconds = 0;   // JIT compilation charged to this query
   Deadline deadline;            // propagated from PlannerOptions
 
   /// Describers invoked after the plan drains, appended to the reported

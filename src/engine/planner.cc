@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -78,28 +79,39 @@ class LimitOperator : public Operator {
   int64_t emitted_ = 0;
 };
 
-/// Emits a set of full, already-materialized columns (cache hits) as one
-/// zero-copy batch with sequential row ids.
+/// Emits a set of full, already-materialized columns (cache hits) with
+/// sequential row ids, in batches of `batch_rows` like every raw scan: a
+/// single table-sized batch would make each operator above it (filters,
+/// late fetches) allocate table-sized buffers. A column that fits one batch
+/// goes out zero-copy.
 class CachedColumnsScanOperator : public Operator {
  public:
-  CachedColumnsScanOperator(Schema schema, std::vector<ColumnPtr> columns)
-      : schema_(std::move(schema)), columns_(std::move(columns)) {}
+  CachedColumnsScanOperator(Schema schema, std::vector<ColumnPtr> columns,
+                            int64_t batch_rows)
+      : schema_(std::move(schema)),
+        columns_(std::move(columns)),
+        batch_rows_(std::max<int64_t>(batch_rows, 1)) {}
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override {
-    done_ = false;
+    next_row_ = 0;
     return Status::OK();
   }
   StatusOr<ColumnBatch> Next() override {
-    if (done_) return ColumnBatch::EndOfStream(schema_);
+    const int64_t rows = columns_.empty() ? 0 : columns_[0]->length();
+    if (next_row_ >= rows) return ColumnBatch::EndOfStream(schema_);
+    const int64_t count = std::min(batch_rows_, rows - next_row_);
     ColumnBatch out(schema_);
-    done_ = true;
-    for (const ColumnPtr& col : columns_) out.AddColumn(col);
-    int64_t rows = columns_.empty() ? 0 : columns_[0]->length();
-    out.SetNumRows(rows);
-    std::vector<int64_t> ids(static_cast<size_t>(rows));
-    for (int64_t i = 0; i < rows; ++i) ids[static_cast<size_t>(i)] = i;
+    for (const ColumnPtr& col : columns_) {
+      out.AddColumn(count == rows ? col
+                                  : std::make_shared<Column>(
+                                        col->Slice(next_row_, count)));
+    }
+    out.SetNumRows(count);
+    std::vector<int64_t> ids(static_cast<size_t>(count));
+    std::iota(ids.begin(), ids.end(), next_row_);
     out.SetRowIds(std::move(ids));
+    next_row_ += count;
     return out;
   }
   std::string name() const override { return "CachedColumnsScan"; }
@@ -107,13 +119,18 @@ class CachedColumnsScanOperator : public Operator {
  private:
   Schema schema_;
   std::vector<ColumnPtr> columns_;
-  bool done_ = false;
+  int64_t batch_rows_;
+  int64_t next_row_ = 0;
 };
 
 /// Accumulates the values flowing out of a raw scan and registers them in the
 /// shred cache at Close() — "RAW preserves a pool of column shreds populated
 /// as a side-effect of previous queries" (§3). Also discovers the table's
-/// row count on full scans.
+/// row count on full scans. Every publish goes through the table entry's
+/// version guard: a plan that pinned a since-replaced file generation
+/// publishes nothing. The cache takes the accumulated columns over instead
+/// of copying them, columns it already holds in full are not accumulated,
+/// and a contiguous full scan keeps no row ids at all.
 class CacheInsertOperator : public Operator {
  public:
   struct Mapping {
@@ -121,27 +138,39 @@ class CacheInsertOperator : public Operator {
     int table_column;  // column in the table's schema
   };
 
-  CacheInsertOperator(OperatorPtr child, ShredCache* cache, std::string table,
-                      std::vector<Mapping> mappings, bool full_scan,
-                      TableEntry* row_count_sink)
+  /// `full_scan`: the child emits every row of the table once drained, so a
+  /// contiguous drain is a full column and its length the row count.
+  /// `version`: the file generation the plan pinned. `expected_rows`: the
+  /// rows a full scan will emit when known (-1 otherwise), to size buffers.
+  CacheInsertOperator(OperatorPtr child, ShredCache* cache, TableEntry* entry,
+                      int64_t version, std::vector<Mapping> mappings,
+                      bool full_scan, int64_t expected_rows)
       : child_(std::move(child)),
         cache_(cache),
-        table_(std::move(table)),
+        entry_(entry),
+        version_(version),
         mappings_(std::move(mappings)),
         full_scan_(full_scan),
-        row_count_sink_(row_count_sink) {}
+        expected_rows_(expected_rows) {}
 
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
   Status Open() override {
     RAW_RETURN_NOT_OK(child_->Open());
+    active_.clear();
     accumulators_.clear();
     for (const Mapping& m : mappings_) {
-      accumulators_.push_back(std::make_shared<Column>(
-          child_->output_schema().field(m.output_index).type));
+      if (cache_->ContainsFull(entry_->info.name, m.table_column)) continue;
+      auto column = std::make_shared<Column>(
+          child_->output_schema().field(m.output_index).type);
+      if (full_scan_ && expected_rows_ > 0) column->Reserve(expected_rows_);
+      active_.push_back(m);
+      accumulators_.push_back(std::move(column));
     }
     row_ids_.clear();
+    rows_ = 0;
+    contiguous_ = true;
     drained_ = false;
     return Status::OK();
   }
@@ -152,50 +181,78 @@ class CacheInsertOperator : public Operator {
       return batch;
     }
     if (batch.has_row_ids()) {
-      row_ids_.insert(row_ids_.end(), batch.row_ids().begin(),
-                      batch.row_ids().end());
-      for (size_t i = 0; i < mappings_.size(); ++i) {
+      NoteRowIds(batch.row_ids());
+      for (size_t i = 0; i < active_.size(); ++i) {
         RAW_RETURN_NOT_OK(accumulators_[i]->AppendColumn(
-            *batch.column(mappings_[i].output_index)));
+            *batch.column(active_[i].output_index)));
       }
     }
     return batch;
   }
   Status Close() override {
-    if (drained_ && !row_ids_.empty()) {
-      bool contiguous = true;
-      for (size_t i = 0; i < row_ids_.size(); ++i) {
-        if (row_ids_[i] != static_cast<int64_t>(i)) {
-          contiguous = false;
-          break;
+    Status published = Status::OK();
+    if (drained_ && rows_ > 0) {
+      const bool full_column = full_scan_ && contiguous_;
+      std::shared_ptr<const std::vector<int64_t>> row_ids;
+      if (!full_column) {
+        row_ids_.shrink_to_fit();
+        row_ids =
+            std::make_shared<const std::vector<int64_t>>(std::move(row_ids_));
+      }
+      for (ColumnPtr& column : accumulators_) column->ShrinkToFit();
+      entry_->PublishIfCurrent(version_, [&] {
+        for (size_t i = 0; i < active_.size() && published.ok(); ++i) {
+          published = cache_->Insert(entry_->info.name,
+                                     active_[i].table_column, row_ids,
+                                     std::move(accumulators_[i]));
         }
-      }
-      for (size_t i = 0; i < mappings_.size(); ++i) {
-        RAW_RETURN_NOT_OK(cache_->Insert(
-            table_, mappings_[i].table_column,
-            (contiguous && full_scan_) ? nullptr : row_ids_.data(),
-            *accumulators_[i]));
-      }
-      if (full_scan_ && contiguous && row_count_sink_ != nullptr) {
-        row_count_sink_->SetRowCountIfUnknown(
-            static_cast<int64_t>(row_ids_.size()));
-      }
+        if (full_column) entry_->SetRowCountIfUnknown(rows_);
+      });
     }
+    // Close may run twice (explicitly, then at destruction): publish once.
+    drained_ = false;
+    active_.clear();
     accumulators_.clear();
     row_ids_.clear();
-    return child_->Close();
+    Status closed = child_->Close();
+    return published.ok() ? closed : published;
   }
   std::string name() const override { return "CacheInsert"; }
 
  private:
+  /// Tracks the drained row ids. A full scan stays id-free while its ids run
+  /// 0, 1, 2, ...; the first gap materializes the run so far.
+  void NoteRowIds(const std::vector<int64_t>& ids) {
+    if (full_scan_ && contiguous_) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] != rows_ + static_cast<int64_t>(i)) {
+          contiguous_ = false;
+          break;
+        }
+      }
+      if (!contiguous_ && !active_.empty()) {
+        row_ids_.resize(static_cast<size_t>(rows_));
+        std::iota(row_ids_.begin(), row_ids_.end(), int64_t{0});
+      }
+    }
+    if (!(full_scan_ && contiguous_) && !active_.empty()) {
+      row_ids_.insert(row_ids_.end(), ids.begin(), ids.end());
+    }
+    rows_ += static_cast<int64_t>(ids.size());
+  }
+
   OperatorPtr child_;
   ShredCache* cache_;
-  std::string table_;
+  TableEntry* entry_;
+  int64_t version_;
   std::vector<Mapping> mappings_;
   bool full_scan_;
-  TableEntry* row_count_sink_;
-  std::vector<ColumnPtr> accumulators_;
+  int64_t expected_rows_;
+  std::vector<Mapping> active_;  // mappings the cache lacks in full
+  std::vector<ColumnPtr> accumulators_;  // parallel to active_
   std::vector<int64_t> row_ids_;
+  int64_t rows_ = 0;
+  bool contiguous_ = true;
   bool drained_ = false;
 };
 
@@ -247,7 +304,6 @@ struct BuildCtx {
   JitTemplateCache* jit;
   ShredCache* shreds;
   const PlannerOptions* opts;
-  double* compile_seconds;
   std::ostringstream* desc;
   int num_threads = 1;  // resolved from opts->num_threads once per plan
   std::map<TableEntry*, FormatScanContext>* tables = nullptr;
@@ -369,7 +425,8 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
   if (raw_cols.empty() && !cached_cols.empty()) {
     (*ctx.desc) << "[cache-scan " << info.name << "] ";
     return OperatorPtr(std::make_unique<CachedColumnsScanOperator>(
-        QualifiedSchema(*entry, cached_cols), std::move(cached_values)));
+        QualifiedSchema(*entry, cached_cols), std::move(cached_values),
+        opts.batch_rows));
   }
 
   bool full_scan = true;
@@ -382,9 +439,9 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
       mappings.push_back(
           CacheInsertOperator::Mapping{static_cast<int>(i), raw_cols[i]});
     }
-    op = std::make_unique<CacheInsertOperator>(std::move(op), ctx.shreds,
-                                               info.name, std::move(mappings),
-                                               full_scan, entry);
+    op = std::make_unique<CacheInsertOperator>(
+        std::move(op), ctx.shreds, entry, tc.version, std::move(mappings),
+        full_scan, tc.row_count);
   }
 
   if (!cached_cols.empty()) {
@@ -666,7 +723,17 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
 /// callers must then route columns into base scans instead of late scans.
 StatusOr<bool> LateScanFeasible(FormatScanContext& tc) {
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver, DriverFor(*tc.entry));
+  if (!driver->FullColumnsReason(tc).empty()) return false;
   return driver->EnsureLateScanNavigable(tc);
+}
+
+/// Why `tc`'s table would rather not serve late scans (formats whose
+/// selective fetch re-reads as much as a full scan), or empty.
+std::string_view FullColumnsReason(const FormatScanContext& tc) {
+  const FormatDriver* driver =
+      FormatRegistry::Global().Find(tc.entry->info.format);
+  return driver != nullptr ? driver->FullColumnsReason(tc)
+                           : std::string_view();
 }
 
 // =============================================================================
@@ -796,7 +863,8 @@ ShredPolicy ResolveAdaptivePolicy(BuildCtx& ctx, const SidePlan& side) {
 /// of columns ... preserved in a pool" (§3/§5.1). Only used below filter
 /// cascades, where row ids are strictly increasing (post-join order is not).
 OperatorPtr WrapLateScanCacheInsert(BuildCtx& ctx, OperatorPtr op,
-                                    TableEntry* entry, int base_fields,
+                                    const FormatScanContext& tc,
+                                    int base_fields,
                                     const std::vector<int>& fetch_cols) {
   if (!ctx.opts->populate_shred_cache) return op;
   std::vector<CacheInsertOperator::Mapping> mappings;
@@ -805,8 +873,8 @@ OperatorPtr WrapLateScanCacheInsert(BuildCtx& ctx, OperatorPtr op,
         base_fields + static_cast<int>(j), fetch_cols[j]});
   }
   return std::make_unique<CacheInsertOperator>(
-      std::move(op), ctx.shreds, entry->info.name, std::move(mappings),
-      /*full_scan=*/false, /*row_count_sink=*/nullptr);
+      std::move(op), ctx.shreds, tc.entry, tc.version, std::move(mappings),
+      /*full_scan=*/false, /*expected_rows=*/-1);
 }
 
 /// Builds scan -> [late scan, filter]* -> [late scan] for one table.
@@ -823,7 +891,9 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
   if (opts.access_path != AccessPathKind::kLoaded &&
       opts.access_path != AccessPathKind::kExternalTable) {
     RAW_ASSIGN_OR_RETURN(can_late_scan, LateScanFeasible(tc));
-    if (!can_late_scan) {
+    if (const std::string_view why = FullColumnsReason(tc); !why.empty()) {
+      (*ctx.desc) << "[full columns " << table << ": " << why << "] ";
+    } else if (!can_late_scan) {
       (*ctx.desc) << "[no-pmap: full columns " << table << "] ";
     }
   }
@@ -885,7 +955,7 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
       int base_fields = op->output_schema().num_fields();
       op = std::make_unique<LateScanOperator>(std::move(op),
                                               std::move(fetcher));
-      op = WrapLateScanCacheInsert(ctx, std::move(op), side.entry, base_fields,
+      op = WrapLateScanCacheInsert(ctx, std::move(op), tc, base_fields,
                                    fetch_cols);
       for (int c : fetch_cols) have.insert(c);
     }
@@ -912,7 +982,7 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
     RAW_RETURN_NOT_OK(op->Open());
     int base_fields = op->output_schema().num_fields();
     op = std::make_unique<LateScanOperator>(std::move(op), std::move(fetcher));
-    op = WrapLateScanCacheInsert(ctx, std::move(op), side.entry, base_fields,
+    op = WrapLateScanCacheInsert(ctx, std::move(op), tc, base_fields,
                                  missing);
   }
   return op;
@@ -964,12 +1034,23 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
          << "] ";
   }
 
-  double compile_seconds = 0;
+  // Under kAuto a host without a compiler plans every query interpreted
+  // (kOn keeps failing with the compiler's typed error instead).
+  bool jit_deferred = false;
+  if (effective.jit_fusion == JitFusion::kAuto &&
+      effective.access_path == AccessPathKind::kJit &&
+      (jit_ == nullptr || !jit_->compiler_available())) {
+    effective.access_path = AccessPathKind::kInSitu;
+    desc << "[jit: " << JitKernelStateReason(JitKernelState::kNoCompiler)
+         << "] ";
+    jit_deferred = true;
+  }
+
   std::map<TableEntry*, FormatScanContext> table_ctxs;
-  BuildCtx ctx{catalog_,         jit_,  shreds_,
-               &effective,       &compile_seconds,
-               &desc,            ResolveNumThreads(effective.num_threads),
-               &table_ctxs,      plan.health.get()};
+  BuildCtx ctx{catalog_,   jit_,
+               shreds_,    &effective,
+               &desc,      ResolveNumThreads(effective.num_threads),
+               &table_ctxs, plan.health.get()};
 
   // Resolve tables.
   std::vector<TableEntry*> entries;
@@ -1052,6 +1133,12 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
         op, TryPlanFusedPipeline(ctx, q, entries[0], pred_col, agg_inputs,
                                  proj_inputs));
     fused = op != nullptr;
+    if (!fused && ctx.Ctx(entries[0]).jit_deferred) {
+      // The fused kernel compiles in the background; its interpreted twin
+      // scans in situ rather than queueing scan kernels nobody will reuse
+      // once the fused one is ready.
+      effective.access_path = AccessPathKind::kInSitu;
+    }
     if (!fused) {
       SidePlan side;
       side.entry = entries[0];
@@ -1121,8 +1208,13 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
       if (placement == JoinProjectionPlacement::kLate &&
           !(c.entry == probe_entry ? probe_late_ok : build_late_ok)) {
         placement = JoinProjectionPlacement::kIntermediate;
-        (*ctx.desc) << "[no-pmap: late->intermediate "
-                    << c.entry->info.name << "] ";
+        const std::string& name = c.entry->info.name;
+        if (const std::string_view why = FullColumnsReason(ctx.Ctx(c.entry));
+            !why.empty()) {
+          (*ctx.desc) << "[late->intermediate " << name << ": " << why << "] ";
+        } else {
+          (*ctx.desc) << "[no-pmap: late->intermediate " << name << "] ";
+        }
       }
       switch (placement) {
         case JoinProjectionPlacement::kEarly:
@@ -1309,9 +1401,11 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
     plans_interpreted_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  for (const auto& [entry, tc] : table_ctxs) jit_deferred |= tc.jit_deferred;
+  if (jit_deferred) plans_jit_deferred_.fetch_add(1, std::memory_order_relaxed);
+
   plan.root = std::move(op);
   plan.description = desc.str();
-  plan.compile_seconds = compile_seconds;
   return plan;
 }
 

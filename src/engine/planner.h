@@ -37,6 +37,11 @@ class Planner {
   int64_t plans_interpreted() const {
     return plans_interpreted_.load(std::memory_order_relaxed);
   }
+  /// Plans that ran interpreted operators where generated code would have
+  /// run, because its kernel was not compiled yet (JitFusion::kAuto).
+  int64_t plans_jit_deferred() const {
+    return plans_jit_deferred_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct TableSide;  // planning state for one table (defined in planner.cc)
@@ -46,6 +51,7 @@ class Planner {
   ShredCache* shreds_;
   std::atomic<int64_t> plans_fused_{0};
   std::atomic<int64_t> plans_interpreted_{0};
+  std::atomic<int64_t> plans_jit_deferred_{0};
 };
 
 /// Internal field naming: every materialized column is qualified as

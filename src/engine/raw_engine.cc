@@ -54,9 +54,9 @@ RawEngine::RawEngine(RawEngineOptions options)
     result_cache_ =
         std::make_unique<autotune::ResultCache>(options_.result_cache_bytes);
   }
-  // RAW_JIT_FUSION: 0 = never fuse, 1 = fuse eligible pipelines, auto =
-  // planner's choice (today identical to 1; reserved for cost-model
-  // arbitration). Same strict-parse discipline as the integer knobs.
+  // RAW_JIT_FUSION: 0 = never fuse, 1 = fuse eligible pipelines and wait
+  // for the compiler, auto = use generated code only once it is compiled
+  // (JitFusion::kAuto). Same strict-parse discipline as the integer knobs.
   if (const char* fusion_env = std::getenv("RAW_JIT_FUSION")) {
     const std::string v(fusion_env);
     if (v == "0") {
@@ -192,6 +192,7 @@ EngineStats RawEngine::Stats() const {
   if (materializer_ != nullptr) stats.materializer = materializer_->Stats();
   stats.plans_fused = planner_.plans_fused();
   stats.plans_interpreted = planner_.plans_interpreted();
+  stats.plans_jit_deferred = planner_.plans_jit_deferred();
   stats.rows_skipped = rows_skipped_.load(std::memory_order_relaxed);
   stats.rows_nulled = rows_nulled_.load(std::memory_order_relaxed);
   stats.io_faults = io_faults_.load(std::memory_order_relaxed);

@@ -98,6 +98,9 @@ struct EngineStats {
   /// Plans that ran through a fused JIT pipeline vs. interpreted operators.
   int64_t plans_fused = 0;
   int64_t plans_interpreted = 0;
+  /// Plans that ran interpreted while their kernel compiled in the
+  /// background (or could not compile) under JitFusion::kAuto.
+  int64_t plans_jit_deferred = 0;
   /// Robustness totals across every query on this engine: rows dropped /
   /// zero-filled under tolerant malformed-row policies, typed I/O faults
   /// scans detected (truncation, corruption, injected errors), and fault

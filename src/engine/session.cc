@@ -99,7 +99,7 @@ StatusOr<QueryResult> Cursor::Consume() {
   RAW_ASSIGN_OR_RETURN(result.table, ConcatBatches(result_schema, batches));
   result.plan_description = plan_.description + plan_.RuntimeDescription();
   result.plan_seconds = plan_seconds_;
-  result.compile_seconds = compile_seconds_;
+  result.compile_seconds = compile_seconds();
   result.execute_seconds = execute_seconds_;
   return result;
 }
@@ -175,8 +175,7 @@ StatusOr<PreparedQuery> Session::Prepare(const std::string& sql) {
 
 StatusOr<PhysicalPlan> Session::PlanSpec(const QuerySpec& spec,
                                          const PlannerOptions& options,
-                                         double* plan_seconds,
-                                         double* compile_seconds) {
+                                         double* plan_seconds) {
   // Foreground queries raise the inflight gauge for their plan's whole
   // lifetime (streaming cursors included): the guard rides in the plan's
   // resource list and lowers it when the plan is destroyed. Raising it also
@@ -190,11 +189,9 @@ StatusOr<PhysicalPlan> Session::PlanSpec(const QuerySpec& spec,
         [engine](const void*) { engine->EndQuery(); });
   }
   Stopwatch watch;
-  const double compile_before = engine_->jit_.total_compile_seconds();
   RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
                        engine_->planner_.Plan(spec, options));
   *plan_seconds = watch.ElapsedSeconds();
-  *compile_seconds = engine_->jit_.total_compile_seconds() - compile_before;
   if (!internal_) {
     engine_->queries_planned_.fetch_add(1, std::memory_order_relaxed);
     plan.resources.push_back(std::move(inflight_guard));
@@ -244,16 +241,14 @@ StatusOr<QueryResult> Session::Execute(const QuerySpec& spec,
     }
   }
   double plan_seconds = 0;
-  double compile_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      PlanSpec(spec, options, &plan_seconds, &compile_seconds));
+  RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                       PlanSpec(spec, options, &plan_seconds));
   if (spec.explain) {
     // EXPLAIN: return the plan description as a one-row result.
     QueryResult result;
     result.plan_description = plan.description;
     result.plan_seconds = plan_seconds;
-    result.compile_seconds = compile_seconds;
+    result.compile_seconds = plan.health->jit_wait_seconds();
     result.table = ExplainBatch(plan.description);
     return result;
   }
@@ -279,7 +274,6 @@ StatusOr<QueryResult> Session::Execute(const QuerySpec& spec,
   RAW_RETURN_NOT_OK(run.status());
   QueryResult result = std::move(run).value();
   result.plan_seconds = plan_seconds;
-  result.compile_seconds = compile_seconds;
   // Cost-aware admission: caching a result that took microseconds to compute
   // just evicts results worth keeping. Below the configured floor the query
   // re-executes on its next arrival instead.
@@ -309,18 +303,16 @@ StatusOr<Cursor> Session::ExecuteStream(const QuerySpec& spec) {
 StatusOr<Cursor> Session::ExecuteStream(const QuerySpec& spec,
                                         const PlannerOptions& options) {
   double plan_seconds = 0;
-  double compile_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      PlanSpec(spec, options, &plan_seconds, &compile_seconds));
+  RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                       PlanSpec(spec, options, &plan_seconds));
   if (spec.explain) {
     return Cursor::FromBatch(ExplainBatch(plan.description), plan.description,
-                             plan_seconds, compile_seconds);
+                             plan_seconds, plan.health->jit_wait_seconds());
   }
   if (!internal_) {
     engine_->queries_executed_.fetch_add(1, std::memory_order_relaxed);
   }
-  Cursor cursor(std::move(plan), plan_seconds, compile_seconds);
+  Cursor cursor(std::move(plan), plan_seconds);
   RAW_RETURN_NOT_OK(cursor.EnsureOpen());
   return cursor;
 }

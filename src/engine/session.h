@@ -58,17 +58,19 @@ class Cursor {
   bool done() const { return eof_; }
   const std::string& plan_description() const { return plan_.description; }
   double plan_seconds() const { return plan_seconds_; }
-  double compile_seconds() const { return compile_seconds_; }
+  /// Time this query's operators have waited for the JIT compiler so far.
+  double compile_seconds() const {
+    return plan_.health != nullptr ? plan_.health->jit_wait_seconds()
+                                   : compile_seconds_;
+  }
   /// Execution time accumulated inside Next() so far.
   double execute_seconds() const { return execute_seconds_; }
 
  private:
   friend class Session;
 
-  Cursor(PhysicalPlan plan, double plan_seconds, double compile_seconds)
-      : plan_(std::move(plan)),
-        plan_seconds_(plan_seconds),
-        compile_seconds_(compile_seconds) {}
+  Cursor(PhysicalPlan plan, double plan_seconds)
+      : plan_(std::move(plan)), plan_seconds_(plan_seconds) {}
 
   /// Opens the plan root (idempotent); called at creation so schema() is
   /// valid immediately and open-time errors surface from Stream(), not from
@@ -86,7 +88,7 @@ class Cursor {
   bool eof_ = false;
   bool closed_ = false;
   double plan_seconds_ = 0;
-  double compile_seconds_ = 0;
+  double compile_seconds_ = 0;  // EXPLAIN cursors (no plan to ask)
   double execute_seconds_ = 0;
 };
 
@@ -180,8 +182,7 @@ class Session {
   /// Plans `spec`, returning the plan plus timing metadata.
   StatusOr<PhysicalPlan> PlanSpec(const QuerySpec& spec,
                                   const PlannerOptions& options,
-                                  double* plan_seconds,
-                                  double* compile_seconds);
+                                  double* plan_seconds);
 
   RawEngine* engine_;
   PlannerOptions options_;

@@ -30,15 +30,39 @@ ShredCache::Entry* ShredCache::Find(Shard& shard, const std::string& key,
 
 Status ShredCache::Insert(const std::string& table, int column,
                           const int64_t* row_ids, const Column& values) {
+  std::shared_ptr<const std::vector<int64_t>> ids;
+  if (row_ids != nullptr) {
+    ids = std::make_shared<const std::vector<int64_t>>(
+        row_ids, row_ids + values.length());
+  }
+  return Insert(table, column, std::move(ids),
+                std::make_shared<Column>(values));
+}
+
+Status ShredCache::Insert(const std::string& table, int column,
+                          std::shared_ptr<const std::vector<int64_t>> row_ids,
+                          ColumnPtr values) {
+  const int64_t new_rows = values->length();
+  if (row_ids != nullptr) {
+    if (static_cast<int64_t>(row_ids->size()) != new_rows) {
+      return Status::InvalidArgument(
+          "shred cache insert: one row id per value required");
+    }
+    for (size_t i = 1; i < row_ids->size(); ++i) {
+      if ((*row_ids)[i] <= (*row_ids)[i - 1]) {
+        return Status::InvalidArgument(
+            "shred cache insert: row ids must be strictly increasing");
+      }
+    }
+  }
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   Entry* existing = Find(shard, key, /*refresh_lru=*/false);
-  const int64_t new_rows = values.length();
   if (existing != nullptr) {
     int64_t old_rows = existing->full()
                            ? existing->values->length()
-                           : static_cast<int64_t>(existing->row_ids.size());
+                           : static_cast<int64_t>(existing->row_ids->size());
     if (existing->full() || old_rows >= new_rows) {
       return Status::OK();  // keep the (at least as large) existing entry
     }
@@ -49,19 +73,12 @@ Status ShredCache::Insert(const std::string& table, int column,
   }
   Entry entry;
   entry.key = key;
-  entry.values = std::make_shared<Column>(values);
+  entry.bytes = values->MemoryBytes();
   if (row_ids != nullptr) {
-    entry.row_ids.assign(row_ids, row_ids + new_rows);
-    for (int64_t i = 1; i < new_rows; ++i) {
-      if (entry.row_ids[static_cast<size_t>(i)] <=
-          entry.row_ids[static_cast<size_t>(i - 1)]) {
-        return Status::InvalidArgument(
-            "shred cache insert: row ids must be strictly increasing");
-      }
-    }
+    entry.bytes += static_cast<int64_t>(row_ids->size() * sizeof(int64_t));
   }
-  entry.bytes = entry.values->MemoryBytes() +
-                static_cast<int64_t>(entry.row_ids.size() * sizeof(int64_t));
+  entry.values = std::move(values);
+  entry.row_ids = std::move(row_ids);
   shard.bytes_cached += entry.bytes;
   total_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
   shard.lru.push_front(std::move(entry));
@@ -100,7 +117,7 @@ bool ShredCache::Covers(const std::string& table, int column,
     }
     return true;
   }
-  const auto& ids = entry->row_ids;
+  const auto& ids = *entry->row_ids;
   for (int64_t r : rows) {
     if (!std::binary_search(ids.begin(), ids.end(), r)) return false;
   }
@@ -130,7 +147,7 @@ StatusOr<ColumnPtr> ShredCache::Lookup(const std::string& table, int column,
     return std::make_shared<Column>(entry->values->Gather(
         rows.data(), static_cast<int64_t>(rows.size())));
   }
-  const auto& ids = entry->row_ids;
+  const auto& ids = *entry->row_ids;
   std::vector<int64_t> indices;
   indices.reserve(rows.size());
   for (int64_t r : rows) {

@@ -58,6 +58,14 @@ class ShredCache {
   Status Insert(const std::string& table, int column, const int64_t* row_ids,
                 const Column& values);
 
+  /// Same, taking ownership instead of copying: the cache keeps `values`
+  /// itself (the caller must not modify it afterwards) and shares `row_ids`
+  /// (null => full column), so the shreds of several columns fetched by one
+  /// scan hold one row-id vector.
+  Status Insert(const std::string& table, int column,
+                std::shared_ptr<const std::vector<int64_t>> row_ids,
+                ColumnPtr values);
+
   /// Returns the cached values for exactly `rows` (in order), or nullopt if
   /// no entry subsumes the request. A hit refreshes LRU order.
   StatusOr<ColumnPtr> Lookup(const std::string& table, int column,
@@ -97,11 +105,11 @@ class ShredCache {
  private:
   struct Entry {
     std::string key;
-    std::vector<int64_t> row_ids;  // empty => full column
+    std::shared_ptr<const std::vector<int64_t>> row_ids;  // null => full
     ColumnPtr values;
     int64_t bytes = 0;
 
-    bool full() const { return row_ids.empty(); }
+    bool full() const { return row_ids == nullptr; }
   };
 
   struct Shard {

@@ -110,6 +110,10 @@ struct FormatScanContext {
   std::shared_ptr<const InMemoryTable> loaded;  // resolved for kLoaded
   int64_t row_count = -1;
 
+  /// Set when a generated kernel this plan asked for was not compiled yet
+  /// (JitKernelReady): the plan runs its interpreted twin instead.
+  bool jit_deferred = false;
+
   bool has_complete_pmap() const {
     return published_pmap != nullptr && !published_pmap->empty();
   }
@@ -194,6 +198,16 @@ class FormatDriver {
   virtual bool EnsureLateScanNavigable(FormatScanContext& ctx) const {
     (void)ctx;
     return true;
+  }
+
+  /// Non-empty when a late scan (selective row fetch) costs this format
+  /// about as much as re-reading the table: the planner then reads every
+  /// column a query needs in the base scan, post-join columns included, and
+  /// prints this reason in the plan. Default: late scans pay off.
+  virtual std::string_view FullColumnsReason(
+      const FormatScanContext& ctx) const {
+    (void)ctx;
+    return {};
   }
 
   /// Estimated fields to incrementally parse past per selective fetch —

@@ -40,7 +40,9 @@ Status FusedPipelineOperator::Open() {
         "fused pipeline: dense_columns must parallel spec.inputs");
   }
   RAW_ASSIGN_OR_RETURN(kernel_, cache_->GetOrCompile(spec));
-  compile_seconds_ = kernel_.compile_seconds;
+  if (args_.health != nullptr) {
+    args_.health->AddJitWait(kernel_.compile_seconds);
+  }
 
   std::memset(&ctx_, 0, sizeof(ctx_));
   if (args_.file != nullptr) {

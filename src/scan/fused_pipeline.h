@@ -7,6 +7,7 @@
 
 #include "columnar/aggregate.h"
 #include "common/mmap_file.h"
+#include "common/scan_health.h"
 #include "eventsim/ref_reader.h"
 #include "jit/jit_abi.h"
 #include "jit/template_cache.h"
@@ -55,6 +56,8 @@ struct FusedPipelineArgs {
 
   int64_t batch_rows = kDefaultBatchRows;
   ScanProfile* profile = nullptr;
+  /// The plan's counters; Open() adds the time it waited for the compiler.
+  ScanHealth* health = nullptr;
 };
 
 /// Volcano operator driving one fused scan→filter→project→aggregate kernel
@@ -74,9 +77,6 @@ class FusedPipelineOperator : public Operator {
   StatusOr<ColumnBatch> Next() override;
   std::string name() const override { return "FusedPipeline"; }
 
-  /// Compilation time incurred by this operator's Open() (0 on cache hit).
-  double compile_seconds() const { return compile_seconds_; }
-
  private:
   static int32_t RefReadRangeTrampoline(void* reader, int32_t branch,
                                         int64_t first, int64_t count,
@@ -89,7 +89,6 @@ class FusedPipelineOperator : public Operator {
   FusedPipelineArgs args_;
   CompiledKernel kernel_;
   RawJitContext ctx_ = {};
-  double compile_seconds_ = 0;
   bool eof_ = false;
   std::vector<const void*> dense_ptr_scratch_;
   std::vector<int64_t> agg_count_;

@@ -22,7 +22,9 @@ Status JitScanOperator::Open() {
         "JIT scan: output schema does not match spec outputs");
   }
   RAW_ASSIGN_OR_RETURN(kernel_, cache_->GetOrCompile(args_.spec));
-  compile_seconds_ = kernel_.compile_seconds;
+  if (args_.health != nullptr) {
+    args_.health->AddJitWait(kernel_.compile_seconds);
+  }
 
   std::memset(&ctx_, 0, sizeof(ctx_));
   if (args_.file != nullptr) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/mmap_file.h"
+#include "common/scan_health.h"
 #include "csv/positional_map.h"
 #include "eventsim/ref_reader.h"
 #include "jit/jit_abi.h"
@@ -61,6 +62,8 @@ struct JitScanArgs {
 
   int64_t batch_rows = kDefaultBatchRows;
   ScanProfile* profile = nullptr;
+  /// The plan's counters; Open() adds the time it waited for the compiler.
+  ScanHealth* health = nullptr;
 };
 
 /// Volcano operator wrapping a generated scan kernel: compiles (or fetches
@@ -77,9 +80,6 @@ class JitScanOperator : public Operator {
   StatusOr<ColumnBatch> Next() override;
   std::string name() const override { return "JitScan"; }
 
-  /// Compilation time incurred by this operator's Open() (0 on cache hit).
-  double compile_seconds() const { return compile_seconds_; }
-
  private:
   static int32_t RefReadRangeTrampoline(void* reader, int32_t branch,
                                         int64_t first, int64_t count,
@@ -89,7 +89,6 @@ class JitScanOperator : public Operator {
   JitScanArgs args_;
   CompiledKernel kernel_;
   RawJitContext ctx_ = {};
-  double compile_seconds_ = 0;
   bool eof_ = false;
   // pmap scratch buffers (batch-sized).
   std::vector<uint64_t> pmap_rows_scratch_;

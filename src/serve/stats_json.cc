@@ -126,6 +126,9 @@ std::string EngineStatsJson(const EngineStats& stats) {
     o.Key("compile_seconds");
     os << stats.jit_cache.total_compile_seconds;
     o.Bool("compiler_available", stats.jit_cache.compiler_available);
+    o.Int("pending", stats.jit_cache.pending);
+    o.Int("background_compiles", stats.jit_cache.background_compiles);
+    o.Int("failed", stats.jit_cache.failed);
     o.Close();
   }
 
@@ -134,6 +137,7 @@ std::string EngineStatsJson(const EngineStats& stats) {
     ObjectWriter o(os);
     o.Int("plans_fused", stats.plans_fused);
     o.Int("plans_interpreted", stats.plans_interpreted);
+    o.Int("plans_jit_deferred", stats.plans_jit_deferred);
     o.Close();
   }
 
@@ -184,6 +188,7 @@ std::string EngineStatsJson(const EngineStats& stats) {
     o.Int("version", t.version);
     o.Int("file_size", t.file_size);
     o.Int("file_mtime_ns", t.file_mtime_ns);
+    o.Int("stale_publishes", t.stale_publishes);
     o.Key("column_accesses");
     os << '[';
     for (size_t i = 0; i < t.column_accesses.size(); ++i) {

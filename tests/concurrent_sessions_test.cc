@@ -151,6 +151,7 @@ TEST_F(ConcurrentSessionsTest, JitSessionsMatchSerial) {
   }
   PlannerOptions options;
   options.access_path = AccessPathKind::kJit;
+  options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   std::map<std::string, std::string> expected = SerialResults(options);
   auto engine = NewEngine();
   RunConcurrent(engine.get(), options, expected);

@@ -87,6 +87,7 @@ TEST_F(EngineTest, AllAccessPathsAgree) {
     auto engine = NewEngine();
     PlannerOptions options;
     options.access_path = path;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     auto result = engine->Query(sql, options);
     if (!result.ok() && path == AccessPathKind::kJit) {
       GTEST_SKIP() << "JIT unavailable: " << result.status().ToString();

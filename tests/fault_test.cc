@@ -778,6 +778,54 @@ TEST_F(StalenessTest, QueriesAcrossAFailedReopenAreTypedOrCorrect) {
   }
 }
 
+TEST_F(StalenessTest, CursorClosedAfterAReplacementPublishesNoOldShreds) {
+  // A streaming cursor planned over the old file generation drains after a
+  // replacement was detected (and the table's shreds purged) by another
+  // query. Its shreds and row count describe the old bytes: closing it must
+  // publish neither, or the next query answers from the old file. Plans are
+  // forced interpreted (kOff, in-situ) so they read and populate shreds
+  // whatever the JIT compiler's state.
+  const TableSpec v1 = TableSpec::UniformInt32("t", 4, 200, /*seed=*/5);
+  const TableSpec v2 = TableSpec::UniformInt32("t", 4, 300, /*seed=*/6);
+  const std::string sql = "SELECT MAX(col1), COUNT(*) FROM t WHERE col0 > 0";
+  PlannerOptions options;
+  options.jit_fusion = JitFusion::kOff;
+  options.access_path = AccessPathKind::kInSitu;
+  options.num_threads = 1;
+  for (const PinCase& c : PinCases()) {
+    SCOPED_TRACE(c.file);
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v2));
+    QueryResult expected;
+    {
+      RawEngine fresh;
+      ASSERT_OK(Register(fresh, c, v2.ToSchema()));
+      ASSERT_OK_AND_ASSIGN(expected, fresh.Query(sql, options));
+    }
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v1));
+    RawEngine engine;
+    ASSERT_OK(Register(engine, c, v1.ToSchema()));
+    auto session = engine.OpenSession(options);
+
+    ASSERT_OK_AND_ASSIGN(Cursor cursor, session->Stream(sql));
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v2));
+    // One other query sees the change and purges the table's shreds.
+    ASSERT_OK(session->Query("SELECT COUNT(*) FROM t").status());
+    ASSERT_OK(cursor.Consume().status());
+    ASSERT_OK(cursor.Close());
+
+    ASSERT_OK_AND_ASSIGN(QueryResult next, session->Query(sql));
+    EXPECT_EQ(next.table.column(0)->GetDatum(0).ToString(),
+              expected.table.column(0)->GetDatum(0).ToString())
+        << next.plan_description;
+    EXPECT_EQ(next.table.column(1)->GetDatum(0).ToString(),
+              expected.table.column(1)->GetDatum(0).ToString());
+    const EngineStats stats = engine.Stats();
+    ASSERT_NE(stats.table("t"), nullptr);
+    EXPECT_GE(stats.table("t")->stale_publishes, 1);
+    EXPECT_EQ(stats.table("t")->row_count, 300);
+  }
+}
+
 TEST_F(StalenessTest, ChurnWithFailingReopensIsTypedOrCorrectUnderLoad) {
   // The serving-tier fault loop in miniature (and a TSan target for the
   // handle snapshot): sessions query while the file's mtime churns, every

@@ -9,11 +9,15 @@
 
 #include <cfloat>
 #include <cmath>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/kernels.h"
+#include "common/stopwatch.h"
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
 #include "tests/test_util.h"
@@ -487,6 +491,189 @@ TEST_F(FusionTest, PreparedReexecutionWithFreshParamsAddsNoCompiles) {
     EXPECT_EQ(again.compile_seconds, 0.0) << fraction;
   }
   EXPECT_EQ(engine->Stats().jit_cache.compiles, compiles);
+}
+
+// --- JitFusion::kAuto: never wait for the compiler --------------------------
+
+/// Polls until the engine's background compiler has nothing queued or
+/// running, for at most a minute.
+bool WaitForBackgroundCompiles(RawEngine& engine) {
+  Stopwatch watch;
+  while (engine.Stats().jit_cache.pending > 0) {
+    if (watch.ElapsedSeconds() > 60) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+TEST_F(FusionTest, AutoRunsInterpretedWhileTheKernelCompilesInTheBackground) {
+  auto engine = BinEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  const std::string sql = "SELECT COUNT(*), MAX(col2), SUM(col3) FROM f "
+                          "WHERE col1 < ";
+  const std::string l1 = spec_.SelectivityLiteral(1, 0.4).ToString();
+  const std::string l2 = spec_.SelectivityLiteral(1, 0.6).ToString();
+
+  // First query of the shape: the kernel is queued, the query does not wait.
+  ASSERT_OK_AND_ASSIGN(QueryResult first,
+                       engine->Query(sql + l1, Opts(JitFusion::kAuto, 1)));
+  EXPECT_FALSE(Fused(first)) << first.plan_description;
+  EXPECT_NE(first.plan_description.find("[jit: compiling]"), std::string::npos)
+      << first.plan_description;
+  EXPECT_EQ(first.compile_seconds, 0.0);
+  EXPECT_EQ(engine->Stats().plans_jit_deferred, 1);
+
+  ASSERT_TRUE(WaitForBackgroundCompiles(*engine)) << "compiler never drained";
+  const EngineStats drained = engine->Stats();
+  EXPECT_GE(drained.jit_cache.background_compiles, 1);
+  EXPECT_EQ(drained.jit_cache.failed, 0);
+
+  // The next query of the shape (fresh literal) runs the compiled kernel.
+  ASSERT_OK_AND_ASSIGN(QueryResult second,
+                       engine->Query(sql + l2, Opts(JitFusion::kAuto, 1)));
+  EXPECT_TRUE(Fused(second)) << second.plan_description;
+  EXPECT_EQ(second.compile_seconds, 0.0);
+  EXPECT_EQ(engine->Stats().jit_cache.compiles, drained.jit_cache.compiles);
+  EXPECT_EQ(engine->Stats().plans_jit_deferred, 1);
+
+  // Interpreted and fused answers equal the compile-and-wait setting's.
+  ASSERT_OK_AND_ASSIGN(QueryResult on1,
+                       engine->Query(sql + l1, Opts(JitFusion::kOn, 1)));
+  ASSERT_OK_AND_ASSIGN(QueryResult on2,
+                       engine->Query(sql + l2, Opts(JitFusion::kOn, 1)));
+  ExpectSameResults(first, on1, sql + l1);
+  ExpectSameResults(second, on2, sql + l2);
+}
+
+TEST_F(FusionTest, AutoWithoutACompilerRunsInterpretedAndSaysWhy) {
+  const char* saved = std::getenv("RAW_JIT_CXX");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ASSERT_EQ(0, ::setenv("RAW_JIT_CXX", "/nonexistent/c++", 1));
+  auto engine = BinEngine();
+  if (saved != nullptr) {
+    ::setenv("RAW_JIT_CXX", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("RAW_JIT_CXX");
+  }
+  ASSERT_FALSE(CompilerAvailable(*engine));
+
+  const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
+  const std::string sql =
+      "SELECT COUNT(*), MAX(col2) FROM f WHERE col1 < " + lit;
+  PlannerOptions jit = Opts(JitFusion::kAuto, 1);
+  jit.access_path = AccessPathKind::kJit;
+  ASSERT_OK_AND_ASSIGN(QueryResult result, engine->Query(sql, jit));
+  EXPECT_FALSE(Fused(result));
+  EXPECT_NE(result.plan_description.find("[jit: no compiler]"),
+            std::string::npos)
+      << result.plan_description;
+  // A group-by (JIT scans, no fusion) degrades the same way.
+  ASSERT_OK(engine->Query("SELECT col0, COUNT(*) FROM f WHERE col1 < " + lit +
+                              " GROUP BY col0",
+                          jit)
+                .status());
+  EXPECT_EQ(engine->Stats().plans_jit_deferred, 2);
+
+  PlannerOptions insitu = Opts(JitFusion::kOff, 1);
+  insitu.access_path = AccessPathKind::kInSitu;
+  ASSERT_OK_AND_ASSIGN(QueryResult reference, engine->Query(sql, insitu));
+  ExpectSameResults(result, reference, sql);
+
+  // kOn keeps its contract: the JIT scan fails with the typed error.
+  PlannerOptions on = Opts(JitFusion::kOn, 1);
+  on.access_path = AccessPathKind::kJit;
+  auto failed = engine->Query(sql, on);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNotImplemented)
+      << failed.status().ToString();
+}
+
+TEST_F(FusionTest, EngineDestroyedWithCompilesQueuedReturnsPromptly) {
+  // Several distinct shapes queue behind one running compile; destroying the
+  // engine drops the queue and joins only the compile that is running.
+  double one_compile_s = 0;
+  double destroy_s = 0;
+  int64_t left_pending = 0;
+  {
+    auto engine = BinEngine();
+    if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+    const std::vector<std::string> shapes = {
+        "SELECT COUNT(*) FROM f WHERE col1 < 5",
+        "SELECT MAX(col2) FROM f WHERE col1 < 5",
+        "SELECT MIN(col2) FROM f WHERE col1 < 5",
+        "SELECT SUM(col3) FROM f WHERE col1 < 5",
+        "SELECT MAX(col0) FROM f WHERE col2 < 5",
+        "SELECT MIN(col0) FROM f WHERE col2 < 5",
+        "SELECT COUNT(*) FROM f WHERE col2 < 5",
+        "SELECT MAX(col5) FROM f WHERE col6 < 5",
+    };
+    for (const std::string& sql : shapes) {
+      ASSERT_OK(engine->Query(sql, Opts(JitFusion::kAuto, 1)).status());
+    }
+    // Wait for the first background compile, so the next one is running.
+    Stopwatch wait;
+    while (engine->Stats().jit_cache.background_compiles == 0 &&
+           wait.ElapsedSeconds() < 60) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const EngineStats stats = engine->Stats();
+    ASSERT_GE(stats.jit_cache.background_compiles, 1);
+    one_compile_s = stats.jit_cache.total_compile_seconds /
+                    static_cast<double>(stats.jit_cache.compiles);
+    left_pending = stats.jit_cache.pending;
+    Stopwatch destroy;
+    engine.reset();
+    destroy_s = destroy.ElapsedSeconds();
+  }
+  if (left_pending < 4) GTEST_SKIP() << "the compiler drained the queue first";
+  // Finishing the queue would take ~left_pending compiles; joining the one
+  // running compile takes at most about one.
+  EXPECT_LT(destroy_s, one_compile_s * 3 + 0.5)
+      << "pending=" << left_pending << " one compile=" << one_compile_s << "s";
+}
+
+TEST_F(FusionTest, CompileSecondsChargeOnlyThisQuerysWait) {
+  // A compile finishing while another session plans is not charged to it:
+  // each query reports only the time its own operators waited.
+  auto engine = BinEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  const std::string plan_only = "EXPLAIN SELECT COUNT(*) FROM f WHERE col0 < 7";
+  PlannerOptions interpreted = Opts(JitFusion::kOff, 1);
+  interpreted.access_path = AccessPathKind::kInSitu;
+  auto observer = engine->OpenSession(interpreted);
+
+  // Background compile (kAuto) while the observer plans over and over.
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult deferred,
+      engine->Query("SELECT MAX(col2) FROM f WHERE col1 < 9",
+                    Opts(JitFusion::kAuto, 1)));
+  EXPECT_EQ(deferred.compile_seconds, 0.0);
+  int plans = 0;
+  while (engine->Stats().jit_cache.pending > 0 && plans < 100000) {
+    ASSERT_OK_AND_ASSIGN(QueryResult planned, observer->Query(plan_only));
+    EXPECT_EQ(planned.compile_seconds, 0.0);
+    ++plans;
+  }
+  EXPECT_EQ(engine->Stats().jit_cache.pending, 0);
+
+  // Foreground compile (kOn) in another session, same observer.
+  QueryResult compiled;
+  std::thread compiler([&] {
+    auto result = engine->Query("SELECT MIN(col2) FROM f WHERE col3 < 9",
+                                Opts(JitFusion::kOn, 1));
+    ASSERT_OK(result.status());
+    compiled = std::move(result).value();
+  });
+  const int64_t compiles = engine->Stats().jit_cache.compiles;
+  Stopwatch watch;
+  while (engine->Stats().jit_cache.compiles == compiles &&
+         watch.ElapsedSeconds() < 60) {
+    ASSERT_OK_AND_ASSIGN(QueryResult planned, observer->Query(plan_only));
+    EXPECT_EQ(planned.compile_seconds, 0.0);
+  }
+  compiler.join();
+  EXPECT_TRUE(Fused(compiled));
+  EXPECT_GT(compiled.compile_seconds, 0.0);
 }
 
 }  // namespace

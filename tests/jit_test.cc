@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "common/mmap_file.h"
+#include "common/stopwatch.h"
 #include "csv/csv_writer.h"
 #include "jit/access_path_spec.h"
 #include "jit/cc_compiler.h"
@@ -461,6 +465,74 @@ TEST_F(JitExecTest, CompileErrorSurfacesDiagnostics) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("JIT compilation failed"),
             std::string_view::npos);
+}
+
+/// Polls until `cache`'s background compiler is idle, for at most a minute.
+bool WaitForBackgroundCompiles(const JitTemplateCache& cache) {
+  Stopwatch watch;
+  while (cache.Stats().pending > 0) {
+    if (watch.ElapsedSeconds() > 60) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+TEST_F(JitExecTest, RequestQueuesOnceAndCompilesInTheBackground) {
+  AccessPathSpec spec;
+  spec.format = FileFormat::kBinary;
+  spec.mode = ScanMode::kSequential;
+  spec.outputs = {{1, DataType::kInt64}};
+  spec.row_width = 16;
+  spec.column_offsets = {8};
+  EXPECT_EQ(cache_.Request(spec), JitKernelState::kCompiling);
+  EXPECT_EQ(cache_.Request(spec), JitKernelState::kCompiling);
+  ASSERT_TRUE(WaitForBackgroundCompiles(cache_));
+  JitCacheStats stats = cache_.Stats();
+  EXPECT_EQ(stats.compiles, 1);  // two requests, one compile
+  EXPECT_EQ(stats.background_compiles, 1);
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_EQ(cache_.Request(spec), JitKernelState::kReady);
+  ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
+  EXPECT_EQ(kernel.compile_seconds, 0);  // compiled before anyone waited
+  EXPECT_EQ(cache_.Stats().compiles, 1);
+}
+
+TEST_F(JitExecTest, BackgroundFailuresAreRememberedPerKey) {
+  AccessPathSpec bad;
+  bad.format = FileFormat::kCsv;
+  bad.mode = ScanMode::kByRowIndex;  // no CSV kernel reads by row index
+  bad.outputs = {{0, DataType::kInt32}};
+  EXPECT_EQ(cache_.Request(bad), JitKernelState::kCompiling);
+  ASSERT_TRUE(WaitForBackgroundCompiles(cache_));
+  EXPECT_EQ(cache_.Stats().failed, 1);
+  // Not retried: the request reports the failure without queueing again.
+  EXPECT_EQ(cache_.Request(bad), JitKernelState::kFailed);
+  EXPECT_EQ(cache_.Stats().pending, 0);
+  EXPECT_EQ(cache_.Stats().failed, 1);
+  EXPECT_EQ(JitKernelStateReason(JitKernelState::kFailed), "compile failed");
+  // A blocking caller still gets the typed error.
+  EXPECT_FALSE(cache_.GetOrCompile(bad).ok());
+}
+
+TEST_F(JitExecTest, BlockingCallerTakesOverAQueuedCompile) {
+  // Queue several compiles, then ask for the last one blocking: it must not
+  // wait behind the others.
+  std::vector<AccessPathSpec> specs;
+  for (int c = 0; c < 4; ++c) {
+    AccessPathSpec spec;
+    spec.format = FileFormat::kBinary;
+    spec.mode = ScanMode::kSequential;
+    spec.outputs = {{c, DataType::kInt32}};
+    spec.row_width = 16;
+    spec.column_offsets = {4 * c};
+    specs.push_back(spec);
+    EXPECT_EQ(cache_.Request(spec), JitKernelState::kCompiling);
+  }
+  ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(specs[3]));
+  EXPECT_NE(kernel.entry, nullptr);
+  EXPECT_GT(kernel.compile_seconds, 0);
+  ASSERT_TRUE(WaitForBackgroundCompiles(cache_));
+  EXPECT_EQ(cache_.Stats().compiles, 4);  // each spec compiled exactly once
 }
 
 }  // namespace

@@ -216,6 +216,7 @@ class ParallelScanTest : public ::testing::Test {
     }
     PlannerOptions options;
     options.access_path = access;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     options.num_threads = threads;
     std::vector<QueryResult> results;
     for (int round = 0; round < 2; ++round) {
@@ -410,6 +411,7 @@ class RefParallelScanTest : public ::testing::Test {
     EXPECT_OK(engine.RegisterRef("a", *ref_path_));
     PlannerOptions options;
     options.access_path = access;
+    options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     options.num_threads = threads;
     std::vector<QueryResult> results;
     for (int round = 0; round < 2; ++round) {

@@ -233,6 +233,7 @@ TEST_F(PlannerTest, StringColumnsFallBackFromJit) {
   if (!engine.Stats().jit_compiler_available()) GTEST_SKIP();
   PlannerOptions options;
   options.access_path = AccessPathKind::kJit;
+  options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
       engine.Query("SELECT name, score FROM s WHERE id < 2", options));
@@ -273,6 +274,7 @@ TEST_F(RefPlannerTest, JitAndInsituAgreeOnRefTables) {
         "SELECT COUNT(*) FROM a_jets WHERE pt > 40.0"}) {
     PlannerOptions jit;
     jit.access_path = AccessPathKind::kJit;
+    jit.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
     PlannerOptions insitu;
     insitu.access_path = AccessPathKind::kInSitu;
     RawEngine engine_jit;

@@ -94,6 +94,7 @@ TEST_P(ConsistencySweep, CsvQueriesMatchGroundTruth) {
   PlannerOptions options;
   options.access_path = c.access;
   options.shred_policy = c.policy;
+  options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   if (c.access == AccessPathKind::kJit &&
       !engine.Stats().jit_compiler_available()) {
     GTEST_SKIP() << "no compiler";
@@ -131,6 +132,7 @@ TEST_P(ConsistencySweep, BinaryQueriesMatchGroundTruth) {
   PlannerOptions options;
   options.access_path = c.access;
   options.shred_policy = c.policy;
+  options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   if (c.access == AccessPathKind::kJit &&
       !engine.Stats().jit_compiler_available()) {
     GTEST_SKIP() << "no compiler";
@@ -238,6 +240,7 @@ TEST_P(DelimiterSweep, EngineAnswersIndependentOfDelimiter) {
   planner_options.access_path = engine.Stats().jit_compiler_available()
                                     ? AccessPathKind::kJit
                                     : AccessPathKind::kInSitu;
+  planner_options.jit_fusion = JitFusion::kOn;  // wait for the compiler
   int64_t lit = *spec.SelectivityLiteral(0, 0.4).AsInt64();
   int64_t expected_count = 0;
   int64_t expected_max = INT64_MIN;

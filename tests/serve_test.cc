@@ -571,10 +571,13 @@ TEST_F(ServeTest, StatsRoundTrip) {
        {"\"shred_cache\"", "\"result_cache\"", "\"materializer\"",
         "\"jit_cache\"", "\"admission\"", "\"queries_executed\"",
         "\"tables\"", "\"readings\"", "\"scans\"", "\"column_accesses\"",
-        // JIT observability: compile counters inside jit_cache, plus the
-        // planner's fused-vs-interpreted split.
+        // JIT observability: compile counters inside jit_cache (background
+        // compiler included), plus the planner's fused / interpreted /
+        // deferred-while-compiling split.
         "\"compiles\"", "\"compile_seconds\"", "\"compiler_available\"",
-        "\"planner\"", "\"plans_fused\"", "\"plans_interpreted\""}) {
+        "\"pending\"", "\"background_compiles\"", "\"failed\"",
+        "\"planner\"", "\"plans_fused\"", "\"plans_interpreted\"",
+        "\"plans_jit_deferred\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing\n"
                                                  << json;
   }
