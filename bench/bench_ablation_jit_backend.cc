@@ -9,7 +9,7 @@
 #include "common/temp_dir.h"
 #include "scan/insitu_bin_scan.h"
 #include "scan/insitu_csv_scan.h"
-#include "scan/jit_scan.h"
+#include "scan/fused_pipeline.h"
 #include "workload/data_gen.h"
 
 namespace raw {
@@ -60,22 +60,22 @@ void BM_CsvJit(benchmark::State& state) {
     state.SkipWithError("no compiler");
     return;
   }
-  AccessPathSpec jspec;
+  const Schema out_schema{{"c0", DataType::kInt32}, {"c10", DataType::kInt32}};
+  PipelineSpec jspec = PipelineSpecFor(
+      ProjectionRequest(fx.spec.ToSchema(), {0, 10}, out_schema));
   jspec.format = FileFormat::kCsv;
-  jspec.mode = ScanMode::kSequential;
-  jspec.outputs = {{0, DataType::kInt32}, {10, DataType::kInt32}};
+  jspec.scan_mode = ScanMode::kSequential;
   // Compile outside the timed region (template cache would anyway).
   if (!fx.cache.GetOrCompile(jspec).ok()) {
     state.SkipWithError("compile failed");
     return;
   }
   for (auto _ : state) {
-    JitScanArgs args;
+    FusedPipelineArgs args;
     args.spec = jspec;
-    args.output_schema =
-        Schema{{"c0", DataType::kInt32}, {"c10", DataType::kInt32}};
+    args.output_schema = out_schema;
     args.file = fx.csv.get();
-    JitScanOperator scan(&fx.cache, std::move(args));
+    FusedPipelineOperator scan(&fx.cache, std::move(args));
     auto out = CollectAll(&scan);
     if (!out.ok()) state.SkipWithError("scan failed");
     benchmark::DoNotOptimize(out->num_rows());
@@ -105,24 +105,24 @@ void BM_BinJit(benchmark::State& state) {
     return;
   }
   auto layout = BinaryLayout::Create(fx.spec.ToSchema());
-  AccessPathSpec jspec;
+  const Schema out_schema{{"c0", DataType::kInt32}, {"c10", DataType::kInt32}};
+  PipelineSpec jspec = PipelineSpecFor(
+      ProjectionRequest(fx.spec.ToSchema(), {0, 10}, out_schema));
   jspec.format = FileFormat::kBinary;
-  jspec.mode = ScanMode::kSequential;
+  jspec.scan_mode = ScanMode::kSequential;
   jspec.row_width = layout->row_width();
-  jspec.outputs = {{0, DataType::kInt32}, {10, DataType::kInt32}};
   jspec.column_offsets = {layout->ColumnOffset(0), layout->ColumnOffset(10)};
   if (!fx.cache.GetOrCompile(jspec).ok()) {
     state.SkipWithError("compile failed");
     return;
   }
   for (auto _ : state) {
-    JitScanArgs args;
+    FusedPipelineArgs args;
     args.spec = jspec;
-    args.output_schema =
-        Schema{{"c0", DataType::kInt32}, {"c10", DataType::kInt32}};
+    args.output_schema = out_schema;
     args.file = fx.bin->file();
-    args.total_rows = fx.bin->num_rows();
-    JitScanOperator scan(&fx.cache, std::move(args));
+    args.rows = ScanRange::Rows(0, fx.bin->num_rows());
+    FusedPipelineOperator scan(&fx.cache, std::move(args));
     auto out = CollectAll(&scan);
     if (!out.ok()) state.SkipWithError("scan failed");
     benchmark::DoNotOptimize(out->num_rows());

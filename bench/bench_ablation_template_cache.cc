@@ -1,5 +1,5 @@
 // Ablation: the JIT template cache (§4.2 discussion — amortizing compilation
-// by caching generated libraries keyed by access-path spec).
+// by caching generated libraries keyed by kernel spec).
 // Measures GetOrCompile() latency for a cold spec vs a cached one.
 
 #include <benchmark/benchmark.h>
@@ -10,13 +10,14 @@
 namespace raw {
 namespace {
 
-AccessPathSpec SpecForColumns(int first_col) {
-  AccessPathSpec spec;
+PipelineSpec SpecForColumns(int first_col) {
+  PipelineSpec spec;
   spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kSequential;
+  spec.scan_mode = ScanMode::kSequential;
   spec.row_width = 120;
   for (int c = 0; c < 3; ++c) {
-    spec.outputs.push_back(OutputField{first_col + c, DataType::kInt32});
+    spec.inputs.push_back(PipelineInput{first_col + c, DataType::kInt32, false});
+    spec.projections.push_back(c);
     spec.column_offsets.push_back((first_col + c) * 4);
   }
   return spec;

@@ -12,7 +12,7 @@
 #include "common/mmap_file.h"
 #include "engine/formats/builtin.h"
 #include "scan/insitu_csv_scan.h"
-#include "scan/jit_scan.h"
+#include "scan/fused_pipeline.h"
 
 namespace raw::bench {
 namespace {
@@ -70,16 +70,16 @@ void Run() {
   }
   ScanProfile jit_profile;
   {
-    AccessPathSpec jspec;
-    jspec.format = FileFormat::kCsv;
-    jspec.mode = ScanMode::kSequential;
-    jspec.outputs = {{0, DataType::kInt32}};
-    JitScanArgs args;
-    args.spec = jspec;
+    FusedPipelineArgs args;
+    args.spec.format = FileFormat::kCsv;
+    args.spec.scan_mode = ScanMode::kSequential;
+    args.spec.inputs = {{0, DataType::kInt32, false}};
+    args.spec.projections = {0};
     args.output_schema = Schema{{"col0", DataType::kInt32}};
     args.file = file.get();
     args.profile = &jit_profile;
-    auto scan = std::make_unique<JitScanOperator>(&cache, std::move(args));
+    auto scan =
+        std::make_unique<FusedPipelineOperator>(&cache, std::move(args));
     auto filter = std::make_unique<FilterOperator>(
         std::move(scan), Cmp(CompareOp::kLt, Col(0), Lit(lit)));
     std::vector<AggSpec> specs = {{AggKind::kMax, 0, "m"}};

@@ -63,8 +63,10 @@ inline const char* SkipRowEnd(const char* p, const char* end) {
 /// inference, scans and positional jumps all agree on field boundaries.
 inline bool BufferContainsQuote(const char* begin, const char* end,
                                 char quote) {
-  return std::memchr(begin, quote,
-                     static_cast<size_t>(end - begin)) != nullptr;
+  // An empty file maps to a null buffer, which memchr must not see.
+  return begin != end && std::memchr(begin, quote,
+                                     static_cast<size_t>(end - begin)) !=
+                             nullptr;
 }
 
 /// Quote-aware single-field step: reads the field starting at `*pp` and

@@ -66,6 +66,11 @@ class PositionalMap {
                       static_cast<size_t>(slot)];
   }
 
+  /// The row-major [row][slot] position array, num_rows() * num_tracked()
+  /// entries: Position(row, slot) == positions_data()[row * num_tracked() +
+  /// slot]. Generated kernels read whole-table scans straight from it.
+  const uint64_t* positions_data() const { return positions_.data(); }
+
   /// Memory footprint in bytes.
   int64_t MemoryBytes() const;
 

@@ -7,11 +7,9 @@
 #include "engine/formats/driver_util.h"
 #include "engine/formats/drivers.h"
 #include "engine/physical_plan.h"
-#include "jit/codegen.h"
 #include "jit/pipeline_codegen.h"
 #include "scan/fused_pipeline.h"
 #include "scan/insitu_bin_scan.h"
-#include "scan/jit_scan.h"
 #include "scan/loader.h"
 #include "scan/morsel.h"
 #include "scan/shred_scan.h"
@@ -45,8 +43,7 @@ class BinaryFormatDriver final : public FormatDriver {
   }
 
   /// Full binary scan; with num_threads > 1, row-range morsels. Binary
-  /// morsels know their first row up front, so ids stay global (JIT kernels
-  /// emit window-local ids that JitScanOperator rebases by row_id_offset).
+  /// morsels know their first row up front, so ids stay global.
   StatusOr<OperatorPtr> BuildScan(FormatScanContext& tc,
                                   const std::vector<int>& cols,
                                   const Schema& qualified) const override {
@@ -54,81 +51,27 @@ class BinaryFormatDriver final : public FormatDriver {
     const TableInfo& info = entry->info;
     const PlannerOptions& opts = *tc.opts;
     (*tc.desc) << "[bin-scan " << info.name << "] ";
-
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitMorsels(tc, tc.num_threads * 4);
+    if (opts.access_path == AccessPathKind::kJit) {
+      RAW_ASSIGN_OR_RETURN(
+          OperatorPtr op,
+          BuildKernelScan(tc, ProjectionRequest(info.schema, cols, qualified),
+                          /*fused=*/false));
+      if (op != nullptr) return op;
     }
 
-    RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
-                         BinaryLayout::Create(info.schema));
-    AccessPathSpec jit_spec;
-    jit_spec.format = FileFormat::kBinary;
-    jit_spec.mode = ScanMode::kSequential;
-    jit_spec.row_width = layout.row_width();
-    for (int c : cols) {
-      jit_spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-      jit_spec.column_offsets.push_back(layout.ColumnOffset(c));
-    }
-    if (opts.access_path == AccessPathKind::kJit &&
-        JitKernelReady(tc, jit_spec)) {
-      auto make_jit_args = [&](int64_t first, int64_t count) {
-        JitScanArgs args;
-        args.spec = jit_spec;
-        args.output_schema = qualified;
-        args.health = tc.health;
-        args.file = tc.file.get();
-        args.total_rows = count;
-        args.batch_rows = opts.batch_rows;
-        if (first > 0 || count < tc.bin_reader->num_rows()) {
-          const uint64_t width = static_cast<uint64_t>(layout.row_width());
-          args.window_begin = static_cast<uint64_t>(first) * width;
-          args.window_end = static_cast<uint64_t>(first + count) * width;
-          args.row_id_offset = first;
-        }
-        return args;
-      };
-      if (morsels.size() > 1) {
-        ParallelTableScanOperator::Options popts;
-        popts.deadline = tc.opts->deadline;
-        popts.num_threads = tc.num_threads;
-        std::vector<OperatorPtr> children;
-        for (const ScanRange& m : morsels) {
-          children.push_back(std::make_unique<JitScanOperator>(
-              tc.jit, make_jit_args(m.begin, m.count())));
-        }
-        (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                   << morsels.size() << "] ";
-        return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-            qualified, std::move(children), std::move(popts)));
-      }
-      return OperatorPtr(std::make_unique<JitScanOperator>(
-          tc.jit, make_jit_args(0, tc.bin_reader->num_rows())));
-    }
-
-    auto make_insitu = [&](int64_t first, int64_t count) {
+    const ScanRange whole = ScanRange::Rows(0, tc.bin_reader->num_rows());
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m : PlanMorsels(*this, tc, whole)) {
       BinScanSpec spec;
       spec.outputs = cols;
       spec.batch_rows = opts.batch_rows;
-      spec.range = ScanRange::Rows(first, count);
-      return WrapQualified(std::make_unique<InsituBinScanOperator>(
-                               tc.bin_reader.get(), std::move(spec)),
-                           qualified);
-    };
-    if (morsels.size() > 1) {
-      ParallelTableScanOperator::Options popts;
-      popts.deadline = tc.opts->deadline;
-      popts.num_threads = tc.num_threads;
-      std::vector<OperatorPtr> children;
-      for (const ScanRange& m : morsels) {
-        children.push_back(make_insitu(m.begin, m.count()));
-      }
-      (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                 << morsels.size() << "] ";
-      return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-          qualified, std::move(children), std::move(popts)));
+      spec.range = m;
+      children.push_back(
+          WrapQualified(std::make_unique<InsituBinScanOperator>(
+                            tc.bin_reader.get(), std::move(spec)),
+                        qualified));
     }
-    return make_insitu(0, tc.bin_reader->num_rows());
+    return MorselScan(tc, qualified, std::move(children));
   }
 
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
@@ -137,19 +80,12 @@ class BinaryFormatDriver final : public FormatDriver {
     TableEntry* entry = tc.entry;
     const TableInfo& info = entry->info;
     if (tc.opts->access_path == AccessPathKind::kJit) {
-      RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
-                           BinaryLayout::Create(info.schema));
-      AccessPathSpec spec;
-      spec.format = FileFormat::kBinary;
-      spec.mode = ScanMode::kByRowIndex;
-      spec.row_width = layout.row_width();
-      for (int c : cols) {
-        spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-        spec.column_offsets.push_back(layout.ColumnOffset(c));
-      }
-      if (JitKernelReady(tc, spec)) {
-        JitScanArgs args;
-        args.spec = std::move(spec);
+      FusedPipelineArgs args;
+      RAW_ASSIGN_OR_RETURN(
+          args.spec,
+          SpecFor(info, ProjectionRequest(info.schema, cols, qualified),
+                  ScanMode::kByRowIndex));
+      if (JitKernelReady(tc, args.spec)) {
         args.output_schema = qualified;
         args.health = tc.health;
         args.file = tc.file.get();
@@ -172,86 +108,70 @@ class BinaryFormatDriver final : public FormatDriver {
     return p;
   }
 
-  StatusOr<std::string> EmitJitSource(const AccessPathSpec& spec) const override {
-    return GenerateBinScanSource(spec);
-  }
-
   StatusOr<std::string> EmitJitPipelineSource(
       const PipelineSpec& spec) const override {
     return GenerateBinPipelineSource(spec);
   }
 
-  /// Fused binary pipelines scan row ranges sequentially; kernels emit
-  /// global row ids via dense_row_base, so morsel children need no rebase.
   StatusOr<OperatorPtr> BuildFusedPipeline(
       FormatScanContext& tc, const FusedPipelineRequest& req) const override {
-    TableEntry* entry = tc.entry;
-    const TableInfo& info = entry->info;
-    const PlannerOptions& opts = *tc.opts;
-    RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
-                         BinaryLayout::Create(info.schema));
-
-    PipelineSpec spec;
-    spec.scan.format = FileFormat::kBinary;
-    spec.scan.mode = ScanMode::kSequential;
-    spec.scan.row_width = layout.row_width();
-    for (const PipelineInput& in : req.inputs) {
-      if (in.dense) continue;
-      spec.scan.outputs.push_back(OutputField{in.column, in.type});
-      spec.scan.column_offsets.push_back(layout.ColumnOffset(in.column));
-    }
-    spec.inputs = req.inputs;
-    spec.predicates = req.predicates;
-    spec.mode = req.mode;
-    spec.projections = req.projections;
-    spec.aggs = req.aggs;
-    Schema out_schema = req.mode == PipelineOutputMode::kAggregate
-                            ? FusedAggPartialSchema(req.aggs)
-                            : req.output_schema;
-    if (!JitKernelReady(tc, spec)) {
+    RAW_ASSIGN_OR_RETURN(OperatorPtr op,
+                         BuildKernelScan(tc, req, /*fused=*/true));
+    if (op == nullptr) {
       return Status::NotImplemented("fused binary kernel not compiled yet");
     }
-    (*tc.desc) << "[fused-bin-scan " << info.name << "] ";
+    return op;
+  }
 
-    const int64_t num_rows = tc.bin_reader->num_rows();
-    auto make_args = [&](int64_t first, int64_t count) {
+ private:
+  /// `req` as a binary kernel spec: the fixed row width and each file
+  /// input's byte offset hard-coded.
+  static StatusOr<PipelineSpec> SpecFor(const TableInfo& info,
+                                        const FusedPipelineRequest& req,
+                                        ScanMode mode) {
+    RAW_ASSIGN_OR_RETURN(BinaryLayout layout,
+                         BinaryLayout::Create(info.schema));
+    PipelineSpec spec = PipelineSpecFor(req);
+    spec.format = FileFormat::kBinary;
+    spec.scan_mode = mode;
+    spec.row_width = layout.row_width();
+    for (const PipelineInput& in : req.inputs) {
+      if (!in.dense) {
+        spec.column_offsets.push_back(layout.ColumnOffset(in.column));
+      }
+    }
+    return spec;
+  }
+
+  /// The generated-kernel scan of the whole table for `req` — a
+  /// ProjectionRequest (the kJit scan) or a planner fusion request, tagged
+  /// `[fused-bin-scan]`. Kernels scan row-range morsels sequentially and
+  /// emit global row ids. Null while the kernel compiles (kAuto).
+  StatusOr<OperatorPtr> BuildKernelScan(FormatScanContext& tc,
+                                        const FusedPipelineRequest& req,
+                                        bool fused) const {
+    const TableInfo& info = tc.entry->info;
+    RAW_ASSIGN_OR_RETURN(PipelineSpec spec,
+                         SpecFor(info, req, ScanMode::kSequential));
+    if (!JitKernelReady(tc, spec)) return OperatorPtr();
+    if (fused) (*tc.desc) << "[fused-bin-scan " << info.name << "] ";
+
+    const Schema out_schema = PipelineOutputSchema(req);
+    const ScanRange whole = ScanRange::Rows(0, tc.bin_reader->num_rows());
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m : PlanMorsels(*this, tc, whole)) {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
       args.health = tc.health;
       args.file = tc.file.get();
-      args.total_rows = count;
-      args.dense_row_base = first;
+      args.rows = m;
       args.dense_columns = req.dense_columns;
-      args.batch_rows = opts.batch_rows;
-      if (first > 0 || count < num_rows) {
-        const uint64_t width = static_cast<uint64_t>(layout.row_width());
-        args.window_begin = static_cast<uint64_t>(first) * width;
-        args.window_end = static_cast<uint64_t>(first + count) * width;
-      }
-      return args;
-    };
-
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitMorsels(tc, tc.num_threads * 4);
+      args.batch_rows = tc.opts->batch_rows;
+      children.push_back(
+          std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
     }
-    if (morsels.size() > 1) {
-      ParallelTableScanOperator::Options popts;
-      popts.deadline = tc.opts->deadline;
-      popts.num_threads = tc.num_threads;
-      std::vector<OperatorPtr> children;
-      for (const ScanRange& m : morsels) {
-        children.push_back(std::make_unique<FusedPipelineOperator>(
-            tc.jit, make_args(m.begin, m.count())));
-      }
-      (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                 << morsels.size() << "] ";
-      return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-          out_schema, std::move(children), std::move(popts)));
-    }
-    return OperatorPtr(std::make_unique<FusedPipelineOperator>(
-        tc.jit, make_args(0, num_rows)));
+    return MorselScan(tc, out_schema, std::move(children));
   }
 };
 

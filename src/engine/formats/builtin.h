@@ -7,7 +7,7 @@ namespace raw {
 /// FormatRegistry::Global(). Idempotent and thread-safe; runs automatically
 /// when a Catalog is constructed. Call it explicitly before using registry
 /// consumers without an engine (JIT codegen, the cost model, direct
-/// JitScanOperator use).
+/// FusedPipelineOperator use).
 void EnsureBuiltinFormatDriversRegistered();
 
 }  // namespace raw

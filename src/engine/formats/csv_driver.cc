@@ -10,12 +10,10 @@
 #include "engine/formats/driver_util.h"
 #include "engine/formats/drivers.h"
 #include "engine/physical_plan.h"
-#include "jit/codegen.h"
 #include "jit/pipeline_codegen.h"
 #include "scan/external_table_scan.h"
 #include "scan/fused_pipeline.h"
 #include "scan/insitu_csv_scan.h"
-#include "scan/jit_scan.h"
 #include "scan/loader.h"
 #include "scan/morsel.h"
 #include "scan/shred_scan.h"
@@ -28,6 +26,37 @@ namespace {
 /// to the interpreted, quote-aware scan.
 bool CsvJitEligible(const FormatScanContext& tc, const std::vector<int>& cols) {
   return !AnyStringColumn(tc.entry->info.schema, cols) && !tc.csv_quoted;
+}
+
+/// The map slot late and warm scans jump to for a read starting at column
+/// `first_col`: the last tracked column at or before it.
+int AnchorFor(const PositionalMap& pmap, int first_col) {
+  int anchor = pmap.tracked_columns().front();
+  for (int t : pmap.tracked_columns()) {
+    if (t <= first_col) anchor = t;
+  }
+  return anchor;
+}
+
+/// `req` as a CSV kernel spec (file inputs read left to right).
+PipelineSpec CsvSpecFor(const TableInfo& info, const FusedPipelineRequest& req,
+                        ScanMode mode) {
+  PipelineSpec spec = PipelineSpecFor(req);
+  spec.format = FileFormat::kCsv;
+  spec.scan_mode = mode;
+  spec.delimiter = info.csv_options.delimiter;
+  return spec;
+}
+
+/// Whether the plan may scan `cols` with a generated kernel at all
+/// (JitKernelReady then decides whether it is compiled yet).
+bool CsvJitPlanned(const FormatScanContext& tc, const std::vector<int>& cols) {
+  // Generated kernels fail hard on the first malformed value, so tolerant
+  // row policies always take the interpreted scan (the planner already
+  // downgrades access_path; this guard keeps the driver safe on its own).
+  return tc.opts->access_path == AccessPathKind::kJit &&
+         tc.opts->malformed_row_policy == MalformedRowPolicy::kFail &&
+         CsvJitEligible(tc, cols);
 }
 
 /// First-contact CSV scan: sequential, building the positional map en route.
@@ -58,24 +87,21 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
     build = tc.building_pmap.get();
   }
   (*tc.desc) << "[seq-scan " << info.name << "] ";
-  auto make_jit_spec = [&] {
-    AccessPathSpec spec;
-    spec.format = FileFormat::kCsv;
-    spec.mode = ScanMode::kSequential;
-    spec.delimiter = info.csv_options.delimiter;
-    for (int c : cols) {
-      spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-    }
-    if (build != nullptr) spec.pmap_tracked = build->tracked_columns();
-    return spec;
+  PipelineSpec jit_spec = CsvSpecFor(
+      info, ProjectionRequest(info.schema, cols, qualified),
+      ScanMode::kSequential);
+  if (build != nullptr) jit_spec.pmap_tracked = build->tracked_columns();
+  const bool use_jit = CsvJitPlanned(tc, cols) && JitKernelReady(tc, jit_spec);
+  auto make_jit_args = [&](PositionalMap* build_pmap) {
+    FusedPipelineArgs args;
+    args.spec = jit_spec;
+    args.output_schema = qualified;
+    args.health = tc.health;
+    args.file = tc.file.get();
+    args.build_pmap = build_pmap;
+    args.batch_rows = opts.batch_rows;
+    return args;
   };
-  // Generated kernels fail hard on the first malformed value, so tolerant
-  // row policies always take the interpreted scan (the planner already
-  // downgrades access_path; this guard keeps the driver safe on its own).
-  const bool use_jit =
-      opts.access_path == AccessPathKind::kJit &&
-      opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(tc, cols) && JitKernelReady(tc, make_jit_spec());
   auto make_insitu_spec = [&] {
     CsvScanSpec spec;
     spec.file_schema = info.schema;
@@ -109,17 +135,11 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
         child_pmap = popts.partial_pmaps.back().get();
       }
       if (use_jit) {
-        JitScanArgs args;
-        args.spec = make_jit_spec();
-        args.output_schema = qualified;
-        args.health = tc.health;
-        args.file = tc.file.get();
-        args.build_pmap = child_pmap;
+        FusedPipelineArgs args = make_jit_args(child_pmap);
         args.window_begin = static_cast<uint64_t>(m.begin);
         args.window_end = static_cast<uint64_t>(m.end);
-        args.batch_rows = opts.batch_rows;
         children.push_back(
-            std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
+            std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
       } else {
         CsvScanSpec spec = make_insitu_spec();
         spec.build_pmap = child_pmap;
@@ -137,21 +157,50 @@ StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
   }
 
   if (use_jit) {
-    JitScanArgs args;
-    args.spec = make_jit_spec();
-    args.output_schema = qualified;
-    args.health = tc.health;
-    args.file = tc.file.get();
-    args.build_pmap = build;
-    args.batch_rows = opts.batch_rows;
     return wrap_publish(
-        std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
+        std::make_unique<FusedPipelineOperator>(tc.jit, make_jit_args(build)));
   }
   CsvScanSpec spec = make_insitu_spec();
   spec.build_pmap = build;
   return wrap_publish(WrapQualified(std::make_unique<InsituCsvScanOperator>(
                                         tc.file.get(), std::move(spec)),
                                     qualified));
+}
+
+/// Warm generated-kernel CSV scan for `req` — a ProjectionRequest (the kJit
+/// warm scan) or a planner fusion request, tagged `[fused-pmap-scan]`. Each
+/// row-range morsel's kernel reads its anchor positions straight from the
+/// map, so nothing per row is built at plan time. Null while the kernel
+/// compiles (kAuto).
+StatusOr<OperatorPtr> BuildCsvKernelScan(FormatScanContext& tc,
+                                         const FusedPipelineRequest& req,
+                                         int anchor,
+                                         const std::vector<ScanRange>& morsels,
+                                         bool fused) {
+  const TableInfo& info = tc.entry->info;
+  PipelineSpec spec = CsvSpecFor(info, req, ScanMode::kByPosition);
+  spec.anchor_column = anchor;
+  if (!JitKernelReady(tc, spec)) return OperatorPtr();
+  if (fused) {
+    (*tc.desc) << "[fused-pmap-scan " << info.name << " anchor=" << anchor
+               << "] ";
+  }
+  const Schema out_schema = PipelineOutputSchema(req);
+  std::vector<OperatorPtr> children;
+  for (const ScanRange& m : morsels) {
+    FusedPipelineArgs args;
+    args.spec = spec;
+    args.output_schema = out_schema;
+    args.health = tc.health;
+    args.file = tc.file.get();
+    args.pmap = tc.published_pmap.get();
+    args.rows = m;
+    args.dense_columns = req.dense_columns;
+    args.batch_rows = tc.opts->batch_rows;
+    children.push_back(
+        std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
+  }
+  return MorselScan(tc, out_schema, std::move(children));
 }
 
 /// Warm CSV scan: jump to every mapped row via the positional map. With
@@ -161,46 +210,26 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
                                              const std::vector<int>& cols,
                                              const Schema& qualified,
                                              std::vector<ScanRange> morsels) {
-  TableEntry* entry = tc.entry;
-  const TableInfo& info = entry->info;
-  const PlannerOptions& opts = *tc.opts;
+  const TableInfo& info = tc.entry->info;
   const PositionalMap& pmap = *tc.published_pmap;
-  int anchor = pmap.tracked_columns().front();
-  for (int t : pmap.tracked_columns()) {
-    if (t <= cols.front()) anchor = t;
-  }
+  const int anchor = AnchorFor(pmap, cols.front());
   (*tc.desc) << "[pmap-scan " << info.name << " anchor=" << anchor << "] ";
-  AccessPathSpec jit_spec;
-  jit_spec.format = FileFormat::kCsv;
-  jit_spec.mode = ScanMode::kByPosition;
-  jit_spec.delimiter = info.csv_options.delimiter;
-  jit_spec.anchor_column = anchor;
-  for (int c : cols) {
-    jit_spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
+  if (morsels.size() <= 1) morsels = {ScanRange::Rows(0, pmap.num_rows())};
+  if (CsvJitPlanned(tc, cols)) {
+    RAW_ASSIGN_OR_RETURN(
+        OperatorPtr op,
+        BuildCsvKernelScan(tc, ProjectionRequest(info.schema, cols, qualified),
+                           anchor, morsels, /*fused=*/false));
+    if (op != nullptr) return op;
   }
-  const bool use_jit =
-      opts.access_path == AccessPathKind::kJit &&
-      opts.malformed_row_policy == MalformedRowPolicy::kFail &&
-      CsvJitEligible(tc, cols) && JitKernelReady(tc, jit_spec);
 
-  auto make_jit_args = [&](RowSet rows) -> StatusOr<JitScanArgs> {
-    RAW_RETURN_NOT_OK(FillPositions(pmap, pmap.SlotFor(anchor), &rows));
-    JitScanArgs args;
-    args.spec = jit_spec;
-    args.output_schema = qualified;
-    args.health = tc.health;
-    args.file = tc.file.get();
-    args.row_set = std::move(rows);
-    args.batch_rows = opts.batch_rows;
-    return args;
-  };
   auto make_insitu = [&](std::optional<RowSet> rows) {
     CsvScanSpec spec;
     spec.file_schema = info.schema;
     spec.outputs = cols;
     spec.options = info.csv_options;
     spec.quoted = tc.csv_quoted;
-    spec.batch_rows = opts.batch_rows;
+    spec.batch_rows = tc.opts->batch_rows;
     spec.use_pmap = &pmap;
     spec.anchor_column = anchor;
     spec.row_set = std::move(rows);
@@ -209,43 +238,17 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
                              tc.file.get(), std::move(spec)),
                          qualified);
   };
-  auto iota_rows = [](int64_t first, int64_t count) {
+  if (morsels.size() == 1) return make_insitu(std::nullopt);
+  std::vector<OperatorPtr> children;
+  for (const ScanRange& m : morsels) {
     RowSet rows;
-    rows.ids.resize(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      rows.ids[static_cast<size_t>(i)] = first + i;
+    rows.ids.resize(static_cast<size_t>(m.count()));
+    for (int64_t i = 0; i < m.count(); ++i) {
+      rows.ids[static_cast<size_t>(i)] = m.begin + i;
     }
-    return rows;
-  };
-
-  if (morsels.size() > 1) {
-    ParallelTableScanOperator::Options popts;
-    popts.deadline = tc.opts->deadline;
-    popts.num_threads = tc.num_threads;
-    std::vector<OperatorPtr> children;
-    for (const ScanRange& m : morsels) {
-      if (use_jit) {
-        RAW_ASSIGN_OR_RETURN(JitScanArgs args,
-                             make_jit_args(iota_rows(m.begin, m.count())));
-        children.push_back(
-            std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
-      } else {
-        children.push_back(make_insitu(iota_rows(m.begin, m.count())));
-      }
-    }
-    (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-               << morsels.size() << "] ";
-    return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-        qualified, std::move(children), std::move(popts)));
+    children.push_back(make_insitu(std::move(rows)));
   }
-
-  if (use_jit) {
-    RAW_ASSIGN_OR_RETURN(JitScanArgs args,
-                         make_jit_args(iota_rows(0, pmap.num_rows())));
-    return OperatorPtr(
-        std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
-  }
-  return make_insitu(std::nullopt);
+  return MorselScan(tc, qualified, std::move(children));
 }
 
 class CsvFormatDriver final : public FormatDriver {
@@ -350,28 +353,21 @@ class CsvFormatDriver final : public FormatDriver {
       return Status::Internal(
           "CSV late scan requires a positional map (none configured)");
     }
-    int anchor = pmap->tracked_columns().front();
-    for (int t : pmap->tracked_columns()) {
-      if (t <= cols.front()) anchor = t;
-    }
+    const int anchor = AnchorFor(*pmap, cols.front());
     if (tc.opts->access_path == AccessPathKind::kJit &&
         CsvJitEligible(tc, cols)) {
-      AccessPathSpec spec;
-      spec.format = FileFormat::kCsv;
-      spec.mode = ScanMode::kByPosition;
-      spec.delimiter = info.csv_options.delimiter;
-      spec.anchor_column = anchor;
-      for (int c : cols) {
-        spec.outputs.push_back(OutputField{c, info.schema.field(c).type});
-      }
-      if (JitKernelReady(tc, spec)) {
-        JitScanArgs args;
-        args.spec = std::move(spec);
+      FusedPipelineArgs args;
+      args.spec =
+          CsvSpecFor(info, ProjectionRequest(info.schema, cols, qualified),
+                     ScanMode::kByPosition);
+      args.spec.anchor_column = anchor;
+      if (JitKernelReady(tc, args.spec)) {
         args.output_schema = qualified;
         args.health = tc.health;
         args.file = tc.file.get();
+        args.pmap = pmap;
         return RowFetcherPtr(
-            std::make_unique<JitRowFetcher>(tc.jit, std::move(args), pmap));
+            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
       }
     }
     CsvScanSpec spec;
@@ -399,10 +395,6 @@ class CsvFormatDriver final : public FormatDriver {
     return p;
   }
 
-  StatusOr<std::string> EmitJitSource(const AccessPathSpec& spec) const override {
-    return GenerateCsvScanSource(spec);
-  }
-
   StatusOr<std::string> EmitJitPipelineSource(
       const PipelineSpec& spec) const override {
     return GenerateCsvPipelineSource(spec);
@@ -414,9 +406,6 @@ class CsvFormatDriver final : public FormatDriver {
   /// quoted files) report NotImplemented so the planner stays interpreted.
   StatusOr<OperatorPtr> BuildFusedPipeline(
       FormatScanContext& tc, const FusedPipelineRequest& req) const override {
-    TableEntry* entry = tc.entry;
-    const TableInfo& info = entry->info;
-    const PlannerOptions& opts = *tc.opts;
     if (!tc.has_complete_pmap()) {
       return Status::NotImplemented(
           "fused CSV pipelines require a complete positional map");
@@ -425,7 +414,6 @@ class CsvFormatDriver final : public FormatDriver {
       return Status::NotImplemented(
           "fused CSV pipelines do not handle quoted files");
     }
-    const PositionalMap& pmap = *tc.published_pmap;
     std::vector<int> file_cols;
     for (const PipelineInput& in : req.inputs) {
       if (!in.dense) file_cols.push_back(in.column);
@@ -434,76 +422,17 @@ class CsvFormatDriver final : public FormatDriver {
       return Status::NotImplemented(
           "fused CSV pipeline needs at least one file-read input");
     }
-    int anchor = pmap.tracked_columns().front();
-    for (int t : pmap.tracked_columns()) {
-      if (t <= file_cols.front()) anchor = t;
-    }
-
-    PipelineSpec spec;
-    spec.scan.format = FileFormat::kCsv;
-    spec.scan.mode = ScanMode::kByPosition;
-    spec.scan.delimiter = info.csv_options.delimiter;
-    spec.scan.anchor_column = anchor;
-    for (const PipelineInput& in : req.inputs) {
-      if (!in.dense) spec.scan.outputs.push_back(OutputField{in.column, in.type});
-    }
-    spec.inputs = req.inputs;
-    spec.predicates = req.predicates;
-    spec.mode = req.mode;
-    spec.projections = req.projections;
-    spec.aggs = req.aggs;
-    Schema out_schema = req.mode == PipelineOutputMode::kAggregate
-                            ? FusedAggPartialSchema(req.aggs)
-                            : req.output_schema;
-    if (!JitKernelReady(tc, spec)) {
+    const PositionalMap& pmap = *tc.published_pmap;
+    RAW_ASSIGN_OR_RETURN(
+        OperatorPtr op,
+        BuildCsvKernelScan(
+            tc, req, AnchorFor(pmap, file_cols.front()),
+            PlanMorsels(*this, tc, ScanRange::Rows(0, pmap.num_rows())),
+            /*fused=*/true));
+    if (op == nullptr) {
       return Status::NotImplemented("fused CSV kernel not compiled yet");
     }
-    (*tc.desc) << "[fused-pmap-scan " << info.name << " anchor=" << anchor
-               << "] ";
-
-    auto make_args = [&](int64_t first,
-                         int64_t count) -> StatusOr<FusedPipelineArgs> {
-      RowSet rows;
-      rows.ids.resize(static_cast<size_t>(count));
-      for (int64_t i = 0; i < count; ++i) {
-        rows.ids[static_cast<size_t>(i)] = first + i;
-      }
-      RAW_RETURN_NOT_OK(FillPositions(pmap, pmap.SlotFor(anchor), &rows));
-      FusedPipelineArgs args;
-      args.spec = spec;
-      args.output_schema = out_schema;
-      args.health = tc.health;
-      args.file = tc.file.get();
-      args.row_set = std::move(rows);
-      args.dense_columns = req.dense_columns;
-      args.batch_rows = opts.batch_rows;
-      return args;
-    };
-
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitPmapRowRanges(pmap, tc.num_threads * 4);
-    }
-    if (morsels.size() > 1) {
-      ParallelTableScanOperator::Options popts;
-      popts.deadline = tc.opts->deadline;
-      popts.num_threads = tc.num_threads;
-      std::vector<OperatorPtr> children;
-      for (const ScanRange& m : morsels) {
-        RAW_ASSIGN_OR_RETURN(FusedPipelineArgs args,
-                             make_args(m.begin, m.count()));
-        children.push_back(
-            std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
-      }
-      (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                 << morsels.size() << "] ";
-      return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-          out_schema, std::move(children), std::move(popts)));
-    }
-    RAW_ASSIGN_OR_RETURN(FusedPipelineArgs args,
-                         make_args(0, pmap.num_rows()));
-    return OperatorPtr(
-        std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
+    return op;
   }
 };
 

@@ -1,14 +1,12 @@
 #include "engine/formats/driver_util.h"
 
+#include "engine/executor.h"
 #include "engine/planner.h"
 #include "jit/template_cache.h"
 
 namespace raw {
 
-namespace {
-
-template <typename Spec>
-bool KernelReady(FormatScanContext& tc, const Spec& spec) {
+bool JitKernelReady(FormatScanContext& tc, const PipelineSpec& spec) {
   if (tc.opts->jit_fusion != JitFusion::kAuto) return true;
   const JitKernelState state = tc.jit->Request(spec);
   if (state == JitKernelState::kReady) return true;
@@ -17,14 +15,25 @@ bool KernelReady(FormatScanContext& tc, const Spec& spec) {
   return false;
 }
 
-}  // namespace
-
-bool JitKernelReady(FormatScanContext& tc, const AccessPathSpec& spec) {
-  return KernelReady(tc, spec);
+std::vector<ScanRange> PlanMorsels(const FormatDriver& driver,
+                                   const FormatScanContext& tc,
+                                   ScanRange whole) {
+  std::vector<ScanRange> morsels;
+  if (tc.num_threads > 1) morsels = driver.SplitMorsels(tc, tc.num_threads * 4);
+  if (morsels.size() <= 1) morsels = {whole};
+  return morsels;
 }
 
-bool JitKernelReady(FormatScanContext& tc, const PipelineSpec& spec) {
-  return KernelReady(tc, spec);
+OperatorPtr MorselScan(FormatScanContext& tc, const Schema& schema,
+                       std::vector<OperatorPtr> children) {
+  if (children.size() == 1) return std::move(children.front());
+  ParallelTableScanOperator::Options popts;
+  popts.deadline = tc.opts->deadline;
+  popts.num_threads = tc.num_threads;
+  (*tc.desc) << "[parallel x" << tc.num_threads
+             << " morsels=" << children.size() << "] ";
+  return std::make_unique<ParallelTableScanOperator>(
+      schema, std::move(children), std::move(popts));
 }
 
 SelectColumnsOperator::SelectColumnsOperator(OperatorPtr child,

@@ -72,6 +72,19 @@ OperatorPtr WrapQualified(OperatorPtr op, const Schema& qualified);
 /// fixed-width values; string columns take the interpreted path.
 bool AnyStringColumn(const Schema& schema, const std::vector<int>& cols);
 
+/// The morsels a scan of `ctx`'s table runs: the driver's split into
+/// ~4 × num_threads ranges when the plan is parallel, else (or when the
+/// split yields at most one) just `whole`.
+std::vector<ScanRange> PlanMorsels(const FormatDriver& driver,
+                                   const FormatScanContext& ctx,
+                                   ScanRange whole);
+
+/// `children` (one per morsel, each emitting `schema`) as one scan: the
+/// only child itself, or a ParallelTableScanOperator over them on
+/// ctx.num_threads workers, noted as `[parallel xN morsels=M]`.
+OperatorPtr MorselScan(FormatScanContext& ctx, const Schema& schema,
+                       std::vector<OperatorPtr> children);
+
 /// Whether the plan may use the generated kernel for `spec` now. Under
 /// JitFusion::kAuto this asks the template cache without blocking; a kernel
 /// that is not compiled yet is queued for the background compiler, the plan
@@ -79,7 +92,6 @@ bool AnyStringColumn(const Schema& schema, const std::vector<int>& cols);
 /// failed]`), `ctx.jit_deferred` is set, and the caller builds the
 /// interpreted twin instead. Under kOn and kOff always true: the generated
 /// operator compiles at Open() and the query waits for it.
-bool JitKernelReady(FormatScanContext& ctx, const AccessPathSpec& spec);
 bool JitKernelReady(FormatScanContext& ctx, const PipelineSpec& spec);
 
 }  // namespace raw

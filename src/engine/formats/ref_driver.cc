@@ -9,10 +9,8 @@
 #include "engine/formats/driver_util.h"
 #include "engine/formats/drivers.h"
 #include "engine/physical_plan.h"
-#include "jit/codegen.h"
 #include "jit/pipeline_codegen.h"
 #include "scan/fused_pipeline.h"
-#include "scan/jit_scan.h"
 #include "scan/loader.h"
 #include "scan/morsel.h"
 #include "scan/ref_scan.h"
@@ -134,83 +132,34 @@ class RefFormatDriver final : public FormatDriver {
         needs_event_id_derivation = true;
       }
     }
-    bool use_jit = opts.access_path == AccessPathKind::kJit &&
-                   !needs_event_id_derivation;
-    AccessPathSpec jit_spec;
-    if (use_jit) {
-      jit_spec.format = FileFormat::kRef;
-      jit_spec.mode = ScanMode::kSequential;
-      for (size_t i = 0; i < cols.size(); ++i) {
-        RAW_ASSIGN_OR_RETURN(
-            int branch, RefBranchFor(*entry->ref_reader(), info.ref_group,
-                                     field_names[i]));
-        jit_spec.outputs.push_back(
-            OutputField{branch, info.schema.field(cols[i]).type});
-      }
-      use_jit = JitKernelReady(tc, jit_spec);
+    if (opts.access_path == AccessPathKind::kJit &&
+        !needs_event_id_derivation) {
+      RAW_ASSIGN_OR_RETURN(
+          OperatorPtr op,
+          BuildKernelScan(tc, ProjectionRequest(info.schema, cols, qualified),
+                          /*fused=*/false));
+      if (op != nullptr) return op;
     }
 
-    auto make_jit_args = [&](int64_t first,
-                             int64_t count) -> StatusOr<JitScanArgs> {
-      JitScanArgs args;
-      args.spec = jit_spec;
-      args.output_schema = qualified;
-      args.health = tc.health;
-      args.ref_reader = entry->ref_reader();
-      args.first_row = first;
-      args.total_rows = first + count;  // REF kernels scan [cursor, total)
-      args.batch_rows = opts.batch_rows;
-      return args;
-    };
-    auto make_insitu = [&](int64_t first, int64_t count) -> OperatorPtr {
+    std::vector<int> idx(cols.size());
+    std::vector<std::string> names;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      idx[i] = static_cast<int>(i);
+      names.push_back(qualified.field(static_cast<int>(i)).name);
+    }
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m : PlanMorsels(*this, tc, ScanRange::Rows(0, -1))) {
       RefScanSpec spec;
       spec.group = info.ref_group;
       spec.fields = field_names;
       spec.batch_rows = opts.batch_rows;
-      spec.range = ScanRange::Rows(first, count);
-      auto op = std::make_unique<RefTableScanOperator>(entry->ref_reader(),
-                                                       std::move(spec));
-      std::vector<int> idx(cols.size());
-      std::vector<std::string> names;
-      for (size_t i = 0; i < cols.size(); ++i) {
-        idx[i] = static_cast<int>(i);
-        names.push_back(qualified.field(static_cast<int>(i)).name);
-      }
-      return std::make_unique<SelectColumnsOperator>(
-          std::move(op), std::move(idx), std::move(names));
-    };
-
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitMorsels(tc, tc.num_threads * 4);
+      spec.range = m;
+      children.push_back(std::make_unique<SelectColumnsOperator>(
+          std::make_unique<RefTableScanOperator>(entry->ref_reader(),
+                                                 std::move(spec)),
+          idx, names));
     }
-    if (morsels.size() > 1) {
-      ParallelTableScanOperator::Options popts;
-      popts.deadline = tc.opts->deadline;
-      popts.num_threads = tc.num_threads;
-      std::vector<OperatorPtr> children;
-      for (const ScanRange& m : morsels) {
-        if (use_jit) {
-          RAW_ASSIGN_OR_RETURN(JitScanArgs args,
-                               make_jit_args(m.begin, m.count()));
-          children.push_back(
-              std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
-        } else {
-          children.push_back(make_insitu(m.begin, m.count()));
-        }
-      }
-      (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                 << morsels.size() << "] ";
-      return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-          qualified, std::move(children), std::move(popts)));
-    }
-
-    if (use_jit) {
-      RAW_ASSIGN_OR_RETURN(JitScanArgs args, make_jit_args(0, tc.row_count));
-      return OperatorPtr(
-          std::make_unique<JitScanOperator>(tc.jit, std::move(args)));
-    }
-    return make_insitu(0, -1);
+    return MorselScan(tc, qualified, std::move(children));
   }
 
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
@@ -227,19 +176,12 @@ class RefFormatDriver final : public FormatDriver {
       }
     }
     if (tc.opts->access_path == AccessPathKind::kJit && !derived_event_id) {
-      AccessPathSpec spec;
-      spec.format = FileFormat::kRef;
-      spec.mode = ScanMode::kByRowIndex;
-      for (size_t i = 0; i < cols.size(); ++i) {
-        RAW_ASSIGN_OR_RETURN(
-            int branch, RefBranchFor(*entry->ref_reader(), info.ref_group,
-                                     field_names[i]));
-        spec.outputs.push_back(
-            OutputField{branch, info.schema.field(cols[i]).type});
-      }
-      if (JitKernelReady(tc, spec)) {
-        JitScanArgs args;
-        args.spec = std::move(spec);
+      FusedPipelineArgs args;
+      RAW_ASSIGN_OR_RETURN(
+          args.spec,
+          SpecFor(*entry, ProjectionRequest(info.schema, cols, qualified),
+                  ScanMode::kByRowIndex));
+      if (JitKernelReady(tc, args.spec)) {
         args.output_schema = qualified;
         args.health = tc.health;
         args.ref_reader = entry->ref_reader();
@@ -257,88 +199,81 @@ class RefFormatDriver final : public FormatDriver {
     return p;
   }
 
-  StatusOr<std::string> EmitJitSource(const AccessPathSpec& spec) const override {
-    return GenerateRefScanSource(spec);
-  }
-
   StatusOr<std::string> EmitJitPipelineSource(
       const PipelineSpec& spec) const override {
     return GenerateRefPipelineSource(spec);
   }
 
-  /// Fused REF pipelines support aggregation only (the bulk-decode API has
-  /// no output-compaction path for projections). PipelineInput.column holds
-  /// the *table column*; this hook remaps file inputs to branch indices,
-  /// which is what the generated read_range calls address.
+  /// Planner fusion of REF tables covers aggregation only: fused REF
+  /// projections would change which plans fuse, so they stay interpreted
+  /// until measured (kJit scans already run project-mode kernels).
   StatusOr<OperatorPtr> BuildFusedPipeline(
       FormatScanContext& tc, const FusedPipelineRequest& req) const override {
-    TableEntry* entry = tc.entry;
-    const TableInfo& info = entry->info;
-    const PlannerOptions& opts = *tc.opts;
     if (req.mode != PipelineOutputMode::kAggregate) {
       return Status::NotImplemented(
           "fused REF pipelines support aggregation only");
     }
-    PipelineSpec spec;
-    spec.scan.format = FileFormat::kRef;
-    spec.scan.mode = ScanMode::kSequential;
-    spec.inputs = req.inputs;
+    RAW_ASSIGN_OR_RETURN(OperatorPtr op,
+                         BuildKernelScan(tc, req, /*fused=*/true));
+    if (op == nullptr) {
+      return Status::NotImplemented("fused REF kernel not compiled yet");
+    }
+    return op;
+  }
+
+ private:
+  /// `req` as a REF kernel spec. PipelineInput.column holds the *table
+  /// column*; file inputs are remapped to the branch indices the generated
+  /// read_range calls address.
+  static StatusOr<PipelineSpec> SpecFor(const TableEntry& entry,
+                                        const FusedPipelineRequest& req,
+                                        ScanMode mode) {
+    const TableInfo& info = entry.info;
+    PipelineSpec spec = PipelineSpecFor(req);
+    spec.format = FileFormat::kRef;
+    spec.scan_mode = mode;
     for (PipelineInput& in : spec.inputs) {
       if (in.dense) continue;
       const std::string& field = info.schema.field(in.column).name;
       if (field == "eventID" && info.ref_group >= 0) {
         return Status::NotImplemented(
-            "fused REF pipelines cannot derive eventID");
+            "generated REF kernels cannot derive eventID");
       }
       RAW_ASSIGN_OR_RETURN(
-          int branch,
-          RefBranchFor(*entry->ref_reader(), info.ref_group, field));
-      in.column = branch;
-      spec.scan.outputs.push_back(OutputField{branch, in.type});
+          in.column, RefBranchFor(*entry.ref_reader(), info.ref_group, field));
     }
-    spec.predicates = req.predicates;
-    spec.mode = req.mode;
-    spec.projections = req.projections;
-    spec.aggs = req.aggs;
-    Schema out_schema = FusedAggPartialSchema(req.aggs);
-    if (!JitKernelReady(tc, spec)) {
-      return Status::NotImplemented("fused REF kernel not compiled yet");
-    }
-    (*tc.desc) << "[fused-ref-scan " << info.name << "] ";
+    return spec;
+  }
 
-    auto make_args = [&](int64_t first, int64_t count) {
+  /// The generated-kernel scan of the whole table for `req` — a
+  /// ProjectionRequest (the kJit scan) or a planner fusion request, tagged
+  /// `[fused-ref-scan]`. Kernels address branches by global flat index and
+  /// emit global row ids. Null while the kernel compiles (kAuto).
+  StatusOr<OperatorPtr> BuildKernelScan(FormatScanContext& tc,
+                                        const FusedPipelineRequest& req,
+                                        bool fused) const {
+    TableEntry* entry = tc.entry;
+    RAW_ASSIGN_OR_RETURN(PipelineSpec spec,
+                         SpecFor(*entry, req, ScanMode::kSequential));
+    if (!JitKernelReady(tc, spec)) return OperatorPtr();
+    if (fused) (*tc.desc) << "[fused-ref-scan " << entry->info.name << "] ";
+
+    const Schema out_schema = PipelineOutputSchema(req);
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m :
+         PlanMorsels(*this, tc, ScanRange::Rows(0, tc.row_count))) {
       FusedPipelineArgs args;
       args.spec = spec;
       args.output_schema = out_schema;
       args.health = tc.health;
       args.ref_reader = entry->ref_reader();
-      args.first_row = first;
-      args.total_rows = first + count;  // REF kernels scan [cursor, total)
+      args.rows = m;
       args.dense_columns = req.dense_columns;
-      args.batch_rows = opts.batch_rows;
-      return args;
-    };
-
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitMorsels(tc, tc.num_threads * 4);
+      args.batch_rows = tc.opts->batch_rows;
+      children.push_back(
+          std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
     }
-    if (morsels.size() > 1) {
-      ParallelTableScanOperator::Options popts;
-      popts.deadline = tc.opts->deadline;
-      popts.num_threads = tc.num_threads;
-      std::vector<OperatorPtr> children;
-      for (const ScanRange& m : morsels) {
-        children.push_back(std::make_unique<FusedPipelineOperator>(
-            tc.jit, make_args(m.begin, m.count())));
-      }
-      (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                 << morsels.size() << "] ";
-      return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-          out_schema, std::move(children), std::move(popts)));
-    }
-    return OperatorPtr(std::make_unique<FusedPipelineOperator>(
-        tc.jit, make_args(0, tc.row_count)));
+    return MorselScan(tc, out_schema, std::move(children));
   }
 };
 

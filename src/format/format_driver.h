@@ -15,7 +15,6 @@
 #include "common/statusor.h"
 #include "csv/positional_map.h"
 #include "format/format.h"
-#include "jit/access_path_spec.h"
 #include "scan/access_path.h"
 
 namespace raw {
@@ -249,22 +248,15 @@ class FormatDriver {
 
   // --- JIT plug-in -----------------------------------------------------------
 
-  /// Emits the C++ translation unit for a generated scan kernel ("a
-  /// file-format-specific plug-in is activated for each scan operator
-  /// specification", §3). Default: no JIT support.
-  virtual StatusOr<std::string> EmitJitSource(
-      const AccessPathSpec& /*spec*/) const {
-    return Status::NotImplemented("format '" + std::string(name()) +
-                                  "' has no JIT code-generation plug-in");
-  }
-
-  /// Emits the C++ translation unit for a fused scan→filter→project→aggregate
-  /// pipeline kernel (jit/pipeline_spec.h). Default: no fusion plug-in; the
-  /// planner falls back to the interpreted pipeline.
+  /// Emits the C++ translation unit for a generated kernel — a JIT scan or
+  /// fetcher, or a fused scan→filter→project→aggregate pipeline
+  /// (jit/pipeline_spec.h): "a file-format-specific plug-in is activated for
+  /// each scan operator specification" (§3). Default: no JIT plug-in; the
+  /// planner keeps the format on the interpreted path.
   virtual StatusOr<std::string> EmitJitPipelineSource(
       const PipelineSpec& /*spec*/) const {
     return Status::NotImplemented("format '" + std::string(name()) +
-                                  "' has no JIT pipeline-fusion plug-in");
+                                  "' has no JIT code-generation plug-in");
   }
 
   /// Builds the scan-level operator executing a fused pipeline over this

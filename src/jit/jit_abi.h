@@ -50,11 +50,17 @@ typedef struct RawJitContext {
   int64_t rows_produced;  // set by the kernel
 
   // --- selective inputs (column shreds / positional access) -----------------
-  // Row ids to fetch and, for CSV, the byte position of the anchor column of
-  // each row (from the positional map). Both arrays have num_inputs entries;
-  // the kernel consumes from input_cursor.
+  // Row ids to visit and, for CSV, the byte position of the anchor column of
+  // each (from the positional map); the kernel consumes inputs
+  // [input_cursor, num_inputs). A null in_row_ids means the contiguous ids
+  // row_id_base + i. Input i's position is in_positions[i *
+  // in_position_stride], so a whole-table scan can point straight into the
+  // map's row-major array (stride = its tracked-slot count) while late
+  // fetches pass a dense array (stride 1).
   const int64_t* in_row_ids;
   const uint64_t* in_positions;
+  int64_t in_position_stride;
+  int64_t row_id_base;
   int64_t num_inputs;
   int64_t input_cursor;
 
@@ -71,19 +77,20 @@ typedef struct RawJitContext {
 
   // --- REF callback API ------------------------------------------------------
   RawJitRefApi ref;
+  // Sequential REF kernels bulk-decode each file input's branch range into
+  // these host-owned buffers (one per file input, capacity max_rows).
+  void** decode_columns;
 
   // --- error reporting -------------------------------------------------------
   int32_t error;      // nonzero => kernel aborted
   int64_t error_row;  // row where the error occurred
 
-  // --- fused pipelines (appended; zero-initialized for plain scan kernels) --
+  // --- pipelines -------------------------------------------------------------
   // Dense already-cached input columns, parallel to the PipelineSpec input
-  // list: in_dense[k] points at the full column's packed values for dense
-  // inputs and is null for inputs the kernel reads from the file.
+  // list: in_dense[k] points at the full column's packed values (indexed by
+  // global row id) for dense inputs and is null for inputs the kernel reads
+  // from the file.
   const void* const* in_dense;
-  // Global row id of the kernel's first row (binary window morsels index
-  // dense columns as dense_row_base + local row).
-  int64_t dense_row_base;
   // Aggregation state, one slot per PipelineAgg (fused aggregate kernels
   // consume their whole input in one call and leave partials here).
   int64_t* agg_count;

@@ -2,19 +2,34 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
 
 #include "format/format_driver.h"
-#include "jit/codegen.h"
 #include "jit/source_builder.h"
 
 namespace raw {
 
-using jit_internal::CTypeName;
-using jit_internal::EmitCsvParseField;
-using jit_internal::EmitCsvSkipFields;
-
 namespace {
+
+/// C type spelling for a DataType ("int32_t", "double", ...).
+std::string_view CTypeName(DataType type) {
+  switch (type) {
+    case DataType::kBool:
+      return "bool";
+    case DataType::kInt32:
+      return "int32_t";
+    case DataType::kInt64:
+      return "int64_t";
+    case DataType::kFloat32:
+      return "float";
+    case DataType::kFloat64:
+      return "double";
+    case DataType::kString:
+      return "char*";
+  }
+  return "?";
+}
 
 std::string_view CompareOpCpp(CompareOp op) {
   switch (op) {
@@ -71,9 +86,74 @@ bool IsIntType(DataType type) {
   return type == DataType::kInt32 || type == DataType::kInt64;
 }
 
+// --- CSV field emitters ------------------------------------------------------
+
+/// Emits inline code parsing the field at `p` into `target`, leaving `p` at
+/// the field terminator (delimiter or newline). Single fused find-end+convert
+/// pass for integers; two-pass std::from_chars for floats.
+void EmitCsvParseField(SourceBuilder* src, DataType type,
+                       const std::string& target, char delim) {
+  std::string d = std::to_string(static_cast<int>(delim));
+  switch (type) {
+    case DataType::kInt32:
+    case DataType::kInt64: {
+      const char* ctype = type == DataType::kInt32 ? "int32_t" : "int64_t";
+      src->Open("{");
+      src->Line("bool neg = (*p == '-');");
+      src->Line("if (neg) ++p;");
+      src->Line(std::string(ctype) + " v = 0;");
+      src->Line("while (*p != " + d + " && *p != '\\n') { v = v * 10 + (*p - '0'); ++p; }");
+      src->Line(target + " = neg ? -v : v;");
+      src->Close();
+      break;
+    }
+    case DataType::kFloat32:
+    case DataType::kFloat64: {
+      const char* ctype = type == DataType::kFloat32 ? "float" : "double";
+      src->Open("{");
+      src->Line("const char* fs = p;");
+      src->Line("while (*p != " + d + " && *p != '\\n') ++p;");
+      src->Line(std::string(ctype) + " v = 0;");
+      src->Line("std::from_chars(fs, p, v);");
+      src->Line(target + " = v;");
+      src->Close();
+      break;
+    }
+    case DataType::kBool: {
+      src->Open("{");
+      src->Line("bool v = (*p == '1' || *p == 't');");
+      src->Line("while (*p != " + d + " && *p != '\\n') ++p;");
+      src->Line(target + " = v;");
+      src->Close();
+      break;
+    }
+    case DataType::kString:
+      // Rejected by ValidateAndLayOut: string columns take the interpreted
+      // path.
+      break;
+  }
+}
+
+/// Emits code skipping `count` fields including their trailing delimiter.
+/// Small counts unroll fully (§4.1: "the column loop ... can be unrolled");
+/// larger gaps use a constant-trip-count loop the compiler unrolls itself.
+void EmitCsvSkipFields(SourceBuilder* src, int count, char delim) {
+  if (count <= 0) return;
+  std::string d = std::to_string(static_cast<int>(delim));
+  std::string one = "while (*p != " + d + ") ++p; ++p;";
+  if (count <= 8) {
+    for (int i = 0; i < count; ++i) src->Line(one);
+  } else {
+    src->Open("for (int s = 0; s < " + std::to_string(count) + "; ++s) {");
+    src->Line(one);
+    src->Close();
+  }
+}
+
 /// Derived layout shared by every format generator.
 struct PipelineLayout {
-  std::vector<int> file_rank;  // per input: scan output index, or -1 (dense)
+  std::vector<int> file_inputs;  // input index of each file input, in order
+  std::vector<int> file_rank;    // per input: index into file_inputs, or -1
   std::vector<const PipelinePredicate*> dense_preds;
   // Per input: predicates on that (file) input, in spec order.
   std::vector<std::vector<const PipelinePredicate*>> file_preds;
@@ -82,38 +162,43 @@ struct PipelineLayout {
 
 Status ValidateAndLayOut(const PipelineSpec& spec, PipelineLayout* out) {
   if (spec.inputs.empty()) {
-    return Status::InvalidArgument("fused pipeline needs at least one input");
+    return Status::InvalidArgument("pipeline kernel needs at least one input");
   }
+  const int num_inputs = static_cast<int>(spec.inputs.size());
   out->file_rank.assign(spec.inputs.size(), -1);
   out->file_preds.assign(spec.inputs.size(), {});
-  int rank = 0;
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    const PipelineInput& in = spec.inputs[k];
-    if (!IsFusableType(in.type)) {
+  for (int k = 0; k < num_inputs; ++k) {
+    const PipelineInput& in = spec.inputs[static_cast<size_t>(k)];
+    // Bool columns ride along in projections; predicates and aggregates
+    // take numeric columns only (checked below).
+    if (!IsFusableType(in.type) && in.type != DataType::kBool) {
       return Status::InvalidArgument(
-          "fused pipelines handle numeric fixed-width columns only");
+          "pipeline kernels handle fixed-width columns only");
     }
     if (!in.dense) {
-      if (rank >= static_cast<int>(spec.scan.outputs.size()) ||
-          spec.scan.outputs[static_cast<size_t>(rank)].column != in.column ||
-          spec.scan.outputs[static_cast<size_t>(rank)].type != in.type) {
-        return Status::InvalidArgument(
-            "fused pipeline scan outputs must equal the non-dense inputs");
-      }
-      out->file_rank[k] = rank++;
+      out->file_rank[static_cast<size_t>(k)] =
+          static_cast<int>(out->file_inputs.size());
+      out->file_inputs.push_back(k);
     }
   }
-  if (rank == 0) {
+  if (out->file_inputs.empty()) {
     return Status::InvalidArgument(
-        "fused pipeline needs at least one file-read input");
+        "pipeline kernel needs at least one file-read input");
   }
-  if (rank != static_cast<int>(spec.scan.outputs.size())) {
+  if (!spec.pmap_tracked.empty() &&
+      (spec.format != FileFormat::kCsv ||
+       spec.scan_mode != ScanMode::kSequential)) {
     return Status::InvalidArgument(
-        "fused pipeline scan outputs must equal the non-dense inputs");
+        "only sequential CSV kernels track positional-map columns");
   }
+  auto numeric_input = [&](int k) {
+    return k >= 0 && k < num_inputs &&
+           IsFusableType(spec.inputs[static_cast<size_t>(k)].type);
+  };
   for (const PipelinePredicate& p : spec.predicates) {
-    if (p.input < 0 || p.input >= static_cast<int>(spec.inputs.size())) {
-      return Status::InvalidArgument("fused predicate input out of range");
+    if (!numeric_input(p.input)) {
+      return Status::InvalidArgument(
+          "pipeline predicate input out of range or not numeric");
     }
     const PipelineInput& in = spec.inputs[static_cast<size_t>(p.input)];
     if (p.literal.type() != ExpectedLiteralType(in.type)) {
@@ -141,7 +226,7 @@ Status ValidateAndLayOut(const PipelineSpec& spec, PipelineLayout* out) {
             "project-mode pipeline cannot carry aggregates");
       }
       for (int m : spec.projections) {
-        if (m < 0 || m >= static_cast<int>(spec.inputs.size())) {
+        if (m < 0 || m >= num_inputs) {
           return Status::InvalidArgument("fused projection out of range");
         }
         note_value_input(m);
@@ -152,13 +237,10 @@ Status ValidateAndLayOut(const PipelineSpec& spec, PipelineLayout* out) {
         return Status::InvalidArgument("fused aggregate list is empty");
       }
       for (const PipelineAgg& a : spec.aggs) {
-        if (a.kind == AggKind::kCount) {
-          if (a.input >= 0) note_value_input(a.input);
-          continue;
-        }
-        if (a.input < 0 ||
-            a.input >= static_cast<int>(spec.inputs.size())) {
-          return Status::InvalidArgument("fused aggregate input out of range");
+        if (a.kind == AggKind::kCount && a.input < 0) continue;
+        if (!numeric_input(a.input)) {
+          return Status::InvalidArgument(
+              "fused aggregate input out of range or not numeric");
         }
         note_value_input(a.input);
       }
@@ -172,7 +254,7 @@ Status ValidateAndLayOut(const PipelineSpec& spec, PipelineLayout* out) {
 /// without the C++ runtime (see CcCompiler).
 void EmitPrelude(SourceBuilder* src, const PipelineSpec& spec,
                  std::string_view plugin, bool needs_charconv = false) {
-  src->Line("// Generated by RAW JIT pipeline-fusion compiler (" +
+  src->Line("// Generated by RAW JIT pipeline compiler (" +
             std::string(plugin) + " plug-in).");
   src->Line("// spec: " + spec.CacheKey());
   src->Line("#include <stdint.h>");
@@ -180,6 +262,15 @@ void EmitPrelude(SourceBuilder* src, const PipelineSpec& spec,
   if (needs_charconv) src->Line("#include <charconv>");
   src->Line("#include \"jit/jit_abi.h\"");
   src->Blank();
+}
+
+/// True when a CSV kernel for `spec` parses a float field.
+bool CsvParsesFloats(const PipelineSpec& spec, const PipelineLayout& lay) {
+  for (int k : lay.file_inputs) {
+    const DataType type = spec.inputs[static_cast<size_t>(k)].type;
+    if (type == DataType::kFloat32 || type == DataType::kFloat64) return true;
+  }
+  return false;
 }
 
 /// A predicate's ctx->pred_literals slot: its index in spec.predicates.
@@ -388,7 +479,9 @@ void EmitAggUpdate(SourceBuilder* src, const PipelineSpec& spec, size_t s,
   }
 }
 
-/// Typed bindings for the projection output buffers: po0..poM.
+/// Typed bindings for the projection output buffers (po0..poM, out_ids),
+/// their capacity and the produced-row count. Locals, not ctx fields: the
+/// row loop's stores could alias ctx and force a reload per row.
 void EmitProjOutputBindings(SourceBuilder* src, const PipelineSpec& spec) {
   for (size_t m = 0; m < spec.projections.size(); ++m) {
     int k = spec.projections[m];
@@ -396,293 +489,473 @@ void EmitProjOutputBindings(SourceBuilder* src, const PipelineSpec& spec) {
     src->Line(t + "* const po" + std::to_string(m) + " = (" + t +
               "*)ctx->out_columns[" + std::to_string(m) + "];");
   }
+  src->Line("int64_t* const out_ids = ctx->out_row_ids;");
+  src->Line("const int64_t max_rows = ctx->max_rows;");
+  src->Line("int64_t produced = 0;");
 }
 
-/// The value expression for input `k` inside the row loop: a parsed local
-/// for file inputs, a dense-column load for cached inputs.
-std::string InputValueExpr(const PipelineSpec& spec, const PipelineLayout& lay,
-                           int k, const std::string& rid_expr,
-                           const std::string& block_index) {
-  (void)lay;
+/// v<k>: the local file input `k` is read into.
+std::string FileValue(int k) {
+  std::string name = "v";
+  name += std::to_string(k);
+  return name;
+}
+
+/// The value of input `k` inside the row loop: its read local v<k> for file
+/// inputs, a dense-column load at global row `rid_expr` for cached inputs.
+std::string InputValueExpr(const PipelineSpec& spec, int k,
+                           const std::string& rid_expr) {
   if (spec.inputs[static_cast<size_t>(k)].dense) {
     return "d" + std::to_string(k) + "[" + rid_expr + "]";
   }
-  (void)block_index;
-  return "v" + std::to_string(k);
+  return FileValue(k);
 }
 
-/// Emits the aggregate or projection tail of one surviving row.
-/// `rid_expr` is the global row id. Returns code via `src`.
+/// `T v<k>;` — the local a file input is read into.
+std::string DeclareFileValue(const PipelineSpec& spec, int k) {
+  return std::string(CTypeName(spec.inputs[static_cast<size_t>(k)].type)) +
+         " " + FileValue(k) + ";";
+}
+
+/// Stores one projected row at `produced` and counts it.
+void EmitProjectionStores(SourceBuilder* src, const PipelineSpec& spec,
+                          const std::string& rid_expr) {
+  for (size_t m = 0; m < spec.projections.size(); ++m) {
+    src->Line("po" + std::to_string(m) + "[produced] = " +
+              InputValueExpr(spec, spec.projections[m], rid_expr) + ";");
+  }
+  src->Line("out_ids[produced] = " + rid_expr + ";");
+  src->Line("++produced;");
+}
+
+/// Emits the aggregate update or projection stores of one surviving row;
+/// `rid_expr` is its global row id.
 void EmitRowOutputs(SourceBuilder* src, const PipelineSpec& spec,
-                    const PipelineLayout& lay, const std::string& rid_expr,
-                    const std::string& consumed_update) {
-  if (spec.mode == PipelineOutputMode::kAggregate) {
-    for (size_t s = 0; s < spec.aggs.size(); ++s) {
-      const PipelineAgg& agg = spec.aggs[s];
-      std::string val = agg.input >= 0
-                            ? InputValueExpr(spec, lay, agg.input, rid_expr, "")
-                            : "0";
-      EmitAggUpdate(src, spec, s, val);
-    }
+                    const std::string& rid_expr) {
+  if (spec.mode == PipelineOutputMode::kProject) {
+    EmitProjectionStores(src, spec, rid_expr);
     return;
   }
-  for (size_t m = 0; m < spec.projections.size(); ++m) {
+  for (size_t s = 0; s < spec.aggs.size(); ++s) {
+    const PipelineAgg& agg = spec.aggs[s];
     std::string val =
-        InputValueExpr(spec, lay, spec.projections[m], rid_expr, "");
-    src->Line("po" + std::to_string(m) + "[produced] = " + val + ";");
+        agg.input >= 0 ? InputValueExpr(spec, agg.input, rid_expr) : "0";
+    EmitAggUpdate(src, spec, s, val);
   }
-  src->Line("ctx->out_row_ids[produced] = " + rid_expr + ";");
-  src->Line("++produced;");
-  src->Open("if (produced == ctx->max_rows) {");
-  src->Line(consumed_update);
-  src->Line("ctx->rows_produced = produced;");
-  src->Line("return produced;");
-  src->Close();
 }
 
-StatusOr<std::string> GenerateCsvPipeline(const PipelineSpec& spec,
-                                          const PipelineLayout& lay) {
-  if (spec.scan.mode != ScanMode::kByPosition) {
-    return Status::InvalidArgument(
-        "fused CSV pipelines require a by-position (warm) scan");
+/// Emits the row loop advancing `cursor` (a local the caller declared) to
+/// `end`, saving it in `cursor_field` when the outputs fill mid-block. A
+/// projection without predicates emits every row, so its loop is flat and
+/// countable; any other kernel runs in blocks of at most max_rows rows,
+/// each filtered first by the mask prepass when there are dense
+/// predicates. `emit_row(src, idx)` emits the body of the row at index
+/// expression `idx`: its row id `rid`, its reads and predicate tests
+/// (`continue` skips the row) — this function appends the outputs.
+void EmitRowLoop(
+    SourceBuilder* src, const PipelineSpec& spec, const PipelineLayout& lay,
+    const std::string& cursor, const std::string& end,
+    const std::string& cursor_field,
+    const std::function<void(SourceBuilder*, const std::string&)>& emit_row) {
+  const bool project = spec.mode == PipelineOutputMode::kProject;
+  if (project && spec.predicates.empty()) {
+    // Bound the trip count by the output space up front.
+    src->Line("int64_t stop = " + end + ";");
+    src->Line("if (stop - " + cursor + " > max_rows) stop = " + cursor +
+              " + max_rows;");
+    src->Open("for (; " + cursor + " < stop; ++" + cursor + ") {");
+    emit_row(src, cursor);
+    EmitRowOutputs(src, spec, "rid");
+    src->Close();
+    return;
   }
-  for (const OutputField& f : spec.scan.outputs) {
-    if (f.column < spec.scan.anchor_column) {
-      return Status::InvalidArgument(
-          "fused CSV pipeline cannot read left of the anchor column");
-    }
-  }
-  // The parse/skip interleave walks the row left to right.
-  for (size_t j = 1; j < spec.scan.outputs.size(); ++j) {
-    if (spec.scan.outputs[j].column <= spec.scan.outputs[j - 1].column) {
-      return Status::InvalidArgument(
-          "fused CSV pipeline file inputs must be ascending by column");
-    }
-  }
-  const bool agg = spec.mode == PipelineOutputMode::kAggregate;
   const bool masked = !lay.dense_preds.empty();
+  src->Open("while (" + cursor + " < " + end +
+            (project ? " && produced < max_rows" : "") + ") {");
+  src->Line("int64_t block = " + end + " - " + cursor + ";");
+  src->Line("if (block > ctx->max_rows) block = ctx->max_rows;");
+  if (masked) src->Line("mask_fn(ctx, " + cursor + ", block);");
+  src->Open("for (int64_t t = 0; t < block; ++t) {");
+  if (masked) src->Line("if (!ctx->sel_mask[t]) continue;");
+  emit_row(src, cursor + " + t");
+  EmitRowOutputs(src, spec, "rid");
+  if (project) {
+    src->Open("if (produced == max_rows) {");
+    src->Line(cursor_field + " = " + cursor + " + t + 1;");
+    src->Line("ctx->rows_produced = produced;");
+    src->Line("return produced;");
+    src->Close();
+  }
+  src->Close();  // for
+  src->Line(cursor + " += block;");
+  src->Close();  // while
+}
+
+/// Emits the locals every kernel body starts with: aggregate state or
+/// projection outputs, dense-column and literal bindings, the mask resolver.
+void EmitBodySetup(SourceBuilder* src, const PipelineSpec& spec,
+                   const PipelineLayout& lay) {
+  if (spec.mode == PipelineOutputMode::kAggregate) {
+    EmitAggLoads(src, spec);
+  } else {
+    EmitProjOutputBindings(src, spec);
+  }
+  EmitDenseValueBindings(src, spec, lay);
+  EmitLiteralBindings(src, spec, FilePredicates(lay));
+  if (!lay.dense_preds.empty()) {
+    src->Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
+  }
+  src->Blank();
+}
+
+/// Emits the kernel's return: stores aggregate state and reports the inputs
+/// consumed (`consumed_expr`), or reports the rows produced.
+void EmitBodyTail(SourceBuilder* src, const PipelineSpec& spec,
+                  const std::string& consumed_expr) {
+  if (spec.mode == PipelineOutputMode::kAggregate) {
+    EmitAggStores(src, spec);
+    src->Line("ctx->rows_produced = 0;");
+    src->Line("return " + consumed_expr + ";");
+  } else {
+    src->Line("ctx->rows_produced = produced;");
+    src->Line("return produced;");
+  }
+}
+
+/// Kernel over an input list — CSV by-position, binary and REF by-row-index.
+/// Input i is row ctx->in_row_ids[i], or ctx->row_id_base + i when that
+/// array is null (a whole-table scan over a contiguous row range), so one
+/// kernel serves both scans and late fetches. `emit_setup` emits the
+/// format's function-level locals; `emit_reads(src, idx)` emits, for the
+/// current row `rid` at input index `idx`, the read of every file input into
+/// its v<k> local, each followed by its predicate tests.
+std::string GenerateSelective(
+    const PipelineSpec& spec, const PipelineLayout& lay,
+    std::string_view plugin, bool needs_charconv,
+    const std::function<void(SourceBuilder*)>& emit_setup,
+    const std::function<void(SourceBuilder*, const std::string&)>&
+        emit_reads) {
   SourceBuilder src;
-  EmitPrelude(&src, spec, "csv",
-              jit_internal::CsvParsesFloats(spec.scan.outputs));
-  if (masked) {
-    EmitMaskFunctions(&src, spec, lay, "ctx->in_row_ids[base + t]");
+  EmitPrelude(&src, spec, plugin, needs_charconv);
+  if (!lay.dense_preds.empty()) {
+    EmitMaskFunctions(&src, spec, lay,
+                      "(ctx->in_row_ids ? ctx->in_row_ids[base + t] : "
+                      "ctx->row_id_base + base + t)");
   }
   src.Open("extern \"C\" int64_t raw_jit_scan_batch(RawJitContext* ctx) {");
-  src.Line("const char* const data = ctx->file_data;");
+  emit_setup(&src);
+  src.Line("const int64_t* const ids = ctx->in_row_ids;");
+  src.Line("const int64_t id_base = ctx->row_id_base;");
   src.Line("int64_t i = ctx->input_cursor;");
   src.Line("const int64_t i0 = i;");
   src.Line("const int64_t n_in = ctx->num_inputs;");
-  if (agg) {
-    EmitAggLoads(&src, spec);
-  } else {
-    EmitProjOutputBindings(&src, spec);
-    src.Line("int64_t produced = 0;");
-  }
-  EmitDenseValueBindings(&src, spec, lay);
-  EmitLiteralBindings(&src, spec, FilePredicates(lay));
-  if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
-  src.Blank();
-  if (agg) {
-    src.Open("while (i < n_in) {");
-  } else {
-    src.Open("while (i < n_in && produced < ctx->max_rows) {");
-  }
-  src.Line("int64_t block = n_in - i;");
-  src.Line("if (block > ctx->max_rows) block = ctx->max_rows;");
-  if (masked) src.Line("mask_fn(ctx, i, block);");
-  src.Open("for (int64_t t = 0; t < block; ++t) {");
-  if (masked) src.Line("if (!ctx->sel_mask[t]) continue;");
-  src.Line("const int64_t rid = ctx->in_row_ids[i + t];");
-  src.Line("const char* p = data + ctx->in_positions[i + t];");
-  int cursor_col = spec.scan.anchor_column;
-  int remaining_file = static_cast<int>(spec.scan.outputs.size());
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (spec.inputs[k].dense) continue;
-    const PipelineInput& in = spec.inputs[k];
-    EmitCsvSkipFields(&src, in.column - cursor_col, spec.scan.delimiter);
-    cursor_col = in.column;
-    src.Line("// column " + std::to_string(in.column));
-    src.Line(std::string(CTypeName(in.type)) + " v" + std::to_string(k) + ";");
-    EmitCsvParseField(&src, in.type, "v" + std::to_string(k),
-                      spec.scan.delimiter);
-    EmitFileTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
-    if (--remaining_file > 0) {
-      src.Line("++p;  // consume delimiter");
-      cursor_col = in.column + 1;
-    }
-  }
-  EmitRowOutputs(&src, spec, lay, "rid", "ctx->input_cursor = i + t + 1;");
-  src.Close();  // for
-  src.Line("i += block;");
-  src.Close();  // while
+  EmitBodySetup(&src, spec, lay);
+  EmitRowLoop(&src, spec, lay, "i", "n_in", "ctx->input_cursor",
+              [&](SourceBuilder* s, const std::string& idx) {
+                s->Line("const int64_t rid = ids ? ids[" + idx +
+                        "] : id_base + " + idx + ";");
+                emit_reads(s, idx);
+              });
   src.Blank();
   src.Line("ctx->input_cursor = i;");
-  if (agg) {
-    EmitAggStores(&src, spec);
-    src.Line("ctx->rows_produced = 0;");
-    src.Line("return i - i0;");
-  } else {
-    src.Line("ctx->rows_produced = produced;");
-    src.Line("return produced;");
-  }
+  EmitBodyTail(&src, spec, "i - i0");
   src.Close();
   return src.str();
 }
 
-StatusOr<std::string> GenerateBinPipeline(const PipelineSpec& spec,
-                                          const PipelineLayout& lay) {
-  if (spec.scan.mode != ScanMode::kSequential) {
+// --- CSV ---------------------------------------------------------------------
+
+/// Cold CSV scan: walks the file (a morsel window of it) row by row from
+/// ctx->byte_cursor, emitting window-local row ids from ctx->row_cursor and,
+/// when the spec tracks map columns, recording each row's start and tracked
+/// field offsets into ctx->pmap_row_starts / ctx->pmap_positions
+/// (window-relative; the host rebases them). A plain projection only: row
+/// ids are window-local, so nothing here may filter or read dense columns.
+StatusOr<std::string> GenerateCsvSequential(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
+  if (spec.mode != PipelineOutputMode::kProject || !spec.predicates.empty() ||
+      lay.file_inputs.size() != spec.inputs.size()) {
     return Status::InvalidArgument(
-        "fused binary pipelines require a sequential scan");
+        "sequential CSV kernels are plain projections of file columns");
   }
-  if (spec.scan.row_width <= 0 ||
-      spec.scan.column_offsets.size() != spec.scan.outputs.size()) {
+  SourceBuilder src;
+  EmitPrelude(&src, spec, "csv", CsvParsesFloats(spec, lay));
+  src.Open("extern \"C\" int64_t raw_jit_scan_batch(RawJitContext* ctx) {");
+  src.Line("const char* const data = ctx->file_data;");
+  src.Line("const char* const end = data + ctx->file_size;");
+  src.Line("const char* p = data + ctx->byte_cursor;");
+  src.Line("int64_t row = ctx->row_cursor;");
+  EmitProjOutputBindings(&src, spec);
+  const int num_slots = static_cast<int>(spec.pmap_tracked.size());
+  if (num_slots > 0) {
+    src.Line("uint64_t* const pmap_pos = ctx->pmap_positions;");
+    src.Line("uint64_t* const pmap_rs = ctx->pmap_row_starts;");
+  }
+  src.Blank();
+  src.Open("while (produced < max_rows && p < end) {");
+  if (num_slots > 0) {
+    src.Line("if (pmap_rs) pmap_rs[produced] = (uint64_t)(p - data);");
+  }
+
+  // The per-column action plan: union of file inputs and tracked columns.
+  struct Action {
+    int column;
+    int input = -1;  // index into spec.inputs
+    int slot = -1;   // index into spec.pmap_tracked
+  };
+  std::vector<Action> actions;
+  for (int k : lay.file_inputs) {
+    actions.push_back({spec.inputs[static_cast<size_t>(k)].column, k, -1});
+  }
+  for (int s = 0; s < num_slots; ++s) {
+    int col = spec.pmap_tracked[static_cast<size_t>(s)];
+    auto it = std::find_if(actions.begin(), actions.end(),
+                           [col](const Action& a) { return a.column == col; });
+    if (it != actions.end()) {
+      it->slot = s;
+    } else {
+      actions.push_back({col, -1, s});
+    }
+  }
+  std::sort(actions.begin(), actions.end(),
+            [](const Action& a, const Action& b) { return a.column < b.column; });
+
+  int cursor_col = 0;
+  for (size_t a = 0; a < actions.size(); ++a) {
+    const Action& act = actions[a];
+    EmitCsvSkipFields(&src, act.column - cursor_col, spec.delimiter);
+    cursor_col = act.column;
+    src.Line("// column " + std::to_string(act.column));
+    if (act.slot >= 0) {
+      src.Line("if (pmap_pos) pmap_pos[produced * " +
+               std::to_string(num_slots) + " + " + std::to_string(act.slot) +
+               "] = (uint64_t)(p - data);");
+    }
+    const bool last = (a + 1 == actions.size());
+    if (act.input >= 0) {
+      src.Line(DeclareFileValue(spec, act.input));
+      EmitCsvParseField(&src, spec.inputs[static_cast<size_t>(act.input)].type,
+                        FileValue(act.input), spec.delimiter);
+      if (!last) {
+        src.Line("++p;  // consume delimiter");
+        cursor_col = act.column + 1;
+      }
+    } else if (!last) {
+      // Tracked-only column mid-row: position recorded, skip its value.
+      EmitCsvSkipFields(&src, 1, spec.delimiter);
+      cursor_col = act.column + 1;
+    }
+  }
+  // Advance to the start of the next row.
+  src.Line("const char* nl = (const char*)memchr(p, '\\n', (size_t)(end - p));");
+  src.Line("p = nl ? nl + 1 : end;");
+  EmitProjectionStores(&src, spec, "row");
+  src.Line("++row;");
+  src.Close();  // while
+  src.Blank();
+  src.Line("ctx->byte_cursor = (uint64_t)(p - data);");
+  src.Line("ctx->row_cursor = row;");
+  src.Line("ctx->rows_produced = produced;");
+  src.Line("return produced;");
+  src.Close();  // function
+  return src.str();
+}
+
+/// Warm CSV kernel: jumps to each input row's anchor position, then parses
+/// and tests the file inputs left to right, skipping the remaining parse
+/// work of rows a predicate rejects.
+StatusOr<std::string> GenerateCsvByPosition(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
+  const PipelineInput& first =
+      spec.inputs[static_cast<size_t>(lay.file_inputs.front())];
+  if (first.column < spec.anchor_column) {
     return Status::InvalidArgument(
-        "fused binary pipeline: row_width/column_offsets not set");
+        "by-position CSV kernel cannot read left of the anchor column");
   }
-  const bool agg = spec.mode == PipelineOutputMode::kAggregate;
-  const bool masked = !lay.dense_preds.empty();
-  const std::string rw = std::to_string(spec.scan.row_width);
+  auto setup = [](SourceBuilder* src) {
+    src->Line("const char* const data = ctx->file_data;");
+    src->Line("const uint64_t* const pos = ctx->in_positions;");
+    src->Line("const int64_t pos_stride = ctx->in_position_stride;");
+  };
+  auto reads = [&](SourceBuilder* src, const std::string& idx) {
+    src->Line("const char* p = data + pos[(" + idx + ") * pos_stride];");
+    int cursor_col = spec.anchor_column;
+    size_t remaining = lay.file_inputs.size();
+    for (int k : lay.file_inputs) {
+      const PipelineInput& in = spec.inputs[static_cast<size_t>(k)];
+      EmitCsvSkipFields(src, in.column - cursor_col, spec.delimiter);
+      cursor_col = in.column;
+      src->Line("// column " + std::to_string(in.column));
+      src->Line(DeclareFileValue(spec, k));
+      EmitCsvParseField(src, in.type, FileValue(k), spec.delimiter);
+      EmitFileTests(src, spec, lay.file_preds[static_cast<size_t>(k)],
+                    FileValue(k));
+      if (--remaining > 0) {
+        src->Line("++p;  // consume delimiter");
+        cursor_col = in.column + 1;
+      }
+    }
+  };
+  return GenerateSelective(spec, lay, "csv", CsvParsesFloats(spec, lay), setup,
+                           reads);
+}
+
+// --- binary ------------------------------------------------------------------
+
+Status CheckBinLayout(const PipelineSpec& spec, const PipelineLayout& lay) {
+  if (spec.row_width <= 0 ||
+      spec.column_offsets.size() != lay.file_inputs.size()) {
+    return Status::InvalidArgument(
+        "binary kernel: row_width/column_offsets not set");
+  }
+  return Status::OK();
+}
+
+/// Emits the typed load of every file input of row `row_expr`: the byte
+/// offset `row * row_width + column_offset` is constant-folded into the code
+/// (§4.1: "injecting the appropriate binary offsets in the code").
+void EmitBinReads(SourceBuilder* src, const PipelineSpec& spec,
+                  const PipelineLayout& lay, const std::string& row_expr) {
+  const std::string rw = std::to_string(spec.row_width);
+  for (int k : lay.file_inputs) {
+    const size_t j = static_cast<size_t>(lay.file_rank[static_cast<size_t>(k)]);
+    const std::string v = FileValue(k);
+    src->Line("// column " +
+              std::to_string(spec.inputs[static_cast<size_t>(k)].column));
+    src->Line(DeclareFileValue(spec, k));
+    src->Line("memcpy(&" + v + ", data + (uint64_t)(" + row_expr + ") * " +
+              rw + "ull + " + std::to_string(spec.column_offsets[j]) +
+              "ull, sizeof(" + v + "));");
+    EmitFileTests(src, spec, lay.file_preds[static_cast<size_t>(k)], v);
+  }
+}
+
+/// Sequential binary kernel over rows [ctx->row_cursor, ctx->total_rows).
+StatusOr<std::string> GenerateBinSequential(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
   SourceBuilder src;
   EmitPrelude(&src, spec, "bin");
-  if (masked) {
-    EmitMaskFunctions(&src, spec, lay, "ctx->dense_row_base + base + t");
-  }
+  if (!lay.dense_preds.empty()) EmitMaskFunctions(&src, spec, lay, "base + t");
   src.Open("extern \"C\" int64_t raw_jit_scan_batch(RawJitContext* ctx) {");
   src.Line("const char* const data = ctx->file_data;");
   src.Line("int64_t row = ctx->row_cursor;");
   src.Line("const int64_t i0 = row;");
   src.Line("const int64_t total = ctx->total_rows;");
-  if (agg) {
-    EmitAggLoads(&src, spec);
-  } else {
-    EmitProjOutputBindings(&src, spec);
-    src.Line("int64_t produced = 0;");
-  }
-  EmitDenseValueBindings(&src, spec, lay);
-  EmitLiteralBindings(&src, spec, FilePredicates(lay));
-  if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
-  src.Blank();
-  if (agg) {
-    src.Open("while (row < total) {");
-  } else {
-    src.Open("while (row < total && produced < ctx->max_rows) {");
-  }
-  src.Line("int64_t block = total - row;");
-  src.Line("if (block > ctx->max_rows) block = ctx->max_rows;");
-  if (masked) src.Line("mask_fn(ctx, row, block);");
-  src.Open("for (int64_t t = 0; t < block; ++t) {");
-  if (masked) src.Line("if (!ctx->sel_mask[t]) continue;");
-  src.Line("const int64_t rid = ctx->dense_row_base + row + t;");
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (spec.inputs[k].dense) continue;
-    const PipelineInput& in = spec.inputs[k];
-    int j = lay.file_rank[k];
-    std::string off =
-        std::to_string(spec.scan.column_offsets[static_cast<size_t>(j)]);
-    src.Line("// column " + std::to_string(in.column));
-    src.Line(std::string(CTypeName(in.type)) + " v" + std::to_string(k) + ";");
-    src.Line("memcpy(&v" + std::to_string(k) +
-             ", data + (uint64_t)(row + t) * " + rw + "ull + " + off +
-             "ull, sizeof(v" + std::to_string(k) + "));");
-    EmitFileTests(&src, spec, lay.file_preds[k], "v" + std::to_string(k));
-  }
-  EmitRowOutputs(&src, spec, lay, "rid", "ctx->row_cursor = row + t + 1;");
-  src.Close();  // for
-  src.Line("row += block;");
-  src.Close();  // while
+  EmitBodySetup(&src, spec, lay);
+  EmitRowLoop(&src, spec, lay, "row", "total", "ctx->row_cursor",
+              [&](SourceBuilder* s, const std::string& idx) {
+                s->Line("const int64_t rid = " + idx + ";");
+                EmitBinReads(s, spec, lay, "rid");
+              });
   src.Blank();
   src.Line("ctx->row_cursor = row;");
-  if (agg) {
-    EmitAggStores(&src, spec);
-    src.Line("ctx->rows_produced = 0;");
-    src.Line("return row - i0;");
-  } else {
-    src.Line("ctx->rows_produced = produced;");
-    src.Line("return produced;");
-  }
+  EmitBodyTail(&src, spec, "row - i0");
   src.Close();
   return src.str();
 }
 
-StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
-                                          const PipelineLayout& lay) {
-  if (spec.scan.mode != ScanMode::kSequential) {
-    return Status::InvalidArgument(
-        "fused REF pipelines require a sequential scan");
-  }
-  if (spec.mode != PipelineOutputMode::kAggregate) {
-    return Status::InvalidArgument(
-        "fused REF pipelines support aggregation only");
-  }
+StatusOr<std::string> GenerateBinByRowIndex(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
+  auto setup = [](SourceBuilder* src) {
+    src->Line("const char* const data = ctx->file_data;");
+  };
+  auto reads = [&](SourceBuilder* src, const std::string&) {
+    EmitBinReads(src, spec, lay, "rid");
+  };
+  return GenerateSelective(spec, lay, "bin", false, setup, reads);
+}
+
+// --- REF ---------------------------------------------------------------------
+// REF kernels emit calls into the REF I/O API instead of interpreting raw
+// bytes, exactly as the paper's ROOT plug-in does (§6), touching only the
+// branches the query needs.
+
+/// `if (read_range(...)) fail;` for one branch read into `dst`.
+void EmitRefRead(SourceBuilder* src, int branch, const std::string& first,
+                 const std::string& count, const std::string& dst) {
+  src->Open("if (ctx->ref.read_range(ctx->ref.reader, " +
+            std::to_string(branch) + ", " + first + ", " + count + ", " + dst +
+            ")) {");
+  src->Line("ctx->error = 1;");
+  src->Line("ctx->error_row = " + first + ";");
+  src->Line("return -1;");
+  src->Close();
+}
+
+/// Sequential REF kernel over rows [ctx->row_cursor, ctx->total_rows): one
+/// bulk API call per file input per block into the host's decode buffers,
+/// then filtering and projection / aggregation over the decoded values.
+StatusOr<std::string> GenerateRefSequential(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
+  const bool agg = spec.mode == PipelineOutputMode::kAggregate;
   const bool masked = !lay.dense_preds.empty();
   SourceBuilder src;
   EmitPrelude(&src, spec, "ref");
-  if (masked) {
-    EmitMaskFunctions(&src, spec, lay, "base + t");
-  }
+  if (masked) EmitMaskFunctions(&src, spec, lay, "base + t");
   src.Open("extern \"C\" int64_t raw_jit_scan_batch(RawJitContext* ctx) {");
   src.Line("int64_t row = ctx->row_cursor;");
   src.Line("const int64_t i0 = row;");
   src.Line("const int64_t end = ctx->total_rows;");
-  EmitAggLoads(&src, spec);
-  EmitDenseValueBindings(&src, spec, lay);
-  EmitLiteralBindings(&src, spec, FilePredicates(lay));
-  if (masked) src.Line("const RawMaskFn mask_fn = raw_resolve_mask(ctx);");
-  src.Blank();
-  src.Open("while (row < end) {");
-  src.Line("int64_t take = end - row;");
-  src.Line("if (take > ctx->max_rows) take = ctx->max_rows;");
-  // One bulk API call per needed branch per block, exactly like the plain
-  // REF scan kernel; filtering and aggregation then run over the decoded
-  // scratch buffers without ever materializing a batch.
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (spec.inputs[k].dense) continue;
-    int j = lay.file_rank[k];
-    std::string branch = std::to_string(spec.inputs[k].column);
-    src.Open("if (ctx->ref.read_range(ctx->ref.reader, " + branch +
-             ", row, take, ctx->out_columns[" + std::to_string(j) + "])) {");
-    src.Line("ctx->error = 1;");
-    src.Line("ctx->error_row = row;");
-    src.Line("return -1;");
-    src.Close();
+  EmitBodySetup(&src, spec, lay);
+  if (agg) {
+    src.Open("while (row < end) {");
+    src.Line("int64_t take = end - row;");
+    src.Line("if (take > ctx->max_rows) take = ctx->max_rows;");
+  } else {
+    // A block never outgrows the output space left, so the outputs fill
+    // only at a block's end and the cursor moves by whole blocks.
+    src.Open("while (row < end && produced < max_rows) {");
+    src.Line("int64_t take = end - row;");
+    src.Line("if (take > max_rows - produced) take = max_rows - produced;");
   }
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (spec.inputs[k].dense) continue;
-    std::string t(CTypeName(spec.inputs[k].type));
+  for (int k : lay.file_inputs) {
+    EmitRefRead(&src, spec.inputs[static_cast<size_t>(k)].column, "row", "take",
+                "ctx->decode_columns[" +
+                    std::to_string(lay.file_rank[static_cast<size_t>(k)]) +
+                    "]");
+  }
+  for (int k : lay.file_inputs) {
+    std::string t(CTypeName(spec.inputs[static_cast<size_t>(k)].type));
     src.Line("const " + t + "* const b" + std::to_string(k) + " = (const " +
-             t + "*)ctx->out_columns[" +
-             std::to_string(lay.file_rank[k]) + "];");
+             t + "*)ctx->decode_columns[" +
+             std::to_string(lay.file_rank[static_cast<size_t>(k)]) + "];");
   }
   if (masked) src.Line("mask_fn(ctx, row, take);");
   src.Open("for (int64_t t = 0; t < take; ++t) {");
   if (masked) src.Line("if (!ctx->sel_mask[t]) continue;");
   src.Line("const int64_t rid = row + t;");
-  for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    EmitFileTests(&src, spec, lay.file_preds[k],
-                  "b" + std::to_string(k) + "[t]");
+  for (int k : lay.file_inputs) {
+    const std::string v = FileValue(k);
+    src.Line("const " +
+             std::string(CTypeName(spec.inputs[static_cast<size_t>(k)].type)) +
+             " " + v + " = b" + std::to_string(k) + "[t];");
+    EmitFileTests(&src, spec, lay.file_preds[static_cast<size_t>(k)], v);
   }
-  for (size_t s = 0; s < spec.aggs.size(); ++s) {
-    const PipelineAgg& agg_spec = spec.aggs[s];
-    std::string val = "0";
-    if (agg_spec.input >= 0) {
-      int k = agg_spec.input;
-      val = spec.inputs[static_cast<size_t>(k)].dense
-                ? "d" + std::to_string(k) + "[rid]"
-                : "b" + std::to_string(k) + "[t]";
-    }
-    EmitAggUpdate(&src, spec, s, val);
-  }
+  EmitRowOutputs(&src, spec, "rid");
   src.Close();  // for
   src.Line("row += take;");
   src.Close();  // while
   src.Blank();
   src.Line("ctx->row_cursor = row;");
-  EmitAggStores(&src, spec);
-  src.Line("ctx->rows_produced = 0;");
-  src.Line("return row - i0;");
+  EmitBodyTail(&src, spec, "row - i0");
   src.Close();
   return src.str();
+}
+
+/// REF fetch: one id-based single-value API call per file input per row.
+StatusOr<std::string> GenerateRefByRowIndex(const PipelineSpec& spec,
+                                            const PipelineLayout& lay) {
+  auto reads = [&](SourceBuilder* src, const std::string&) {
+    for (int k : lay.file_inputs) {
+      const std::string v = FileValue(k);
+      src->Line(DeclareFileValue(spec, k));
+      EmitRefRead(src, spec.inputs[static_cast<size_t>(k)].column, "rid", "1",
+                  "&" + v);
+      EmitFileTests(src, spec, lay.file_preds[static_cast<size_t>(k)], v);
+    }
+  };
+  return GenerateSelective(
+      spec, lay, "ref", false, [](SourceBuilder*) {}, reads);
 }
 
 }  // namespace
@@ -690,24 +963,64 @@ StatusOr<std::string> GenerateRefPipeline(const PipelineSpec& spec,
 StatusOr<std::string> GenerateCsvPipelineSource(const PipelineSpec& spec) {
   PipelineLayout lay;
   RAW_RETURN_NOT_OK(ValidateAndLayOut(spec, &lay));
-  return GenerateCsvPipeline(spec, lay);
+  // The parse/skip interleave walks each row left to right.
+  for (size_t j = 1; j < lay.file_inputs.size(); ++j) {
+    if (spec.inputs[static_cast<size_t>(lay.file_inputs[j])].column <=
+        spec.inputs[static_cast<size_t>(lay.file_inputs[j - 1])].column) {
+      return Status::InvalidArgument(
+          "CSV kernel file inputs must be ascending by column");
+    }
+  }
+  switch (spec.scan_mode) {
+    case ScanMode::kSequential:
+      return GenerateCsvSequential(spec, lay);
+    case ScanMode::kByPosition:
+      return GenerateCsvByPosition(spec, lay);
+    case ScanMode::kByRowIndex:
+      break;
+  }
+  return Status::InvalidArgument(
+      "CSV has no deterministic row offsets; use kByPosition");
 }
 
 StatusOr<std::string> GenerateBinPipelineSource(const PipelineSpec& spec) {
   PipelineLayout lay;
   RAW_RETURN_NOT_OK(ValidateAndLayOut(spec, &lay));
-  return GenerateBinPipeline(spec, lay);
+  RAW_RETURN_NOT_OK(CheckBinLayout(spec, lay));
+  switch (spec.scan_mode) {
+    case ScanMode::kSequential:
+      return GenerateBinSequential(spec, lay);
+    case ScanMode::kByRowIndex:
+      return GenerateBinByRowIndex(spec, lay);
+    case ScanMode::kByPosition:
+      break;
+  }
+  return Status::InvalidArgument(
+      "binary offsets are computed, not mapped; use kByRowIndex");
 }
 
 StatusOr<std::string> GenerateRefPipelineSource(const PipelineSpec& spec) {
   PipelineLayout lay;
   RAW_RETURN_NOT_OK(ValidateAndLayOut(spec, &lay));
-  return GenerateRefPipeline(spec, lay);
+  switch (spec.scan_mode) {
+    case ScanMode::kSequential:
+      return GenerateRefSequential(spec, lay);
+    case ScanMode::kByRowIndex:
+      return GenerateRefByRowIndex(spec, lay);
+    case ScanMode::kByPosition:
+      break;
+  }
+  return Status::InvalidArgument(
+      "REF access is id-based; use kByRowIndex or kSequential");
 }
 
 StatusOr<std::string> GeneratePipelineSource(const PipelineSpec& spec) {
+  // Format dispatch goes through the registry: a driver either delegates to
+  // one of the plug-ins above (the built-in formats) or emits its own
+  // kernels; formats without a plug-in report NotImplemented and the planner
+  // keeps them on the interpreted path.
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
-                       FormatRegistry::Global().Require(spec.scan.format));
+                       FormatRegistry::Global().Require(spec.format));
   return driver->EmitJitPipelineSource(spec);
 }
 

@@ -9,15 +9,18 @@
 
 namespace raw {
 
-/// Emits the complete C++ translation unit implementing a fused
-/// scan→filter→project→aggregate pipeline. Dispatches to the per-format
-/// plug-in through FormatDriver::EmitJitPipelineSource, exactly like
-/// GenerateScanSource; a driver without a fusion emitter reports
-/// NotImplemented and the planner keeps the query interpreted.
+/// Emits the complete C++ translation unit implementing `spec` — a file-,
+/// schema- and query-specific kernel exporting RAW_JIT_ENTRY_SYMBOL.
+/// Dispatches to the per-format plug-in through
+/// FormatDriver::EmitJitPipelineSource ("a file-format-specific plug-in is
+/// activated for each scan operator specification", §3); a driver without
+/// one reports NotImplemented and the planner keeps the query interpreted.
 StatusOr<std::string> GeneratePipelineSource(const PipelineSpec& spec);
 
-/// Built-in format plug-ins. Each composes the format's scan loop with the
-/// generated predicate/aggregate bodies:
+/// Built-in format plug-ins, one per format, covering its scan modes (CSV:
+/// sequential and by-position; binary and REF: sequential and by-row-index).
+/// Each composes the format's scan loop with the generated predicate /
+/// projection / aggregate bodies:
 ///  * predicate literals are read from ctx->pred_literals into loop-invariant
 ///    locals, so the source depends on each literal's type, never its value;
 ///  * dense (already-cached) input predicates run in a block mask prepass
@@ -25,10 +28,12 @@ StatusOr<std::string> GeneratePipelineSource(const PipelineSpec& spec);
 ///    at runtime from ctx->kernel_tier (clamped by the host to what the CPU
 ///    supports) — with exact typed compares, so both copies agree bit for
 ///    bit;
-///  * file-column predicates are tested right after their field is parsed,
-///    skipping the remaining parse work for failing rows;
+///  * file-column predicates are tested right after their field is read,
+///    skipping the remaining read work for failing rows;
 ///  * aggregate updates replicate AggAccumulator's int/numeric paths
-///    exactly, leaving mergeable partial state in the context arrays.
+///    exactly, leaving mergeable partial state in the context arrays;
+///  * sequential CSV kernels are plain projections, optionally recording
+///    the positional map (PipelineSpec::pmap_tracked).
 StatusOr<std::string> GenerateCsvPipelineSource(const PipelineSpec& spec);
 StatusOr<std::string> GenerateBinPipelineSource(const PipelineSpec& spec);
 StatusOr<std::string> GenerateRefPipelineSource(const PipelineSpec& spec);

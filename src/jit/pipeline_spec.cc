@@ -4,6 +4,18 @@
 
 namespace raw {
 
+std::string_view ScanModeToString(ScanMode mode) {
+  switch (mode) {
+    case ScanMode::kSequential:
+      return "sequential";
+    case ScanMode::kByPosition:
+      return "by_position";
+    case ScanMode::kByRowIndex:
+      return "by_row_index";
+  }
+  return "?";
+}
+
 std::string_view PipelineOutputModeToString(PipelineOutputMode mode) {
   switch (mode) {
     case PipelineOutputMode::kProject:
@@ -16,7 +28,13 @@ std::string_view PipelineOutputModeToString(PipelineOutputMode mode) {
 
 std::string PipelineSpec::CacheKey() const {
   std::ostringstream os;
-  os << "pipe1|" << scan.CacheKey() << "|in=";
+  os << "pipe1|" << FileFormatToString(format) << '|'
+     << ScanModeToString(scan_mode) << "|d=" << static_cast<int>(delimiter)
+     << "|pmap=";
+  for (int c : pmap_tracked) os << c << ',';
+  os << "|anchor=" << anchor_column << "|rw=" << row_width << "|off=";
+  for (int64_t o : column_offsets) os << o << ',';
+  os << "|in=";
   for (const PipelineInput& in : inputs) {
     os << in.column << ':' << DataTypeToString(in.type)
        << (in.dense ? ":d" : ":f") << ',';
@@ -46,6 +64,36 @@ Schema FusedAggPartialSchema(const std::vector<PipelineAgg>& aggs) {
     schema.AddField(base + "_init", DataType::kInt64);
   }
   return schema;
+}
+
+PipelineSpec PipelineSpecFor(const FusedPipelineRequest& req) {
+  PipelineSpec spec;
+  spec.inputs = req.inputs;
+  spec.predicates = req.predicates;
+  spec.mode = req.mode;
+  spec.projections = req.projections;
+  spec.aggs = req.aggs;
+  return spec;
+}
+
+Schema PipelineOutputSchema(const FusedPipelineRequest& req) {
+  return req.mode == PipelineOutputMode::kAggregate
+             ? FusedAggPartialSchema(req.aggs)
+             : req.output_schema;
+}
+
+FusedPipelineRequest ProjectionRequest(const Schema& table_schema,
+                                       const std::vector<int>& cols,
+                                       const Schema& qualified) {
+  FusedPipelineRequest req;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    req.inputs.push_back(
+        PipelineInput{cols[i], table_schema.field(cols[i]).type, false});
+    req.dense_columns.push_back(nullptr);
+    req.projections.push_back(static_cast<int>(i));
+  }
+  req.output_schema = qualified;
+  return req;
 }
 
 }  // namespace raw

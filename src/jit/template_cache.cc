@@ -9,13 +9,8 @@ namespace raw {
 
 namespace {
 
-std::string ScanHint(const AccessPathSpec& spec, const std::string& key) {
-  return std::string(FileFormatToString(spec.format)) + "_" +
-         HashToHex(Fnv1a64(key));
-}
-
 std::string PipelineHint(const PipelineSpec& spec, const std::string& key) {
-  return "pipe_" + std::string(FileFormatToString(spec.scan.format)) + "_" +
+  return "pipe_" + std::string(FileFormatToString(spec.format)) + "_" +
          HashToHex(Fnv1a64(key));
 }
 
@@ -52,24 +47,10 @@ JitTemplateCache::~JitTemplateCache() {
 }
 
 StatusOr<CompiledKernel> JitTemplateCache::GetOrCompile(
-    const AccessPathSpec& spec) {
-  std::string key = spec.CacheKey();
-  return GetOrCompileKey(key, ScanHint(spec, key),
-                         [&] { return GenerateScanSource(spec); });
-}
-
-StatusOr<CompiledKernel> JitTemplateCache::GetOrCompile(
     const PipelineSpec& spec) {
   std::string key = spec.CacheKey();
   return GetOrCompileKey(key, PipelineHint(spec, key),
                          [&] { return GeneratePipelineSource(spec); });
-}
-
-JitKernelState JitTemplateCache::Request(const AccessPathSpec& spec) {
-  std::string key = spec.CacheKey();
-  std::string hint = ScanHint(spec, key);
-  return RequestKey(std::move(key), std::move(hint),
-                    [spec] { return GenerateScanSource(spec); });
 }
 
 JitKernelState JitTemplateCache::Request(const PipelineSpec& spec) {

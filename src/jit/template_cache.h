@@ -12,9 +12,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "jit/access_path_spec.h"
 #include "jit/cc_compiler.h"
-#include "jit/codegen.h"
 #include "jit/pipeline_codegen.h"
 #include "jit/pipeline_spec.h"
 
@@ -49,8 +47,8 @@ enum class JitKernelState {
 std::string_view JitKernelStateReason(JitKernelState state);
 
 /// The template cache of §3: generated libraries are registered under their
-/// access-path specification and reused when the same access path is
-/// requested again, amortizing compilation across queries.
+/// kernel specification (PipelineSpec::CacheKey()) and reused when the same
+/// kernel is requested again, amortizing compilation across queries.
 ///
 /// Two ways in:
 ///  * GetOrCompile blocks until the kernel exists (compiling it on the
@@ -81,24 +79,12 @@ class JitTemplateCache {
   /// Returns the kernel for `spec`, generating + compiling on a miss.
   /// `kernel.compile_seconds` is the time this call waited for the compiler
   /// (its own compile, or another caller's in-flight one); 0 on a hit.
-  StatusOr<CompiledKernel> GetOrCompile(const AccessPathSpec& spec);
-
-  /// Same contract for fused pipelines; keyed by PipelineSpec::CacheKey()
-  /// (namespaced so fused kernels never collide with plain scan kernels) and
-  /// deduplicated in flight exactly like scan specs.
   StatusOr<CompiledKernel> GetOrCompile(const PipelineSpec& spec);
 
   /// Non-blocking: kReady when the kernel is cached (a GetOrCompile for it
   /// then returns at once), else queues its compile in the background (at
   /// most once per key) and says why the caller cannot have it now.
-  JitKernelState Request(const AccessPathSpec& spec);
   JitKernelState Request(const PipelineSpec& spec);
-
-  /// Pre-generates without executing (used to overlap compilation with
-  /// other planning work, and by tests to validate emitted source).
-  StatusOr<std::string> GenerateSource(const AccessPathSpec& spec) const {
-    return GenerateScanSource(spec);
-  }
 
   bool compiler_available() const { return compiler_available_; }
 
@@ -131,8 +117,8 @@ class JitTemplateCache {
     Emitter emit;
   };
 
-  /// Shared hit/in-flight/compile flow for both spec families. `emit`
-  /// generates the translation unit on a miss.
+  /// The hit/in-flight/compile flow behind GetOrCompile. `emit` generates
+  /// the translation unit on a miss.
   StatusOr<CompiledKernel> GetOrCompileKey(const std::string& key,
                                            const std::string& hint,
                                            const Emitter& emit);

@@ -35,7 +35,8 @@ Status FusedPipelineOperator::Open() {
     return Status::InvalidArgument(
         "fused pipeline: output schema does not match the projection list");
   }
-  if (args_.dense_columns.size() != spec.inputs.size()) {
+  if (!args_.dense_columns.empty() &&
+      args_.dense_columns.size() != spec.inputs.size()) {
     return Status::InvalidArgument(
         "fused pipeline: dense_columns must parallel spec.inputs");
   }
@@ -56,45 +57,20 @@ Status FusedPipelineOperator::Open() {
       ctx_.file_data += args_.window_begin;
       ctx_.file_size = args_.window_end - args_.window_begin;
     }
-    if (spec.scan.format == FileFormat::kCsv && ctx_.file_size > 0 &&
+    if (spec.format == FileFormat::kCsv && ctx_.file_size > 0 &&
         ctx_.file_data[ctx_.file_size - 1] != '\n') {
-      // Same contract as the plain CSV JIT kernels: fields are parsed
-      // without bounds checks, relying on a terminating newline.
+      // Generated CSV kernels parse fields without bounds checks, relying on
+      // a terminating newline. Files missing it take the interpreted path.
       return Status::InvalidArgument(
           "JIT CSV kernels require a trailing newline; use the in-situ scan");
     }
   }
-  ctx_.total_rows = args_.total_rows;
   ctx_.max_rows = args_.batch_rows;
-  if (args_.first_row < 0) {
-    return Status::InvalidArgument("fused pipeline first_row out of range");
-  }
-  ctx_.row_cursor = args_.first_row;
-  if (args_.row_set.has_value()) {
-    const RowSet& rows = *args_.row_set;
-    if (spec.scan.mode == ScanMode::kByPosition &&
-        rows.positions.size() != rows.ids.size()) {
-      return Status::InvalidArgument(
-          "fused by-position pipeline: positions not filled");
-    }
-    ctx_.in_row_ids = rows.ids.data();
-    ctx_.in_positions =
-        rows.positions.empty() ? nullptr : rows.positions.data();
-    ctx_.num_inputs = rows.size();
-  } else if (spec.scan.mode != ScanMode::kSequential) {
-    return Status::InvalidArgument("selective fused pipeline needs a row set");
-  }
   if (args_.ref_reader != nullptr) {
     ctx_.ref.reader = args_.ref_reader;
     ctx_.ref.read_range = &RefReadRangeTrampoline;
-    if (ctx_.total_rows < 0) ctx_.total_rows = args_.ref_reader->num_events();
   }
-  if (spec.scan.format == FileFormat::kBinary && ctx_.total_rows < 0) {
-    ctx_.total_rows = spec.scan.row_width > 0
-                          ? static_cast<int64_t>(ctx_.file_size) /
-                                spec.scan.row_width
-                          : 0;
-  }
+  RAW_RETURN_NOT_OK(BindInput());
 
   // Dense (cached full-column) inputs, indexed by global row id in-kernel.
   dense_ptr_scratch_.assign(spec.inputs.size(), nullptr);
@@ -102,9 +78,14 @@ Status FusedPipelineOperator::Open() {
   for (const PipelinePredicate& p : spec.predicates) {
     if (spec.inputs[static_cast<size_t>(p.input)].dense) any_dense_pred = true;
   }
+  std::vector<DataType> file_types;
   for (size_t k = 0; k < spec.inputs.size(); ++k) {
-    if (!spec.inputs[k].dense) continue;
-    const ColumnPtr& col = args_.dense_columns[k];
+    if (!spec.inputs[k].dense) {
+      file_types.push_back(spec.inputs[k].type);
+      continue;
+    }
+    const ColumnPtr col =
+        k < args_.dense_columns.size() ? args_.dense_columns[k] : nullptr;
     if (col == nullptr || col->type() != spec.inputs[k].type) {
       return Status::InvalidArgument(
           "fused pipeline: dense input has no matching cached column");
@@ -112,7 +93,6 @@ Status FusedPipelineOperator::Open() {
     dense_ptr_scratch_[k] = col->raw_data();
   }
   ctx_.in_dense = dense_ptr_scratch_.data();
-  ctx_.dense_row_base = args_.dense_row_base;
   if (any_dense_pred) {
     sel_mask_scratch_.assign(static_cast<size_t>(args_.batch_rows), 0);
     ctx_.sel_mask = sel_mask_scratch_.data();
@@ -145,6 +125,19 @@ Status FusedPipelineOperator::Open() {
   }
   ctx_.pred_literals = pred_literals_.data();
 
+  if (spec.format == FileFormat::kRef &&
+      spec.scan_mode == ScanMode::kSequential) {
+    // Sequential REF kernels bulk-decode each branch range into host scratch.
+    ref_decode_scratch_.clear();
+    decode_ptr_scratch_.clear();
+    for (DataType type : file_types) {
+      auto col =
+          std::make_shared<Column>(Column::Zeroed(type, args_.batch_rows));
+      decode_ptr_scratch_.push_back(col->raw_data());
+      ref_decode_scratch_.push_back(std::move(col));
+    }
+    ctx_.decode_columns = decode_ptr_scratch_.data();
+  }
   if (agg_mode) {
     agg_count_.assign(spec.aggs.size(), 0);
     agg_dacc_.assign(spec.aggs.size(), 0.0);
@@ -154,24 +147,109 @@ Status FusedPipelineOperator::Open() {
     ctx_.agg_dacc = agg_dacc_.data();
     ctx_.agg_iacc = agg_iacc_.data();
     ctx_.agg_init = agg_init_.data();
-    if (spec.scan.format == FileFormat::kRef) {
-      // REF kernels bulk-decode each branch range into host scratch.
-      ref_decode_scratch_.clear();
-      out_ptr_scratch_.resize(spec.scan.outputs.size());
-      for (size_t j = 0; j < spec.scan.outputs.size(); ++j) {
-        auto col = std::make_shared<Column>(
-            Column::Zeroed(spec.scan.outputs[j].type, args_.batch_rows));
-        out_ptr_scratch_[j] = col->raw_data();
-        ref_decode_scratch_.push_back(std::move(col));
-      }
-      ctx_.out_columns = out_ptr_scratch_.data();
-    }
   } else {
     row_id_scratch_.resize(static_cast<size_t>(args_.batch_rows));
     ctx_.out_row_ids = row_id_scratch_.data();
     out_ptr_scratch_.resize(spec.projections.size());
   }
   eof_ = false;
+  return Status::OK();
+}
+
+Status FusedPipelineOperator::BindInput() {
+  const PipelineSpec& spec = args_.spec;
+  if (args_.build_pmap != nullptr) {
+    if (spec.format != FileFormat::kCsv ||
+        spec.scan_mode != ScanMode::kSequential ||
+        args_.build_pmap->tracked_columns() != spec.pmap_tracked) {
+      return Status::InvalidArgument(
+          "positional map tracked columns do not match the kernel spec");
+    }
+    pmap_rows_scratch_.resize(static_cast<size_t>(args_.batch_rows));
+    pmap_pos_scratch_.resize(static_cast<size_t>(args_.batch_rows) *
+                             spec.pmap_tracked.size());
+    ctx_.pmap_row_starts = pmap_rows_scratch_.data();
+    ctx_.pmap_positions = pmap_pos_scratch_.data();
+  }
+  if (spec.format == FileFormat::kCsv &&
+      spec.scan_mode == ScanMode::kSequential) {
+    // Walks the window from its first byte; rows are found while parsing.
+    ctx_.total_rows = -1;
+    return Status::OK();
+  }
+
+  const bool by_position = spec.scan_mode == ScanMode::kByPosition;
+  int anchor_slot = -1;
+  if (by_position && args_.pmap != nullptr) {
+    anchor_slot = args_.pmap->SlotFor(spec.anchor_column);
+    if (anchor_slot < 0) {
+      return Status::InvalidArgument(
+          "by-position kernel: the positional map does not track the anchor "
+          "column");
+    }
+  }
+  if (args_.row_set.has_value()) {
+    if (spec.scan_mode == ScanMode::kSequential) {
+      return Status::InvalidArgument(
+          "a row set needs a by-position or by-row-index kernel");
+    }
+    RowSet& rows = *args_.row_set;
+    if (by_position && rows.positions.empty() && anchor_slot >= 0) {
+      RAW_RETURN_NOT_OK(FillPositions(*args_.pmap, anchor_slot, &rows));
+    }
+    if (by_position && rows.positions.size() != rows.ids.size()) {
+      return Status::InvalidArgument(
+          "by-position kernel: positions not filled");
+    }
+    ctx_.in_row_ids = rows.ids.data();
+    ctx_.in_positions =
+        rows.positions.empty() ? nullptr : rows.positions.data();
+    ctx_.in_position_stride = 1;
+    ctx_.num_inputs = rows.size();
+    return Status::OK();
+  }
+  if (spec.scan_mode == ScanMode::kByRowIndex) {
+    return Status::InvalidArgument("by-row-index kernel requires a row set");
+  }
+
+  const int64_t first = args_.rows.begin;
+  int64_t end = args_.rows.end;
+  if (!args_.rows.bounded()) {
+    if (by_position) {
+      end = args_.pmap != nullptr ? args_.pmap->num_rows() : 0;
+    } else if (args_.ref_reader != nullptr) {
+      end = args_.ref_reader->num_events();
+    } else if (spec.format == FileFormat::kBinary && spec.row_width > 0) {
+      end = static_cast<int64_t>(ctx_.file_size) / spec.row_width;
+    } else {
+      end = 0;
+    }
+  }
+  if (args_.rows.unit != ScanRange::Unit::kRows || first < 0 || first > end) {
+    return Status::InvalidArgument("pipeline row range out of bounds");
+  }
+  if (!by_position) {
+    ctx_.row_cursor = first;
+    ctx_.total_rows = end;
+    return Status::OK();
+  }
+  // Whole-table positional scan: ids are first + i and positions come
+  // straight from the map's row-major array, so nothing per row is built.
+  if (anchor_slot < 0) {
+    return Status::InvalidArgument(
+        "by-position kernel needs a row set or a positional map");
+  }
+  if (end > args_.pmap->num_rows()) {
+    return Status::InvalidArgument("row range outside the positional map");
+  }
+  const int64_t stride = args_.pmap->num_tracked();
+  ctx_.row_id_base = first;
+  ctx_.num_inputs = end - first;
+  ctx_.in_position_stride = stride;
+  if (ctx_.num_inputs > 0) {
+    ctx_.in_positions =
+        args_.pmap->positions_data() + first * stride + anchor_slot;
+  }
   return Status::OK();
 }
 
@@ -208,17 +286,35 @@ StatusOr<ColumnBatch> FusedPipelineOperator::NextProject() {
     return ColumnBatch::EndOfStream(args_.output_schema);
   }
 
+  if (args_.profile) args_.profile->build_columns.Start();
   ColumnBatch out(args_.output_schema);
   for (ColumnPtr& col : columns) {
     col->Resize(produced);
     out.AddColumn(std::move(col));
   }
   out.SetNumRows(produced);
-  // Fused kernels emit global row ids directly (dense columns are indexed by
-  // global id in-kernel), so no rebase here.
+  // Kernels emit global row ids (dense columns are indexed by global id
+  // in-kernel); only sequential CSV morsels emit window-local ids, which the
+  // parallel scan driver rebases.
   out.SetRowIds(std::vector<int64_t>(row_id_scratch_.begin(),
                                      row_id_scratch_.begin() + produced));
-  if (args_.profile) args_.profile->rows += produced;
+  if (args_.build_pmap != nullptr) {
+    const size_t slots = args_.spec.pmap_tracked.size();
+    const uint64_t rebase = args_.window_begin;
+    for (int64_t r = 0; r < produced; ++r) {
+      uint64_t* positions =
+          pmap_pos_scratch_.data() + static_cast<size_t>(r) * slots;
+      if (rebase != 0) {
+        for (size_t s = 0; s < slots; ++s) positions[s] += rebase;
+      }
+      args_.build_pmap->AppendRow(
+          pmap_rows_scratch_[static_cast<size_t>(r)] + rebase, positions);
+    }
+  }
+  if (args_.profile) {
+    args_.profile->build_columns.Stop();
+    args_.profile->rows += produced;
+  }
   return out;
 }
 

@@ -16,42 +16,52 @@
 
 namespace raw {
 
-/// Everything a fused-pipeline operator instance needs beyond its
-/// PipelineSpec — the fused counterpart of JitScanArgs. The spec describes
-/// *what code to generate*; these args describe *what data to run it over*.
+/// Everything a pipeline operator instance needs beyond its PipelineSpec.
+/// The spec describes *what code to generate*; these args describe *what
+/// data to run it over*.
 struct FusedPipelineArgs {
   PipelineSpec spec;
-  /// kProject: qualified output field names, parallel to spec.projections.
+  /// kProject: output field names, parallel to spec.projections.
   /// kAggregate: must equal FusedAggPartialSchema(spec.aggs).
   Schema output_schema;
 
   /// CSV / binary: the memory-mapped raw file.
   const MmapFile* file = nullptr;
-  /// Binary / REF: total (morsel-end) row count; -1 derives it from the
-  /// window size (binary) or the reader (REF).
-  int64_t total_rows = -1;
-
   /// REF: the reader whose I/O API the generated code calls.
   RefReader* ref_reader = nullptr;
 
-  /// CSV by-position input (positions filled before Open()).
+  /// The rows to visit: a morsel's row range, or the whole table when
+  /// unbounded (binary: derived from the file size; REF: the reader's event
+  /// count; CSV by-position: the map's row count). Kernels emit global row
+  /// ids for these. Unused by sequential CSV scans, which walk the byte
+  /// window instead, and when `row_set` is given.
+  ScanRange rows = ScanRange::Whole();
+
+  /// Explicit rows for selective kernels (late fetches). Empty CSV
+  /// positions are filled from `pmap` at Open().
   std::optional<RowSet> row_set;
 
-  /// Binary morsel window: restricts the scan to bytes
+  /// CSV by-position: the map holding each row's anchor position. Without a
+  /// row_set the kernel reads `rows` straight from the map's position
+  /// array — no per-row arrays are built.
+  const PositionalMap* pmap = nullptr;
+
+  /// Sequential CSV morsels: restricts the scan to bytes
   /// [window_begin, window_end) of the file (window_end == 0 => whole file).
+  /// The kernel sees the window as its entire file, so its row ids are
+  /// window-local (the parallel scan driver rebases CSV morsels by prefix
+  /// sums) and the map offsets it records are rebased to absolute file
+  /// offsets before AppendRow.
   uint64_t window_begin = 0;
   uint64_t window_end = 0;
 
-  /// Global row id of the window's first row. Fused kernels emit global row
-  /// ids themselves (dense columns are indexed by global id inside the
-  /// kernel), so the parallel driver must NOT rebase them again.
-  int64_t dense_row_base = 0;
-
-  /// REF morsels: scan rows [first_row, total_rows).
-  int64_t first_row = 0;
+  /// Sequential CSV: positional map populated as a side effect of the scan.
+  /// Must be configured with exactly spec.pmap_tracked columns.
+  PositionalMap* build_pmap = nullptr;
 
   /// Parallel to spec.inputs: the cached full column for dense inputs
-  /// (shred-cache hits), null for file inputs.
+  /// (shred-cache hits), null for file inputs. May be empty when no input
+  /// is dense.
   std::vector<ColumnPtr> dense_columns;
 
   int64_t batch_rows = kDefaultBatchRows;
@@ -60,8 +70,10 @@ struct FusedPipelineArgs {
   ScanHealth* health = nullptr;
 };
 
-/// Volcano operator driving one fused scan→filter→project→aggregate kernel
-/// over one morsel. Compiles (or fetches from the template cache) at Open().
+/// Volcano operator driving one generated kernel — a JIT scan, or a fused
+/// scan→filter→project→aggregate pipeline — over one morsel. Compiles (or
+/// fetches from the template cache) at Open(): the "freshly-compiled library
+/// ... linked with the remaining query plan using the Volcano model" of §3.
 ///
 /// kProject: emits filtered, projected rows batch by batch; the kernel loops
 /// internally, so a 0-row return means end of stream.
@@ -82,6 +94,9 @@ class FusedPipelineOperator : public Operator {
                                         int64_t first, int64_t count,
                                         void* out);
 
+  /// Points the kernel at its input: the byte window (sequential CSV), the
+  /// explicit row set, or the row range `rows`.
+  Status BindInput();
   StatusOr<ColumnBatch> NextProject();
   StatusOr<ColumnBatch> NextAggregate();
 
@@ -100,9 +115,13 @@ class FusedPipelineOperator : public Operator {
   std::vector<RawJitLiteral> pred_literals_;
   std::vector<int64_t> row_id_scratch_;
   std::vector<void*> out_ptr_scratch_;
-  /// REF aggregate kernels decode branch ranges into these host-owned
-  /// buffers (exposed through ctx.out_columns).
+  /// Sequential REF kernels decode branch ranges into these host-owned
+  /// buffers (ctx.decode_columns).
   std::vector<ColumnPtr> ref_decode_scratch_;
+  std::vector<void*> decode_ptr_scratch_;
+  /// Sequential CSV map building: batch-sized row starts and positions.
+  std::vector<uint64_t> pmap_rows_scratch_;
+  std::vector<uint64_t> pmap_pos_scratch_;
 };
 
 /// Merges the per-morsel partial rows a fused aggregate pipeline emits into

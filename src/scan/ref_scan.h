@@ -34,7 +34,7 @@ struct RefScanSpec {
 
 /// Interpreted sequential/id-based scan reading branches in bulk through the
 /// REF reader API (the in-situ baseline for REF; the JIT variant generates
-/// code making the same API calls, see jit/ref_codegen.cc).
+/// code making the same API calls, see jit/pipeline_codegen.cc).
 class RefTableScanOperator : public Operator {
  public:
   RefTableScanOperator(RefReader* reader, RefScanSpec spec);

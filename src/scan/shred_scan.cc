@@ -75,34 +75,21 @@ StatusOr<ColumnBatch> LateScanOperator::Next() {
 
 // --- JitRowFetcher -----------------------------------------------------------
 
-JitRowFetcher::JitRowFetcher(JitTemplateCache* cache, JitScanArgs args,
-                             const PositionalMap* pmap)
-    : cache_(cache), args_(std::move(args)), pmap_(pmap) {
-  if (pmap_ != nullptr) {
-    anchor_slot_ = pmap_->SlotFor(args_.spec.anchor_column);
-  }
-}
+JitRowFetcher::JitRowFetcher(JitTemplateCache* cache, FusedPipelineArgs args)
+    : cache_(cache), args_(std::move(args)) {}
 
 StatusOr<std::vector<ColumnPtr>> JitRowFetcher::Fetch(const RowSet& rows) {
   std::vector<ColumnPtr> out;
   if (rows.empty()) {
-    for (const OutputField& f : args_.spec.outputs) {
+    for (const Field& f : args_.output_schema.fields()) {
       out.push_back(std::make_shared<Column>(f.type));
     }
     return out;
   }
-  JitScanArgs args = args_;
+  FusedPipelineArgs args = args_;
   args.row_set = rows;
-  if (args_.spec.mode == ScanMode::kByPosition &&
-      args.row_set->positions.empty()) {
-    if (pmap_ == nullptr || anchor_slot_ < 0) {
-      return Status::InvalidArgument(
-          "CSV JIT fetch requires a positional map with the anchor tracked");
-    }
-    RAW_RETURN_NOT_OK(FillPositions(*pmap_, anchor_slot_, &*args.row_set));
-  }
   args.batch_rows = rows.size();
-  JitScanOperator op(cache_, std::move(args));
+  FusedPipelineOperator op(cache_, std::move(args));
   RAW_RETURN_NOT_OK(op.Open());
   RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op.Next());
   if (batch.num_rows() != rows.size()) {

@@ -9,7 +9,7 @@
 #include "scan/access_path.h"
 #include "scan/insitu_bin_scan.h"
 #include "scan/insitu_csv_scan.h"
-#include "scan/jit_scan.h"
+#include "scan/fused_pipeline.h"
 
 namespace raw {
 
@@ -47,25 +47,21 @@ class LateScanOperator : public Operator {
   int64_t values_fetched_ = 0;
 };
 
-/// RowFetcher running a JIT kernel per Fetch() call (CSV by-position, binary
-/// / REF by-row-index). For CSV, byte positions are resolved through the
-/// given positional map at fetch time.
+/// RowFetcher running a generated projection kernel per Fetch() call (CSV
+/// by-position, binary / REF by-row-index). For CSV, byte positions are
+/// resolved through `args.pmap` at fetch time.
 class JitRowFetcher : public RowFetcher {
  public:
-  /// `args` must describe a selective-mode spec; its row_set is ignored
-  /// (supplied per Fetch call). For CSV, `pmap` + the spec's anchor column
-  /// resolve positions.
-  JitRowFetcher(JitTemplateCache* cache, JitScanArgs args,
-                const PositionalMap* pmap = nullptr);
+  /// `args` must describe a selective-mode spec; its row_set is supplied per
+  /// Fetch call.
+  JitRowFetcher(JitTemplateCache* cache, FusedPipelineArgs args);
 
   const Schema& fields() const override { return args_.output_schema; }
   StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override;
 
  private:
   JitTemplateCache* cache_;
-  JitScanArgs args_;
-  const PositionalMap* pmap_;
-  int anchor_slot_ = -1;
+  FusedPipelineArgs args_;
 };
 
 /// RowFetcher using the interpreted access paths (the in-situ baseline for

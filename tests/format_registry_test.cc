@@ -4,6 +4,7 @@
 #include "engine/formats/drivers.h"
 #include "format/format.h"
 #include "format/format_driver.h"
+#include "jit/pipeline_spec.h"
 #include "tests/test_util.h"
 
 namespace raw {
@@ -68,9 +69,9 @@ TEST_F(FormatRegistryTest, JitEmissionDefaultsToNotImplemented) {
   const FormatDriver* jsonl =
       FormatRegistry::Global().Find(FileFormat::kJsonl);
   ASSERT_NE(jsonl, nullptr);
-  AccessPathSpec spec;
+  PipelineSpec spec;
   spec.format = FileFormat::kJsonl;
-  auto src = jsonl->EmitJitSource(spec);
+  auto src = jsonl->EmitJitPipelineSource(spec);
   ASSERT_FALSE(src.ok());
   EXPECT_NE(src.status().ToString().find("jsonl"), std::string::npos);
 }

@@ -204,6 +204,99 @@ TEST_F(FusionTest, RefFusedMatchesInterpreted) {
   }
 }
 
+// --- one kernel tier: plain JIT scans run pipeline kernels ------------------
+
+TEST_F(FusionTest, WarmCsvKernelScansMatchInSitu) {
+  // Warm positional scans read each morsel's anchor positions straight from
+  // the map (24 columns: the map tracks 0, 10 and 20, so anchors sit at
+  // every slot of its row-major array): the one-row table and the short
+  // last morsel (3000 rows split into 256-row morsels at 4 threads) must
+  // come out exactly as in situ.
+  for (int64_t rows : {int64_t{1}, int64_t{3000}}) {
+    spec_ = TableSpec::UniformInt32("f", 24, rows, 99);
+    spec_.columns[3].type = DataType::kInt64;
+    spec_.columns[4].type = DataType::kFloat64;
+    auto engine = CsvEngine();
+    if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+    const std::string lit = spec_.SelectivityLiteral(1, 0.5).ToString();
+    const std::vector<std::string> queries = {
+        "SELECT col0, col2, col4 FROM f",
+        "SELECT col12, col23 FROM f",
+        "SELECT col2, col3 FROM f WHERE col1 < " + lit,
+        "SELECT col21 FROM f WHERE col14 < " + lit,
+        "SELECT col5, COUNT(*) FROM f GROUP BY col5",
+    };
+    for (const std::string& sql : queries) {
+      for (int threads : {1, 4}) {
+        const std::string where = sql + " rows=" + std::to_string(rows) +
+                                  " threads=" + std::to_string(threads);
+        PlannerOptions insitu = Opts(JitFusion::kOff, threads);
+        insitu.access_path = AccessPathKind::kInSitu;
+        ASSERT_OK_AND_ASSIGN(QueryResult want, engine->Query(sql, insitu));
+        ASSERT_OK_AND_ASSIGN(QueryResult jit,
+                             engine->Query(sql, Opts(JitFusion::kOff, threads)));
+        EXPECT_NE(jit.plan_description.find("[pmap-scan f"), std::string::npos)
+            << jit.plan_description;
+        EXPECT_FALSE(Fused(jit)) << jit.plan_description;
+        ExpectSameResults(jit, want, "kJit " + where);
+        ASSERT_OK_AND_ASSIGN(QueryResult fused,
+                             engine->Query(sql, Opts(JitFusion::kOn, threads)));
+        ExpectSameResults(fused, want, "kOn " + where);
+        EXPECT_EQ(Fused(fused), sql.find("GROUP BY") == std::string::npos)
+            << fused.plan_description;
+        if (rows > 1 && threads > 1) {
+          EXPECT_NE(jit.plan_description.find("[parallel x4"),
+                    std::string::npos)
+              << jit.plan_description;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FusionTest, JitGroupByPlansStayUnfused) {
+  // A GROUP BY never fuses: under kOn its kJit scan keeps the plain scan's
+  // plan text and does not count as a fused plan.
+  auto csv = CsvEngine();
+  if (!CompilerAvailable(*csv)) GTEST_SKIP() << "no compiler";
+  auto bin = BinEngine();
+  EventGenOptions gen;
+  gen.num_events = 500;
+  ASSERT_OK(WriteRefFile(Path("e.ref"), gen, /*cluster_events=*/64));
+  RawEngine ref;
+  ASSERT_OK(ref.RegisterRef("a", Path("e.ref")));
+  struct Case {
+    RawEngine* engine;
+    std::string sql;
+    std::string scan_tag;
+  };
+  const std::vector<Case> cases = {
+      {csv.get(), "SELECT col2, COUNT(*) FROM f GROUP BY col2",
+       "[pmap-scan f anchor=0] "},
+      {bin.get(), "SELECT col2, MAX(col3) FROM f GROUP BY col2",
+       "[bin-scan f] "},
+      {&ref, "SELECT runNumber, COUNT(*) FROM a_events GROUP BY runNumber",
+       "[ref-scan a_events] "},
+  };
+  for (const Case& c : cases) {
+    const int64_t fused_before = c.engine->Stats().plans_fused;
+    for (int threads : {1, 4}) {
+      const PlannerOptions on_opts = Opts(JitFusion::kOn, threads);
+      const PlannerOptions off_opts = Opts(JitFusion::kOff, threads);
+      ASSERT_OK_AND_ASSIGN(QueryResult on, c.engine->Query(c.sql, on_opts));
+      ASSERT_OK_AND_ASSIGN(QueryResult off, c.engine->Query(c.sql, off_opts));
+      EXPECT_EQ(on.plan_description, off.plan_description) << c.sql;
+      EXPECT_NE(on.plan_description.find(c.scan_tag), std::string::npos)
+          << on.plan_description;
+      EXPECT_EQ(on.plan_description.find("fused"), std::string::npos)
+          << on.plan_description;
+      ExpectSameResults(on, off, c.sql);
+    }
+    EXPECT_EQ(c.engine->Stats().plans_fused, fused_before) << c.sql;
+    EXPECT_EQ(fused_before, 0) << c.sql;
+  }
+}
+
 // --- float aggregates: fuse only where merging is exact ----------------------
 
 TEST_F(FusionTest, FloatAggsFuseOnlySingleThreaded) {

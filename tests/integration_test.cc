@@ -10,7 +10,7 @@
 #include "common/mmap_file.h"
 #include "engine/raw_engine.h"
 #include "eventsim/ref_reader.h"
-#include "scan/jit_scan.h"
+#include "scan/fused_pipeline.h"
 #include "scan/shred_scan.h"
 #include "tests/test_util.h"
 #include "workload/data_gen.h"
@@ -133,15 +133,14 @@ TEST_F(FailureTest, JitCsvScanRequiresTrailingNewline) {
   std::string path = Path("nonl.csv");
   ASSERT_OK(WriteStringToFile(path, "1,2\n3,4"));  // no trailing newline
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
-  AccessPathSpec spec;
-  spec.format = FileFormat::kCsv;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{0, DataType::kInt32}};
-  JitScanArgs args;
-  args.spec = spec;
+  FusedPipelineArgs args;
+  args.spec.format = FileFormat::kCsv;
+  args.spec.scan_mode = ScanMode::kSequential;
+  args.spec.inputs = {{0, DataType::kInt32, false}};
+  args.spec.projections = {0};
   args.output_schema = Schema{{"a", DataType::kInt32}};
   args.file = file.get();
-  JitScanOperator scan(&cache, std::move(args));
+  FusedPipelineOperator scan(&cache, std::move(args));
   Status st = scan.Open();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("trailing newline"), std::string_view::npos);
@@ -153,18 +152,17 @@ TEST_F(FailureTest, JitSelectiveScanRequiresRowSet) {
   std::string path = Path("b.bin");
   ASSERT_OK(WriteStringToFile(path, std::string(40, '\0')));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kByRowIndex;
-  spec.outputs = {{0, DataType::kInt32}};
-  spec.row_width = 4;
-  spec.column_offsets = {0};
-  JitScanArgs args;
-  args.spec = spec;
+  FusedPipelineArgs args;
+  args.spec.format = FileFormat::kBinary;
+  args.spec.scan_mode = ScanMode::kByRowIndex;
+  args.spec.inputs = {{0, DataType::kInt32, false}};
+  args.spec.projections = {0};
+  args.spec.row_width = 4;
+  args.spec.column_offsets = {0};
   args.output_schema = Schema{{"a", DataType::kInt32}};
   args.file = file.get();
   // No row_set provided.
-  JitScanOperator scan(&cache, std::move(args));
+  FusedPipelineOperator scan(&cache, std::move(args));
   EXPECT_FALSE(scan.Open().ok());
 }
 

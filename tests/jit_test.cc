@@ -8,9 +8,8 @@
 #include "common/mmap_file.h"
 #include "common/stopwatch.h"
 #include "csv/csv_writer.h"
-#include "jit/access_path_spec.h"
 #include "jit/cc_compiler.h"
-#include "jit/codegen.h"
+#include "jit/pipeline_codegen.h"
 #include "jit/source_builder.h"
 #include "engine/formats/builtin.h"
 #include "jit/template_cache.h"
@@ -25,17 +24,30 @@ TEST(SourceBuilderTest, IndentsAndCloses) {
   EXPECT_EQ(src.str(), "if (x) {\n  y();\n}\n");
 }
 
-AccessPathSpec CsvSeqSpec() {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kCsv;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{0, DataType::kInt32}, {2, DataType::kFloat64}};
+/// A plain scan kernel: a project-mode spec emitting every input, in order.
+PipelineSpec ScanSpec(FileFormat format, ScanMode mode,
+                      std::vector<PipelineInput> inputs) {
+  PipelineSpec spec;
+  spec.format = format;
+  spec.scan_mode = mode;
+  spec.inputs = std::move(inputs);
+  for (size_t k = 0; k < spec.inputs.size(); ++k) {
+    spec.projections.push_back(static_cast<int>(k));
+  }
+  return spec;
+}
+
+PipelineSpec CsvSeqSpec() {
+  PipelineSpec spec =
+      ScanSpec(FileFormat::kCsv, ScanMode::kSequential,
+               {{0, DataType::kInt32, false}, {2, DataType::kFloat64, false}});
   spec.pmap_tracked = {0, 2};
   return spec;
 }
 
 TEST(CodegenTest, CsvSequentialSourceShape) {
-  ASSERT_OK_AND_ASSIGN(std::string src, GenerateCsvScanSource(CsvSeqSpec()));
+  ASSERT_OK_AND_ASSIGN(std::string src,
+                       GenerateCsvPipelineSource(CsvSeqSpec()));
   // Unrolled per-column blocks, no per-column switch in the emitted code.
   EXPECT_NE(src.find("raw_jit_scan_batch"), std::string::npos);
   EXPECT_NE(src.find("// column 0"), std::string::npos);
@@ -45,66 +57,100 @@ TEST(CodegenTest, CsvSequentialSourceShape) {
 }
 
 TEST(CodegenTest, CsvRejectsBadSpecs) {
-  AccessPathSpec spec = CsvSeqSpec();
-  spec.outputs.clear();
-  EXPECT_FALSE(GenerateCsvScanSource(spec).ok());
+  PipelineSpec spec = CsvSeqSpec();
+  spec.inputs.clear();
+  spec.projections.clear();
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
   spec = CsvSeqSpec();
-  spec.outputs = {{2, DataType::kInt32}, {0, DataType::kInt32}};  // unsorted
-  EXPECT_FALSE(GenerateCsvScanSource(spec).ok());
+  spec.inputs = {{2, DataType::kInt32, false}, {0, DataType::kInt32, false}};
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());  // unsorted
   spec = CsvSeqSpec();
-  spec.mode = ScanMode::kByRowIndex;
-  EXPECT_FALSE(GenerateCsvScanSource(spec).ok());
+  spec.scan_mode = ScanMode::kByRowIndex;
+  spec.pmap_tracked.clear();
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
   // By-position left of anchor is unreachable.
   spec = CsvSeqSpec();
-  spec.mode = ScanMode::kByPosition;
+  spec.scan_mode = ScanMode::kByPosition;
+  spec.pmap_tracked.clear();
   spec.anchor_column = 1;
-  EXPECT_FALSE(GenerateCsvScanSource(spec).ok());
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
+  spec.anchor_column = 0;
+  EXPECT_OK(GenerateCsvPipelineSource(spec).status());
+}
+
+TEST(CodegenTest, CsvSequentialKernelsArePlainProjections) {
+  // The cold scan that builds the map does not fuse: no predicates, no
+  // aggregates, no dense inputs.
+  PipelineSpec spec = CsvSeqSpec();
+  ASSERT_OK(GenerateCsvPipelineSource(spec).status());
+  spec.predicates = {{0, CompareOp::kLt, Datum::Int32(5)}};
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
+  spec = CsvSeqSpec();
+  spec.mode = PipelineOutputMode::kAggregate;
+  spec.projections.clear();
+  spec.aggs = {{AggKind::kCount, -1}};
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
+  spec = CsvSeqSpec();
+  spec.pmap_tracked.clear();
+  spec.inputs[0].dense = true;
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
+  // Only the sequential CSV kernel tracks map columns.
+  spec = CsvSeqSpec();
+  spec.scan_mode = ScanMode::kByPosition;
+  EXPECT_FALSE(GenerateCsvPipelineSource(spec).ok());
 }
 
 TEST(CodegenTest, BinarySourceHardCodesOffsets) {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{1, DataType::kInt64}};
+  PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kSequential,
+                               {{1, DataType::kInt64, false}});
   spec.row_width = 20;
   spec.column_offsets = {4};
-  ASSERT_OK_AND_ASSIGN(std::string src, GenerateBinScanSource(spec));
+  ASSERT_OK_AND_ASSIGN(std::string src, GenerateBinPipelineSource(spec));
+  EXPECT_NE(src.find("20ull"), std::string::npos);
+  EXPECT_NE(src.find("4ull"), std::string::npos);
+  spec.scan_mode = ScanMode::kByRowIndex;
+  ASSERT_OK_AND_ASSIGN(src, GenerateBinPipelineSource(spec));
   EXPECT_NE(src.find("20ull"), std::string::npos);
   EXPECT_NE(src.find("4ull"), std::string::npos);
 }
 
 TEST(CodegenTest, BinaryValidatesSpec) {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.outputs = {{1, DataType::kInt64}};
+  PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kSequential,
+                               {{1, DataType::kInt64, false}});
   spec.row_width = 0;  // missing
   spec.column_offsets = {4};
-  EXPECT_FALSE(GenerateBinScanSource(spec).ok());
+  EXPECT_FALSE(GenerateBinPipelineSource(spec).ok());
   spec.row_width = 20;
   spec.column_offsets = {};  // not parallel
-  EXPECT_FALSE(GenerateBinScanSource(spec).ok());
+  EXPECT_FALSE(GenerateBinPipelineSource(spec).ok());
+  spec.column_offsets = {4};
+  spec.scan_mode = ScanMode::kByPosition;  // offsets are computed
+  EXPECT_FALSE(GenerateBinPipelineSource(spec).ok());
 }
 
 TEST(CodegenTest, RefSourceCallsApi) {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kRef;
-  spec.mode = ScanMode::kByRowIndex;
-  spec.outputs = {{3, DataType::kFloat32}};
-  ASSERT_OK_AND_ASSIGN(std::string src, GenerateRefScanSource(spec));
+  PipelineSpec spec = ScanSpec(FileFormat::kRef, ScanMode::kByRowIndex,
+                               {{3, DataType::kFloat32, false}});
+  ASSERT_OK_AND_ASSIGN(std::string src, GenerateRefPipelineSource(spec));
   EXPECT_NE(src.find("ctx->ref.read_range"), std::string::npos);
+  spec.scan_mode = ScanMode::kSequential;
+  ASSERT_OK_AND_ASSIGN(src, GenerateRefPipelineSource(spec));
+  EXPECT_NE(src.find("ctx->ref.read_range"), std::string::npos);
+  spec.scan_mode = ScanMode::kByPosition;  // REF access is id-based
+  EXPECT_FALSE(GenerateRefPipelineSource(spec).ok());
 }
 
 TEST(CacheKeyTest, DistinguishesSpecs) {
-  AccessPathSpec a = CsvSeqSpec();
-  AccessPathSpec b = CsvSeqSpec();
+  PipelineSpec a = CsvSeqSpec();
+  PipelineSpec b = CsvSeqSpec();
   EXPECT_EQ(a.CacheKey(), b.CacheKey());
-  b.outputs[0].column = 1;
+  b.inputs[0].column = 1;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
   b = CsvSeqSpec();
   b.pmap_tracked = {0};
   EXPECT_NE(a.CacheKey(), b.CacheKey());
   b = CsvSeqSpec();
-  b.mode = ScanMode::kByPosition;
+  b.scan_mode = ScanMode::kByPosition;
   EXPECT_NE(a.CacheKey(), b.CacheKey());
 }
 
@@ -114,11 +160,10 @@ TEST(CacheKeyTest, DistinguishesSpecs) {
 /// column (col1, int32) and a dense cached column (col2, int64).
 PipelineSpec BinPipelineSpec() {
   PipelineSpec spec;
-  spec.scan.format = FileFormat::kBinary;
-  spec.scan.mode = ScanMode::kSequential;
-  spec.scan.outputs = {{1, DataType::kInt32}};
-  spec.scan.row_width = 20;
-  spec.scan.column_offsets = {4};
+  spec.format = FileFormat::kBinary;
+  spec.scan_mode = ScanMode::kSequential;
+  spec.row_width = 20;
+  spec.column_offsets = {4};
   spec.inputs = {{1, DataType::kInt32, false}, {2, DataType::kInt64, true}};
   spec.predicates = {{0, CompareOp::kLt, Datum::Int32(123456789)}};
   spec.mode = PipelineOutputMode::kAggregate;
@@ -164,9 +209,8 @@ TEST(PipelineCodegenTest, LiteralsAreLoadedNotSpelled) {
   // Same for a CSV fused kernel over int columns, with the predicate on a
   // dense input (the AVX2/scalar mask prepass).
   PipelineSpec csv;
-  csv.scan.format = FileFormat::kCsv;
-  csv.scan.mode = ScanMode::kByPosition;
-  csv.scan.outputs = {{3, DataType::kInt64}};
+  csv.format = FileFormat::kCsv;
+  csv.scan_mode = ScanMode::kByPosition;
   csv.inputs = {{1, DataType::kInt32, true}, {3, DataType::kInt64, false}};
   csv.predicates = {{0, CompareOp::kGe, Datum::Int32(-987654321)},
                     {1, CompareOp::kNe, Datum::Int64(INT64_MIN)}};
@@ -180,7 +224,6 @@ TEST(PipelineCodegenTest, LiteralsAreLoadedNotSpelled) {
   EXPECT_EQ(src.find("<charconv>"), std::string::npos) << src;
 
   // A CSV float field is parsed with std::from_chars, which needs the header.
-  csv.scan.outputs[0].type = DataType::kFloat64;
   csv.inputs[1].type = DataType::kFloat64;
   csv.predicates[1].literal = Datum::Float64(0.25);
   ASSERT_OK_AND_ASSIGN(src, GenerateCsvPipelineSource(csv));
@@ -189,11 +232,11 @@ TEST(PipelineCodegenTest, LiteralsAreLoadedNotSpelled) {
 }
 
 TEST(CodegenTest, IntegerCsvScanIncludesNoCxxHeader) {
-  AccessPathSpec spec = CsvSeqSpec();
-  spec.outputs = {{0, DataType::kInt32}, {2, DataType::kInt64}};
-  ASSERT_OK_AND_ASSIGN(std::string src, GenerateCsvScanSource(spec));
+  PipelineSpec spec = CsvSeqSpec();
+  spec.inputs = {{0, DataType::kInt32, false}, {2, DataType::kInt64, false}};
+  ASSERT_OK_AND_ASSIGN(std::string src, GenerateCsvPipelineSource(spec));
   EXPECT_EQ(src.find("<charconv>"), std::string::npos) << src;
-  ASSERT_OK_AND_ASSIGN(src, GenerateCsvScanSource(CsvSeqSpec()));
+  ASSERT_OK_AND_ASSIGN(src, GenerateCsvPipelineSource(CsvSeqSpec()));
   EXPECT_NE(src.find("<charconv>"), std::string::npos) << src;
 }
 
@@ -230,10 +273,9 @@ TEST_F(JitExecTest, CompilesAndRunsCsvSequential) {
   ASSERT_OK(writer.Close());
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
 
-  AccessPathSpec spec;
-  spec.format = FileFormat::kCsv;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{1, DataType::kInt32}, {2, DataType::kFloat64}};
+  PipelineSpec spec =
+      ScanSpec(FileFormat::kCsv, ScanMode::kSequential,
+               {{1, DataType::kInt32, false}, {2, DataType::kFloat64, false}});
   ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
   EXPECT_GT(kernel.compile_seconds, 0);
 
@@ -257,10 +299,8 @@ TEST_F(JitExecTest, CompilesAndRunsCsvSequential) {
 }
 
 TEST_F(JitExecTest, TemplateCacheHitsSkipCompilation) {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{0, DataType::kInt32}};
+  PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kSequential,
+                               {{0, DataType::kInt32, false}});
   spec.row_width = 4;
   spec.column_offsets = {0};
   ASSERT_OK_AND_ASSIGN(CompiledKernel first, cache_.GetOrCompile(spec));
@@ -285,10 +325,8 @@ TEST_F(JitExecTest, BinaryByRowIndexKernel) {
   ASSERT_OK(WriteStringToFile(path, data));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
 
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kByRowIndex;
-  spec.outputs = {{1, DataType::kFloat64}};
+  PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kByRowIndex,
+                               {{1, DataType::kFloat64, false}});
   spec.row_width = 12;
   spec.column_offsets = {4};
   ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
@@ -340,11 +378,10 @@ TEST_F(JitExecTest, CsvByPositionKernelJumpsAndSkips) {
     }
   }
 
-  AccessPathSpec spec;
-  spec.format = FileFormat::kCsv;
-  spec.mode = ScanMode::kByPosition;
+  PipelineSpec spec =
+      ScanSpec(FileFormat::kCsv, ScanMode::kByPosition,
+               {{2, DataType::kInt32, false}, {4, DataType::kInt32, false}});
   spec.anchor_column = 1;
-  spec.outputs = {{2, DataType::kInt32}, {4, DataType::kInt32}};
   ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
 
   std::vector<int64_t> rows = {0, 7, 199, 42};
@@ -361,6 +398,7 @@ TEST_F(JitExecTest, CsvByPositionKernelJumpsAndSkips) {
   ctx.out_row_ids = row_ids.data();
   ctx.in_row_ids = rows.data();
   ctx.in_positions = positions.data();
+  ctx.in_position_stride = 1;
   ctx.num_inputs = static_cast<int64_t>(rows.size());
   ASSERT_EQ(kernel.entry(&ctx), 4);
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -383,10 +421,9 @@ TEST_F(JitExecTest, NegativeAndFloatFieldsParseCorrectly) {
   ASSERT_OK(writer.Close());
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
 
-  AccessPathSpec spec;
-  spec.format = FileFormat::kCsv;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{0, DataType::kInt32}, {1, DataType::kFloat64}};
+  PipelineSpec spec =
+      ScanSpec(FileFormat::kCsv, ScanMode::kSequential,
+               {{0, DataType::kInt32, false}, {1, DataType::kFloat64, false}});
   ASSERT_OK_AND_ASSIGN(CompiledKernel kernel, cache_.GetOrCompile(spec));
   std::vector<int32_t> ints(2);
   std::vector<double> floats(2);
@@ -417,11 +454,10 @@ TEST_F(JitExecTest, FusedKernelBindsLiteralsAtRunTime) {
   // COUNT(*), SUM(col0) WHERE col0 < literal: an integer-only TU, linked
   // without the C++ runtime and loaded with RTLD_NOW.
   PipelineSpec spec;
-  spec.scan.format = FileFormat::kBinary;
-  spec.scan.mode = ScanMode::kSequential;
-  spec.scan.outputs = {{0, DataType::kInt32}};
-  spec.scan.row_width = 4;
-  spec.scan.column_offsets = {0};
+  spec.format = FileFormat::kBinary;
+  spec.scan_mode = ScanMode::kSequential;
+  spec.row_width = 4;
+  spec.column_offsets = {0};
   spec.inputs = {{0, DataType::kInt32, false}};
   spec.predicates = {{0, CompareOp::kLt, Datum::Int32(0)}};
   spec.mode = PipelineOutputMode::kAggregate;
@@ -478,10 +514,8 @@ bool WaitForBackgroundCompiles(const JitTemplateCache& cache) {
 }
 
 TEST_F(JitExecTest, RequestQueuesOnceAndCompilesInTheBackground) {
-  AccessPathSpec spec;
-  spec.format = FileFormat::kBinary;
-  spec.mode = ScanMode::kSequential;
-  spec.outputs = {{1, DataType::kInt64}};
+  PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kSequential,
+                               {{1, DataType::kInt64, false}});
   spec.row_width = 16;
   spec.column_offsets = {8};
   EXPECT_EQ(cache_.Request(spec), JitKernelState::kCompiling);
@@ -498,10 +532,9 @@ TEST_F(JitExecTest, RequestQueuesOnceAndCompilesInTheBackground) {
 }
 
 TEST_F(JitExecTest, BackgroundFailuresAreRememberedPerKey) {
-  AccessPathSpec bad;
-  bad.format = FileFormat::kCsv;
-  bad.mode = ScanMode::kByRowIndex;  // no CSV kernel reads by row index
-  bad.outputs = {{0, DataType::kInt32}};
+  // No CSV kernel reads by row index.
+  PipelineSpec bad = ScanSpec(FileFormat::kCsv, ScanMode::kByRowIndex,
+                              {{0, DataType::kInt32, false}});
   EXPECT_EQ(cache_.Request(bad), JitKernelState::kCompiling);
   ASSERT_TRUE(WaitForBackgroundCompiles(cache_));
   EXPECT_EQ(cache_.Stats().failed, 1);
@@ -517,12 +550,10 @@ TEST_F(JitExecTest, BackgroundFailuresAreRememberedPerKey) {
 TEST_F(JitExecTest, BlockingCallerTakesOverAQueuedCompile) {
   // Queue several compiles, then ask for the last one blocking: it must not
   // wait behind the others.
-  std::vector<AccessPathSpec> specs;
+  std::vector<PipelineSpec> specs;
   for (int c = 0; c < 4; ++c) {
-    AccessPathSpec spec;
-    spec.format = FileFormat::kBinary;
-    spec.mode = ScanMode::kSequential;
-    spec.outputs = {{c, DataType::kInt32}};
+    PipelineSpec spec = ScanSpec(FileFormat::kBinary, ScanMode::kSequential,
+                                 {{c, DataType::kInt32, false}});
     spec.row_width = 16;
     spec.column_offsets = {4 * c};
     specs.push_back(spec);

@@ -7,8 +7,9 @@
 #include "scan/external_table_scan.h"
 #include "scan/insitu_bin_scan.h"
 #include "scan/insitu_csv_scan.h"
-#include "scan/jit_scan.h"
+#include "scan/fused_pipeline.h"
 #include "scan/loader.h"
+#include "scan/morsel.h"
 #include "scan/ref_scan.h"
 #include "scan/shred_scan.h"
 #include "eventsim/event_generator.h"
@@ -180,20 +181,27 @@ TEST_F(ScanTest, InsituBinScanSequentialAndRowSet) {
   EXPECT_EQ(out2.column(0)->GetDatum(1), Expected(0, 5));
 }
 
+/// The plain projection of `cols` a JIT scan or fetcher compiles.
+PipelineSpec ProjectionSpec(FileFormat format, ScanMode mode,
+                            const Schema& schema, const std::vector<int>& cols) {
+  PipelineSpec spec = PipelineSpecFor(
+      ProjectionRequest(schema, cols, SchemaForColumns(schema, cols)));
+  spec.format = format;
+  spec.scan_mode = mode;
+  return spec;
+}
+
 TEST_F(ScanTest, JitScanMatchesInterpreted) {
   JitTemplateCache cache;
   if (!cache.compiler_available()) GTEST_SKIP() << "no compiler";
-  AccessPathSpec jit_spec;
-  jit_spec.format = FileFormat::kCsv;
-  jit_spec.mode = ScanMode::kSequential;
-  jit_spec.outputs = {{1, DataType::kInt32}, {5, DataType::kFloat64}};
-  JitScanArgs args;
-  args.spec = jit_spec;
+  FusedPipelineArgs args;
+  args.spec = ProjectionSpec(FileFormat::kCsv, ScanMode::kSequential,
+                             spec_.ToSchema(), {1, 5});
   args.output_schema = Schema{{"c1", DataType::kInt32},
                               {"c5", DataType::kFloat64}};
   args.file = csv_file_.get();
   args.batch_rows = 128;
-  JitScanOperator jit_scan(&cache, std::move(args));
+  FusedPipelineOperator jit_scan(&cache, std::move(args));
   ASSERT_OK_AND_ASSIGN(ColumnBatch jit_out, CollectAll(&jit_scan));
 
   CsvScanSpec interp;
@@ -205,6 +213,127 @@ TEST_F(ScanTest, JitScanMatchesInterpreted) {
   ASSERT_EQ(jit_out.num_rows(), insitu_out.num_rows());
   EXPECT_TRUE(jit_out.column(0)->Equals(*insitu_out.column(0)));
   EXPECT_TRUE(jit_out.column(1)->Equals(*insitu_out.column(1)));
+}
+
+/// Every entry of two positional maps, row by row.
+void ExpectSameMap(const PositionalMap& got, const PositionalMap& want) {
+  ASSERT_OK(got.CheckConsistency());
+  ASSERT_EQ(got.tracked_columns(), want.tracked_columns());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (int64_t r = 0; r < want.num_rows(); ++r) {
+    ASSERT_EQ(got.RowStart(r), want.RowStart(r)) << r;
+    for (int s = 0; s < want.num_tracked(); ++s) {
+      ASSERT_EQ(got.Position(r, s), want.Position(r, s)) << r << "/" << s;
+    }
+  }
+}
+
+TEST_F(ScanTest, JitSequentialScanBuildsTheInsituMap) {
+  JitTemplateCache cache;
+  if (!cache.compiler_available()) GTEST_SKIP() << "no compiler";
+  const Schema schema = spec_.ToSchema();
+  // The in-situ scan's map is the reference.
+  PositionalMap want = PositionalMap::WithStride(8, 3);  // tracks 0,3,6
+  CsvScanSpec interp;
+  interp.file_schema = schema;
+  interp.outputs = {1};
+  interp.build_pmap = &want;
+  InsituCsvScanOperator insitu(csv_file_.get(), interp);
+  ASSERT_OK(CollectAll(&insitu).status());
+  ASSERT_EQ(want.num_rows(), 500);
+
+  FusedPipelineArgs base;
+  base.spec = ProjectionSpec(FileFormat::kCsv, ScanMode::kSequential, schema,
+                             {1, 5});
+  base.spec.pmap_tracked = want.tracked_columns();
+  base.output_schema = SchemaForColumns(schema, {1, 5});
+  base.file = csv_file_.get();
+  base.batch_rows = 64;
+
+  // Serial: one kernel over the whole file.
+  PositionalMap serial = PositionalMap::WithStride(8, 3);
+  FusedPipelineArgs args = base;
+  args.build_pmap = &serial;
+  FusedPipelineOperator scan(&cache, std::move(args));
+  ASSERT_OK_AND_ASSIGN(ColumnBatch out, CollectAll(&scan));
+  EXPECT_EQ(out.num_rows(), 500);
+  ExpectSameMap(serial, want);
+
+  // Four byte-window morsels, each building a partial map whose offsets are
+  // rebased to the file, appended in file order.
+  std::vector<ScanRange> morsels = SplitCsvByteRanges(
+      csv_file_->data(), csv_file_->size(), CsvOptions{}, 4, /*min_bytes=*/1);
+  ASSERT_EQ(morsels.size(), 4u);
+  PositionalMap merged = PositionalMap::WithStride(8, 3);
+  int64_t rows = 0;
+  for (const ScanRange& m : morsels) {
+    PositionalMap part = PositionalMap::WithStride(8, 3);
+    FusedPipelineArgs margs = base;
+    margs.build_pmap = &part;
+    margs.window_begin = static_cast<uint64_t>(m.begin);
+    margs.window_end = static_cast<uint64_t>(m.end);
+    FusedPipelineOperator morsel(&cache, std::move(margs));
+    ASSERT_OK_AND_ASSIGN(ColumnBatch mout, CollectAll(&morsel));
+    ASSERT_GT(mout.num_rows(), 0);
+    EXPECT_EQ(mout.row_ids().front(), 0);  // window-local ids
+    rows += mout.num_rows();
+    ASSERT_OK(merged.AppendFrom(part));
+  }
+  EXPECT_EQ(rows, 500);
+  ExpectSameMap(merged, want);
+}
+
+TEST_F(ScanTest, JitFetchersMatchInterpreted) {
+  JitTemplateCache cache;
+  if (!cache.compiler_available()) GTEST_SKIP() << "no compiler";
+  const Schema schema = spec_.ToSchema();
+  RowSet rows;
+  rows.ids = {499, 0, 42, 42, 250};
+
+  // Binary by-row-index.
+  ASSERT_OK_AND_ASSIGN(BinaryLayout layout, BinaryLayout::Create(schema));
+  FusedPipelineArgs bin;
+  bin.spec = ProjectionSpec(FileFormat::kBinary, ScanMode::kByRowIndex, schema,
+                            {2, 5});
+  bin.spec.row_width = layout.row_width();
+  bin.spec.column_offsets = {layout.ColumnOffset(2), layout.ColumnOffset(5)};
+  bin.output_schema = SchemaForColumns(schema, {2, 5});
+  bin.file = bin_reader_->file();
+  JitRowFetcher bin_fetcher(&cache, std::move(bin));
+  BinScanSpec bin_interp;
+  bin_interp.outputs = {2, 5};
+  InsituRowFetcher bin_ref(bin_reader_.get(), bin_interp);
+  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> got, bin_fetcher.Fetch(rows));
+  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> want, bin_ref.Fetch(rows));
+  ASSERT_EQ(got.size(), 2u);
+  for (size_t c = 0; c < got.size(); ++c) {
+    EXPECT_TRUE(got[c]->Equals(*want[c])) << c;
+  }
+
+  // CSV by-position, positions resolved from the map at fetch time.
+  PositionalMap pmap = PositionalMap::WithStride(8, 3);
+  CsvScanSpec build;
+  build.file_schema = schema;
+  build.outputs = {0};
+  build.build_pmap = &pmap;
+  InsituCsvScanOperator builder(csv_file_.get(), build);
+  ASSERT_OK(CollectAll(&builder).status());
+  FusedPipelineArgs csv;
+  csv.spec = ProjectionSpec(FileFormat::kCsv, ScanMode::kByPosition, schema,
+                            {4, 5});
+  csv.spec.anchor_column = 3;
+  csv.output_schema = SchemaForColumns(schema, {4, 5});
+  csv.file = csv_file_.get();
+  csv.pmap = &pmap;
+  JitRowFetcher csv_fetcher(&cache, std::move(csv));
+  ASSERT_OK_AND_ASSIGN(got, csv_fetcher.Fetch(rows));
+  ASSERT_EQ(got.size(), 2u);
+  for (size_t i = 0; i < rows.ids.size(); ++i) {
+    EXPECT_EQ(got[0]->GetDatum(static_cast<int64_t>(i)),
+              Expected(rows.ids[i], 4)) << i;
+    EXPECT_EQ(got[1]->GetDatum(static_cast<int64_t>(i)),
+              Expected(rows.ids[i], 5)) << i;
+  }
 }
 
 TEST_F(ScanTest, LateScanFetchesOnlySurvivors) {
@@ -360,6 +489,68 @@ TEST_F(RefScanTest, IdBasedRowSetScan) {
   Event e;
   ASSERT_OK(reader_->GetEntry(300, &e));
   EXPECT_EQ(out.column(0)->Value<int32_t>(1), e.run_number);
+}
+
+TEST_F(RefScanTest, JitKernelsMatchInterpreted) {
+  EnsureBuiltinFormatDriversRegistered();
+  JitTemplateCache cache;
+  if (!cache.compiler_available()) GTEST_SKIP() << "no compiler";
+  RefScanSpec interp;
+  interp.group = kMuon;
+  interp.fields = {"pt", "eta"};
+  RefTableScanOperator insitu(reader_.get(), interp);
+  ASSERT_OK_AND_ASSIGN(ColumnBatch want, CollectAll(&insitu));
+  ASSERT_GT(want.num_rows(), 100);
+
+  ASSERT_OK_AND_ASSIGN(int pt, RefBranchFor(*reader_, kMuon, "pt"));
+  ASSERT_OK_AND_ASSIGN(int eta, RefBranchFor(*reader_, kMuon, "eta"));
+  FusedPipelineArgs base;
+  base.spec.format = FileFormat::kRef;
+  base.spec.inputs = {{pt, want.column(0)->type(), false},
+                      {eta, want.column(1)->type(), false}};
+  base.spec.projections = {0, 1};
+  base.output_schema = want.schema();
+  base.ref_reader = reader_.get();
+  base.batch_rows = 37;
+
+  // Project mode over the whole table, then over a middle row range.
+  FusedPipelineArgs args = base;
+  args.spec.scan_mode = ScanMode::kSequential;
+  args.rows = ScanRange::Rows(0, want.num_rows());
+  FusedPipelineOperator scan(&cache, std::move(args));
+  ASSERT_OK_AND_ASSIGN(ColumnBatch got, CollectAll(&scan));
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  EXPECT_TRUE(got.column(0)->Equals(*want.column(0)));
+  EXPECT_TRUE(got.column(1)->Equals(*want.column(1)));
+  EXPECT_EQ(got.row_ids().back(), want.num_rows() - 1);
+
+  args = base;
+  args.spec.scan_mode = ScanMode::kSequential;
+  args.rows = ScanRange::Rows(10, 50);
+  FusedPipelineOperator morsel(&cache, std::move(args));
+  ASSERT_OK_AND_ASSIGN(got, CollectAll(&morsel));
+  ASSERT_EQ(got.num_rows(), 50);
+  EXPECT_EQ(got.row_ids().front(), 10);
+  for (int64_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(got.column(1)->GetDatum(i), want.column(1)->GetDatum(10 + i));
+  }
+
+  // By-row-index fetch.
+  args = base;
+  args.spec.scan_mode = ScanMode::kByRowIndex;
+  JitRowFetcher fetcher(&cache, std::move(args));
+  RowSet rows;
+  rows.ids = {want.num_rows() - 1, 0, 77, 77};
+  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> fetched, fetcher.Fetch(rows));
+  ASSERT_EQ(fetched.size(), 2u);
+  for (size_t i = 0; i < rows.ids.size(); ++i) {
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(fetched[static_cast<size_t>(c)]->GetDatum(
+                    static_cast<int64_t>(i)),
+                want.column(c)->GetDatum(rows.ids[i]))
+          << i << "/" << c;
+    }
+  }
 }
 
 TEST_F(RefScanTest, LoadersBuildTables) {
