@@ -123,7 +123,7 @@ BackgroundMaterializer::MineActions() {
     // speculative per-entry work does not apply.
     if (t.format == FileFormat::kRef) continue;
     if (t.scans < options_.min_table_scans) continue;
-    StatusOr<TableEntry*> entry_or = engine_->catalog_.Get(t.name);
+    StatusOr<TableEntry*> entry_or = engine_->catalog_.Lookup(t.name);
     if (!entry_or.ok()) continue;
     const Schema& schema = entry_or.value()->info.schema;
     if (schema.num_fields() == 0) continue;
@@ -165,7 +165,7 @@ BackgroundMaterializer::MineActions() {
     int64_t est_all = 0;
     std::vector<int> missing;
     for (int c = 0; c < schema.num_fields(); ++c) {
-      if (engine_->shreds_.ContainsFull(t.name, c)) continue;
+      if (engine_->shreds_.ContainsFull(t.name, c, t.version)) continue;
       missing.push_back(c);
       est_all += rows * TypeWidth(schema.field(c).type);
     }

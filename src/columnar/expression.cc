@@ -219,39 +219,31 @@ Status CompareExpr::TryConstCompareKernel(const ColumnBatch& batch,
   }
   const Column& col = *batch.column(ref->index());
   const int64_t n = sel != nullptr ? sel->size() : batch.num_rows();
+  // A literal the column type cannot hold exactly compares widened
+  // (Evaluate), never truncated.
+  RAW_ASSIGN_OR_RETURN(Datum c, CoerceLiteral(lit->value(), col.type()));
+  if (c.type() != col.type()) return Status::OK();
   switch (col.type()) {
-    case DataType::kInt32: {
-      RAW_ASSIGN_OR_RETURN(int64_t c64, lit->value().AsInt64());
-      if (lit->value().type() == DataType::kInt32 ||
-          (c64 >= INT32_MIN && c64 <= INT32_MAX)) {
-        SelectCompareConst<int32_t>(op_, col.Data<int32_t>(), n,
-                                    static_cast<int32_t>(c64), sel, out);
-        *handled = true;
-      }
+    case DataType::kInt32:
+      SelectCompareConst<int32_t>(op_, col.Data<int32_t>(), n,
+                                  c.int32_value(), sel, out);
       break;
-    }
-    case DataType::kInt64: {
-      RAW_ASSIGN_OR_RETURN(int64_t c, lit->value().AsInt64());
-      SelectCompareConst<int64_t>(op_, col.Data<int64_t>(), n, c, sel, out);
-      *handled = true;
+    case DataType::kInt64:
+      SelectCompareConst<int64_t>(op_, col.Data<int64_t>(), n,
+                                  c.int64_value(), sel, out);
       break;
-    }
-    case DataType::kFloat32: {
-      RAW_ASSIGN_OR_RETURN(double c, lit->value().AsDouble());
-      SelectCompareConst<float>(op_, col.Data<float>(), n,
-                                static_cast<float>(c), sel, out);
-      *handled = true;
+    case DataType::kFloat32:
+      SelectCompareConst<float>(op_, col.Data<float>(), n, c.float32_value(),
+                                sel, out);
       break;
-    }
-    case DataType::kFloat64: {
-      RAW_ASSIGN_OR_RETURN(double c, lit->value().AsDouble());
-      SelectCompareConst<double>(op_, col.Data<double>(), n, c, sel, out);
-      *handled = true;
+    case DataType::kFloat64:
+      SelectCompareConst<double>(op_, col.Data<double>(), n,
+                                 c.float64_value(), sel, out);
       break;
-    }
     default:
-      break;
+      return Status::OK();
   }
+  *handled = true;
   return Status::OK();
 }
 

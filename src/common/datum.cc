@@ -3,6 +3,7 @@
 #include "common/macros.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -126,6 +127,29 @@ std::string Datum::ToString() const {
       return string_value();
   }
   return "<corrupt>";
+}
+
+StatusOr<Datum> CoerceLiteral(const Datum& value, DataType column_type) {
+  if (value.type() == column_type) return value;
+  const bool int32 = column_type == DataType::kInt32;
+  if ((!int32 && column_type != DataType::kInt64) ||
+      value.type() == DataType::kString) {
+    return value.CastTo(column_type);
+  }
+  if (value.type() != DataType::kFloat32 &&
+      value.type() != DataType::kFloat64) {
+    RAW_ASSIGN_OR_RETURN(int64_t v, value.AsInt64());
+    if (!int32) return Datum::Int64(v);
+    if (v < INT32_MIN || v > INT32_MAX) return value;
+    return Datum::Int32(static_cast<int32_t>(v));
+  }
+  RAW_ASSIGN_OR_RETURN(double d, value.AsDouble());
+  // [lo, hi) is the column type's range; NaN fails both comparisons.
+  const double lo = int32 ? -2147483648.0 : -9223372036854775808.0;
+  const double hi = int32 ? 2147483648.0 : 9223372036854775808.0;
+  if (!(d >= lo && d < hi) || std::trunc(d) != d) return value;
+  return int32 ? Datum::Int32(static_cast<int32_t>(d))
+               : Datum::Int64(static_cast<int64_t>(d));
 }
 
 std::ostream& operator<<(std::ostream& os, const Datum& d) {

@@ -63,6 +63,16 @@ class Datum {
 
 std::ostream& operator<<(std::ostream& os, const Datum& d);
 
+/// The one literal-coercion rule: `value` as it compares against a
+/// `column_type` column. The result has the column's type when the
+/// conversion is exact: an integer column takes integral values in its
+/// range, a floating-point column any number (rounded to the column's
+/// precision, like its own values), a string column any literal's text, and
+/// a numeric column a string that parses. A number an integer column cannot
+/// hold exactly (2.5 or 5e9 against int32) keeps its own type, and callers
+/// compare it widened to double instead of truncating it.
+StatusOr<Datum> CoerceLiteral(const Datum& value, DataType column_type);
+
 }  // namespace raw
 
 #endif  // RAW_COMMON_DATUM_H_

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/adaptive_state.h"
 #include "common/status.h"
 #include "common/statusor.h"
 
@@ -18,7 +19,7 @@ namespace raw {
 /// the paper, via the "Column 7" variants): tracking more columns costs more
 /// memory and more bookkeeping during the building scan but shortens the
 /// incremental parse distance for future queries.
-class PositionalMap {
+class PositionalMap final : public FormatAdaptiveState {
  public:
   /// Tracks columns {0, stride, 2*stride, ...} of a `num_columns`-wide file.
   /// The paper's heuristics "every 10 columns" / "every 7 columns" map to
@@ -32,7 +33,7 @@ class PositionalMap {
   int num_columns() const { return num_columns_; }
   int num_tracked() const { return static_cast<int>(tracked_.size()); }
   const std::vector<int>& tracked_columns() const { return tracked_; }
-  int64_t num_rows() const { return num_rows_; }
+  int64_t num_rows() const override { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
 
   /// True when `column` is tracked exactly.
@@ -72,12 +73,12 @@ class PositionalMap {
   const uint64_t* positions_data() const { return positions_.data(); }
 
   /// Memory footprint in bytes.
-  int64_t MemoryBytes() const;
+  int64_t MemoryBytes() const override;
 
   void Reserve(int64_t rows);
 
   /// Validates internal consistency (row-major layout fully populated).
-  Status CheckConsistency() const;
+  Status CheckConsistency() const override;
 
  private:
   PositionalMap(int num_columns, std::vector<int> tracked)

@@ -21,40 +21,27 @@ bool FileSignature(const std::string& path, int64_t* mtime_ns, int64_t* size) {
 
 }  // namespace
 
-Status TableEntry::OpenLocked(const FormatDriver& driver) {
-  if (opened_) return Status::OK();
-  RAW_RETURN_NOT_OK(driver.OpenTable(*this));
-  opened_ = true;
-  RecordFileSignature();
-  return Status::OK();
-}
-
-Status TableEntry::EnsureOpen() {
-  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
-                       FormatRegistry::Global().Require(info.format));
-  {
-    std::lock_guard<std::mutex> lock(open_mu_);
-    RAW_RETURN_NOT_OK(OpenLocked(*driver));
-  }
-  // Derived state may change between queries (e.g. REF row counts served by
-  // a shared reader) — refresh on every lookup.
-  driver->RefreshEntry(*this);
-  return Status::OK();
-}
-
 Status TableEntry::Pin(FormatScanContext& ctx) {
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   // open_mu_ orders this against CheckStale: the handles copied below are
   // the complete set one OpenTable installed, never a half-dropped one.
   std::lock_guard<std::mutex> open_lock(open_mu_);
-  RAW_RETURN_NOT_OK(OpenLocked(*driver));
+  if (!opened_) {
+    RAW_RETURN_NOT_OK(driver->OpenTable(*this));
+    opened_ = true;
+    RecordFileSignature();
+  }
+  driver->RefreshEntry(*this);
   std::lock_guard<std::mutex> lock(mu_);
+  ctx.entry = this;
   ctx.file = mmap_;
   ctx.bin_reader = bin_reader_;
   ctx.csv_quoted = csv_quoted_;
-  ctx.published_pmap = pmap_;
-  ctx.format_state = format_state_;
+  ctx.published_pmap = std::static_pointer_cast<const PositionalMap>(
+      build(AdaptiveSlot::kPositionalMap).published);
+  ctx.format_state = build(AdaptiveSlot::kFormatState).published;
+  ctx.loaded = loaded_;
   ctx.row_count = row_count();
   ctx.version = version();
   return Status::OK();
@@ -96,6 +83,7 @@ void TableEntry::RecordFileSignature() {
 }
 
 bool TableEntry::CheckStale() {
+  signature_checks_.fetch_add(1, std::memory_order_relaxed);
   // Shared-reader tables (REF) multiplex one file across entries and their
   // reader cannot be swapped per entry; skip them.
   if (info.format == FileFormat::kRef) return false;
@@ -109,14 +97,13 @@ bool TableEntry::CheckStale() {
   }
   // The file changed underneath us. Drop the open handles (queries that
   // pinned them keep their own references), drop derived state, and force
-  // the next EnsureOpen/Pin to remap the new contents.
+  // the next Pin to remap the new contents.
   std::lock_guard<std::mutex> open_lock(open_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     mmap_.reset();
     bin_reader_.reset();
-    pmap_.reset();
-    format_state_.reset();
+    for (Build& b : builds_) b.published.reset();
     loaded_.reset();
     row_count_.store(-1, std::memory_order_release);
     file_mtime_ns_ = mtime_ns;
@@ -173,131 +160,69 @@ bool TableEntry::HasRefReader() const {
   return ref_reader_ != nullptr;
 }
 
-Status TableEntry::DropPageCache() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (mmap_ == nullptr) return Status::OK();
-  return mmap_->DropPageCache();
-}
-
 std::shared_ptr<const PositionalMap> TableEntry::pmap() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pmap_;
+  return std::static_pointer_cast<const PositionalMap>(
+      build(AdaptiveSlot::kPositionalMap).published);
 }
 
-bool TableEntry::TryClaimPmapBuild(int64_t pinned_version) {
+bool TableEntry::TryClaimBuild(AdaptiveSlot slot, int64_t pinned_version) {
+  Build& b = build(slot);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pmap_ != nullptr || pinned_version != version()) return false;
+    if (b.published != nullptr || pinned_version != version()) return false;
   }
   bool expected = false;
-  if (!pmap_building_.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-    return false;
-  }
-  pmap_claim_version_.store(pinned_version, std::memory_order_release);
-  return true;
+  return b.claimed.compare_exchange_strong(expected, true,
+                                           std::memory_order_acq_rel);
 }
 
-void TableEntry::AbandonPmapBuild() {
-  pmap_building_.store(false, std::memory_order_release);
+void TableEntry::AbandonBuild(AdaptiveSlot slot) {
+  build(slot).claimed.store(false, std::memory_order_release);
 }
 
-void TableEntry::PublishPmap(std::shared_ptr<const PositionalMap> map) {
-  // A map built against bytes that changed mid-scan (CheckStale bumped the
-  // epoch since the claim) indexes the old file; publishing it would hand
-  // later queries offsets into unrelated data. Drop it silently — the next
-  // query re-claims and rebuilds against the fresh mapping. The version is
-  // read under mu_, which CheckStale holds while it bumps it.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool fresh =
-        pmap_claim_version_.load(std::memory_order_acquire) == version();
-    if (!fresh) stale_publishes_.fetch_add(1, std::memory_order_relaxed);
-    if (fresh && pmap_ == nullptr && map != nullptr && !map->empty()) {
-      pmap_ = std::move(map);
-      SetRowCountIfUnknown(pmap_->num_rows());
-    }
+void TableEntry::PublishBuild(
+    AdaptiveSlot slot, int64_t pinned_version,
+    std::shared_ptr<const FormatAdaptiveState> state) {
+  // A structure built over bytes that changed mid-scan indexes the old
+  // file; publishing it would hand later queries offsets into unrelated
+  // data. The guard drops it and the next query rebuilds.
+  Build& b = build(slot);
+  if (state != nullptr && state->num_rows() > 0) {
+    PublishIfCurrent(pinned_version, [&] {
+      if (b.published != nullptr) return;
+      SetRowCountIfUnknown(state->num_rows());
+      b.published = std::move(state);
+    });
   }
-  pmap_building_.store(false, std::memory_order_release);
-}
-
-bool TableEntry::TryClaimFormatStateBuild(int64_t pinned_version) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (format_state_ != nullptr || pinned_version != version()) return false;
-  }
-  bool expected = false;
-  if (!format_state_building_.compare_exchange_strong(
-          expected, true, std::memory_order_acq_rel)) {
-    return false;
-  }
-  format_state_claim_version_.store(pinned_version, std::memory_order_release);
-  return true;
-}
-
-void TableEntry::AbandonFormatStateBuild() {
-  format_state_building_.store(false, std::memory_order_release);
-}
-
-void TableEntry::PublishFormatState(
-    std::shared_ptr<const FormatAdaptiveState> state, int64_t row_count) {
-  // Same mutate-under-claim guard as PublishPmap: an index of the old bytes
-  // must never describe the remapped file, nor its row count.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool fresh = format_state_claim_version_.load(
-                           std::memory_order_acquire) == version();
-    if (!fresh) stale_publishes_.fetch_add(1, std::memory_order_relaxed);
-    if (fresh && format_state_ == nullptr && state != nullptr) {
-      format_state_ = std::move(state);
-      if (row_count >= 0) SetRowCountIfUnknown(row_count);
-    }
-  }
-  format_state_building_.store(false, std::memory_order_release);
+  AbandonBuild(slot);
 }
 
 StatusOr<std::shared_ptr<const InMemoryTable>> TableEntry::EnsureLoaded(
     const FormatScanContext& ctx, double* load_seconds) {
   if (load_seconds != nullptr) *load_seconds = 0;
-  auto shared_copy = [&]() -> std::shared_ptr<const InMemoryTable> {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ctx.version == version() ? loaded_ : nullptr;
-  };
-  if (auto copy = shared_copy()) return copy;
-  // Duplicate loaders serialize on load_mu_ (the work happens once), but
-  // `mu_` stays free so concurrent readers of the entry's other state are
-  // not stalled behind a multi-second load. The driver reads the handles
-  // pinned in `ctx`, which the caller keeps alive.
-  std::lock_guard<std::mutex> load_lock(load_mu_);
-  if (auto copy = shared_copy()) return copy;  // lost the race; share it
+  if (ctx.loaded != nullptr) return ctx.loaded;
+  // The driver reads the handles pinned in `ctx`, which the caller keeps
+  // alive; `mu_` stays free, so readers of the entry's other state are not
+  // stalled behind a multi-second load.
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
                        FormatRegistry::Global().Require(info.format));
   Stopwatch watch;
   RAW_ASSIGN_OR_RETURN(std::unique_ptr<InMemoryTable> table,
                        driver->LoadTable(ctx));
   std::shared_ptr<const InMemoryTable> loaded(std::move(table));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    load_seconds_ = watch.ElapsedSeconds();
-    if (load_seconds != nullptr) *load_seconds = load_seconds_;
-    // A copy of a displaced generation serves this query only.
-    if (ctx.version == version()) {
-      loaded_ = loaded;
-      row_count_.store(loaded->num_rows(), std::memory_order_release);
-    }
-  }
+  if (load_seconds != nullptr) *load_seconds = watch.ElapsedSeconds();
+  PublishIfCurrent(ctx.version, [&] {
+    if (loaded_ != nullptr) return;
+    loaded_ = loaded;
+    row_count_.store(loaded->num_rows(), std::memory_order_release);
+  });
   return loaded;
-}
-
-std::shared_ptr<const InMemoryTable> TableEntry::loaded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return loaded_;
 }
 
 void TableEntry::ResetAdaptiveState() {
   std::lock_guard<std::mutex> lock(mu_);
-  pmap_.reset();
-  format_state_.reset();
+  for (Build& b : builds_) b.published.reset();
   loaded_.reset();
 }
 
@@ -307,18 +232,19 @@ TableStats TableEntry::Stats() const {
   stats.name = info.name;
   stats.format = info.format;
   stats.row_count = row_count_.load(std::memory_order_acquire);
-  if (pmap_ != nullptr) {
-    stats.pmap_rows = pmap_->num_rows();
-    stats.pmap_bytes = pmap_->MemoryBytes();
+  if (const auto& pmap = build(AdaptiveSlot::kPositionalMap).published) {
+    stats.pmap_rows = pmap->num_rows();
+    stats.pmap_bytes = pmap->MemoryBytes();
   }
-  if (format_state_ != nullptr) {
-    stats.format_state_bytes = format_state_->MemoryBytes();
+  if (const auto& state = build(AdaptiveSlot::kFormatState).published) {
+    stats.format_state_bytes = state->MemoryBytes();
   }
   stats.loaded = loaded_ != nullptr;
   stats.version = version_.load(std::memory_order_acquire);
   stats.file_size = file_size_;
   stats.file_mtime_ns = file_mtime_ns_;
   stats.stale_publishes = stale_publishes_.load(std::memory_order_relaxed);
+  stats.signature_checks = signature_checks_.load(std::memory_order_relaxed);
   stats.scans = scan_count_.load(std::memory_order_relaxed);
   stats.column_accesses = ColumnAccessSnapshot();
   return stats;
@@ -418,24 +344,27 @@ Status Catalog::RegisterCsvGz(const std::string& name, const std::string& path,
   return Register(std::move(info));
 }
 
-StatusOr<TableEntry*> Catalog::Get(const std::string& name) {
-  TableEntry* entry = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      return Status::NotFound("unknown table '" + name + "'");
-    }
-    entry = it->second.get();
+StatusOr<TableEntry*> Catalog::Lookup(const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("unknown table '" + name + "'");
   }
-  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
-                       FormatRegistry::Global().Require(entry->info.format));
-  RAW_RETURN_NOT_OK(driver->PrepareShared(*this, *entry));
-  // Re-validate the backing file before (re)opening: a changed signature
-  // drops the entry's adaptive state and lets the engine purge caches.
-  if (entry->CheckStale() && on_invalidated_) on_invalidated_(name);
-  RAW_RETURN_NOT_OK(entry->EnsureOpen());
-  return entry;
+  return it->second.get();
+}
+
+StatusOr<std::vector<FormatScanContext>> Catalog::Pin(
+    const std::vector<std::string>& tables) {
+  std::vector<FormatScanContext> pinned(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    RAW_ASSIGN_OR_RETURN(TableEntry * entry, Lookup(tables[i]));
+    RAW_ASSIGN_OR_RETURN(const FormatDriver* driver,
+                         FormatRegistry::Global().Require(entry->info.format));
+    RAW_RETURN_NOT_OK(driver->PrepareShared(*this, *entry));
+    if (entry->CheckStale() && on_invalidated_) on_invalidated_(tables[i]);
+    RAW_RETURN_NOT_OK(entry->Pin(pinned[i]));
+  }
+  return pinned;
 }
 
 bool Catalog::Contains(const std::string& name) const {

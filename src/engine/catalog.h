@@ -63,18 +63,24 @@ struct TableStats {
   /// File signature recorded at open (-1 / 0 before the first open).
   int64_t file_size = -1;
   int64_t file_mtime_ns = 0;
-  /// Publishes of adaptive state (shreds, row count, map, format state)
-  /// dropped because they described a file generation since replaced.
+  /// Publishes of adaptive state (shreds, row count, map, format state,
+  /// loaded copy) dropped because they described a file generation since
+  /// replaced.
   int64_t stale_publishes = 0;
+  /// File-signature checks (one per query that pinned the table).
+  int64_t signature_checks = 0;
 };
+
+/// The adaptive structures a query builds under a TableEntry build claim.
+enum class AdaptiveSlot { kPositionalMap = 0, kFormatState = 1 };
 
 /// Per-table runtime state accumulated across queries: open file handles,
 /// the positional map, format-specific adaptive state, discovered row
 /// counts, and (for the DBMS baseline) a fully loaded copy.
 ///
 /// Thread-safety: `info` is immutable after registration. Open file handles
-/// (the mmap, the binary reader) are shared_ptr-owned: EnsureOpen installs
-/// them through the format driver, CheckStale drops them when the file
+/// (the mmap, the binary reader) are shared_ptr-owned: Pin installs them
+/// through the format driver, CheckStale drops them when the file
 /// changes, and queries never read them from the entry directly — Pin copies
 /// the current handles into the query's FormatScanContext under the entry
 /// mutex and the plan keeps them alive, so a displaced generation is freed
@@ -82,20 +88,21 @@ struct TableStats {
 /// driver's format state, and the loaded copy — follows the same pattern:
 /// immutable shared_ptr snapshots pinned per query, so ResetAdaptiveState()
 /// can drop the entry's reference while in-flight queries keep theirs.
+///
+/// Every publish of state a query derived from the file — shreds, row
+/// counts, maps, format state, the loaded copy — passes the version the
+/// query pinned through one guard (PublishIfCurrent), so state of a replaced
+/// generation is dropped and counted instead of published.
 struct TableEntry {
   TableInfo info;
 
-  /// Opens the table through its format driver (idempotent, thread-safe):
-  /// dispatches FormatDriver::OpenTable when the entry has no open handles
-  /// (first use, or after CheckStale dropped them), then RefreshEntry on
-  /// every call so drivers can refresh derived state between queries.
-  Status EnsureOpen();
-
   /// Takes one query's snapshot of the table into `ctx` under the entry
   /// mutex: the open handles, the published adaptive state, the row count
-  /// and the staleness epoch. When a concurrent lookup dropped the handles
-  /// since this query's own lookup, reopens first; a failed reopen returns
-  /// its typed error (kIOError for a failed open) and leaves `ctx` alone.
+  /// and the staleness epoch. Opens the table through its format driver
+  /// first when it has no open handles (first use, or after CheckStale
+  /// dropped them), then lets the driver refresh derived state
+  /// (RefreshEntry). A failed (re)open returns its typed error (kIOError for
+  /// a failed open) and leaves `ctx` alone.
   Status Pin(FormatScanContext& ctx);
 
   /// REF tables share one reader per file, attached once and never replaced
@@ -117,18 +124,14 @@ struct TableEntry {
   void AttachRefReader(std::shared_ptr<RefReader> reader);
   bool HasRefReader() const;
 
-  /// Best-effort OS page-cache drop for cold-run benchmarks.
-  Status DropPageCache() const;
-
   // --- version-guarded publication -------------------------------------------
   /// Runs `publish` (which publishes state a query derived from the file
-  /// generation it pinned at `pinned_version`: shreds, a row count) under
-  /// the entry mutex when that generation is still the current one and
-  /// returns true; otherwise drops it, counts it in stale_publishes and
-  /// returns false. CheckStale bumps the version under the same mutex and
-  /// purges the table's shreds only after that, so whatever `publish` adds
-  /// either describes the current generation or is purged with the old one.
-  /// `publish` must not take the entry mutex.
+  /// generation it pinned at `pinned_version`) under the entry mutex when
+  /// that generation is still the current one and returns true; otherwise
+  /// drops it, counts it in stale_publishes and returns false. CheckStale
+  /// bumps the version under the same mutex, so whatever `publish` adds
+  /// describes the current generation. `publish` must not take the entry
+  /// mutex.
   bool PublishIfCurrent(int64_t pinned_version,
                         const std::function<void()>& publish);
 
@@ -149,40 +152,32 @@ struct TableEntry {
     row_count_.store(rows, std::memory_order_release);
   }
 
-  // --- positional map --------------------------------------------------------
-  /// The published (complete, immutable) map, or null.
+  // --- adaptive-state builds -------------------------------------------------
+  /// The published (complete, immutable) positional map, or null.
   std::shared_ptr<const PositionalMap> pmap() const;
 
-  /// Claims the right to build this table's positional map for a query
-  /// that pinned the table at `pinned_version` (refused when the file has
-  /// changed since: the map would index displaced bytes). At most one
-  /// in-flight query holds the claim; concurrent cold scans simply run
-  /// without building. The claim ends with PublishPmap (successful full
-  /// drain) or AbandonPmapBuild (partial scan, error, plan dropped).
-  bool TryClaimPmapBuild(int64_t pinned_version);
-  void AbandonPmapBuild();
-  void PublishPmap(std::shared_ptr<const PositionalMap> map);
-
-  // --- per-format adaptive state ---------------------------------------------
-  // Same publication protocol as the positional map, for structures only the
-  // format driver understands (e.g. the compressed-CSV block-offset index).
-
-  bool TryClaimFormatStateBuild(int64_t pinned_version);
-  void AbandonFormatStateBuild();
-  /// `row_count`: the rows the state's scan counted (-1 = not counted); like
-  /// the map's row count, recorded only when the state itself is published.
-  void PublishFormatState(std::shared_ptr<const FormatAdaptiveState> state,
-                          int64_t row_count);
+  /// Claims the right to build `slot`'s structure for a query that pinned
+  /// the table at `pinned_version`. Refused when the slot is published,
+  /// when another in-flight query holds the claim (concurrent cold scans
+  /// simply run without building), or when the file changed since the pin.
+  /// The claim ends with PublishBuild (complete drain) or AbandonBuild
+  /// (partial scan, error, plan dropped).
+  bool TryClaimBuild(AdaptiveSlot slot, int64_t pinned_version);
+  void AbandonBuild(AdaptiveSlot slot);
+  /// Publishes `state`, with its row count, through
+  /// PublishIfCurrent(pinned_version) and ends the claim. A structure that
+  /// indexes no rows is not published; the next query rebuilds it.
+  void PublishBuild(AdaptiveSlot slot, int64_t pinned_version,
+                    std::shared_ptr<const FormatAdaptiveState> state);
 
   // --- DBMS-baseline loaded copy ---------------------------------------------
-  /// Loads the full table once through the format driver from the handles
-  /// pinned in `ctx` (thread-safe; concurrent callers share the result). A
-  /// copy of a generation the file has since moved past serves its caller
-  /// but is not published. `load_seconds` (optional) receives the one-off
-  /// load time when this call performed the load, else 0.
+  /// The copy pinned in `ctx`, or a full load through the format driver from
+  /// the handles pinned there, published through PublishIfCurrent (a copy
+  /// of a replaced generation serves its caller only; concurrent first
+  /// loads each load, the first to finish publishes). `load_seconds`
+  /// (optional) receives the load time when this call loaded, else 0.
   StatusOr<std::shared_ptr<const InMemoryTable>> EnsureLoaded(
       const FormatScanContext& ctx, double* load_seconds);
-  std::shared_ptr<const InMemoryTable> loaded() const;
 
   // --- workload access counters ----------------------------------------------
   /// Sizes the per-column counters to the schema width (called once at
@@ -202,11 +197,12 @@ struct TableEntry {
   /// Stats the backing file and records its (mtime, size) signature; called
   /// after every successful driver open so a reopened table re-anchors.
   void RecordFileSignature();
-  /// Re-stats the backing file. When the signature changed since the last
-  /// open: bumps the version, drops adaptive state and the open file handles
-  /// (queries that pinned them keep theirs) and arranges for the next
-  /// EnsureOpen or Pin to remap, then returns true. Never true before the
-  /// first open, on stat failure, or for shared-reader (REF) tables.
+  /// Re-stats the backing file (counted in signature_checks). When the
+  /// signature changed since the last open: bumps the version, drops
+  /// adaptive state and the open file handles (queries that pinned them
+  /// keep theirs) and arranges for the next Pin to remap, then returns true.
+  /// Never true before the first open, on stat failure, or for
+  /// shared-reader (REF) tables.
   bool CheckStale();
   /// Monotonic staleness epoch; part of every cache key over this table.
   int64_t version() const { return version_.load(std::memory_order_acquire); }
@@ -222,12 +218,6 @@ struct TableEntry {
   /// Serializes the driver's OpenTable against CheckStale without holding
   /// `mu_` (driver hooks like EnsureMmap take `mu_` themselves).
   std::mutex open_mu_;
-  /// Serializes duplicate DBMS-baseline loads without holding `mu_` for the
-  /// load's duration (readers of other entry state must not stall behind a
-  /// multi-second load).
-  std::mutex load_mu_;
-  /// Runs the driver's OpenTable unless the handles are open (open_mu_ held).
-  Status OpenLocked(const FormatDriver& driver);
 
   bool opened_ = false;  // guarded by open_mu_
   // Current open generation (guarded by mu_; null until opened and after
@@ -242,6 +232,7 @@ struct TableEntry {
   int64_t file_mtime_ns_ = 0;
   std::atomic<int64_t> version_{0};
   std::atomic<int64_t> stale_publishes_{0};
+  std::atomic<int64_t> signature_checks_{0};
 
   std::atomic<int64_t> scan_count_{0};
   /// Fixed-size once InitAccessCounters runs (never resized, so concurrent
@@ -251,19 +242,19 @@ struct TableEntry {
 
   std::atomic<int64_t> row_count_{-1};  // -1 until discovered
 
-  std::shared_ptr<const PositionalMap> pmap_;   // published map (complete)
-  std::atomic<bool> pmap_building_{false};
-  /// Staleness epoch recorded when the build claim was granted; Publish*
-  /// refuses the result if the file changed in between (the map indexes
-  /// bytes that no longer exist).
-  std::atomic<int64_t> pmap_claim_version_{-1};
-
-  std::shared_ptr<const FormatAdaptiveState> format_state_;  // published
-  std::atomic<bool> format_state_building_{false};
-  std::atomic<int64_t> format_state_claim_version_{-1};
+  /// One published structure per AdaptiveSlot (guarded by mu_) and its
+  /// build claim.
+  struct Build {
+    std::shared_ptr<const FormatAdaptiveState> published;
+    std::atomic<bool> claimed{false};
+  };
+  Build builds_[2];
+  Build& build(AdaptiveSlot slot) { return builds_[static_cast<int>(slot)]; }
+  const Build& build(AdaptiveSlot slot) const {
+    return builds_[static_cast<int>(slot)];
+  }
 
   std::shared_ptr<const InMemoryTable> loaded_;  // DBMS baseline storage
-  double load_seconds_ = 0;
 };
 
 /// Options controlling catalog-wide runtime behaviour.
@@ -303,16 +294,23 @@ class Catalog {
   Status RegisterCsvGz(const std::string& name, const std::string& path,
                        Schema schema, CsvOptions options = CsvOptions());
 
-  /// Looks up a table; the entry is owned by the catalog and stable. Every
-  /// lookup re-validates the backing file's (mtime, size) signature; a stale
-  /// file drops the entry's adaptive state, bumps its version and fires the
-  /// invalidation callback before the (re)open.
-  StatusOr<TableEntry*> Get(const std::string& name);
+  /// Looks up a table without touching its file (binding needs only
+  /// TableInfo); the entry is owned by the catalog and stable.
+  StatusOr<TableEntry*> Lookup(const std::string& name) const;
+
+  /// Pins each of `tables` for one query, in order: the registry lookup, the
+  /// driver's PrepareShared, one file-signature check — a changed file drops
+  /// the entry's adaptive state, bumps its version and fires the
+  /// invalidation callback — and TableEntry::Pin. Everything the query does
+  /// with a table reads its context here.
+  StatusOr<std::vector<FormatScanContext>> Pin(
+      const std::vector<std::string>& tables);
 
   /// Invoked (outside catalog locks) with a table's name whenever its
   /// backing file was detected stale. The engine hooks this to purge the
-  /// shred cache and the semantic result cache for that table. Set once at
-  /// engine construction, before any concurrent Get.
+  /// shred cache and the semantic result cache for that table (their
+  /// entries are keyed by version, so the purge only frees memory). Set
+  /// once at engine construction, before any concurrent Pin.
   void SetInvalidationCallback(std::function<void(const std::string&)> cb) {
     on_invalidated_ = std::move(cb);
   }

@@ -66,33 +66,51 @@ StatusOr<ColumnBatch> SelectColumnsOperator::Next() {
   return out;
 }
 
-PmapPublishOperator::PmapPublishOperator(OperatorPtr child,
-                                         std::shared_ptr<PositionalMap> map,
-                                         TableEntry* entry)
-    : child_(std::move(child)), map_(std::move(map)), entry_(entry) {}
+BuildPublishOperator::BuildPublishOperator(OperatorPtr child,
+                                           const FormatScanContext& tc,
+                                           AdaptiveSlot slot)
+    : child_(std::move(child)),
+      entry_(tc.entry),
+      version_(tc.version),
+      slot_(slot) {
+  if (slot == AdaptiveSlot::kPositionalMap) {
+    state_ = tc.building_pmap;
+  } else {
+    state_ = tc.building_format_state;
+  }
+}
 
-PmapPublishOperator::~PmapPublishOperator() { Finish(/*publish=*/false); }
-
-StatusOr<ColumnBatch> PmapPublishOperator::Next() {
+StatusOr<ColumnBatch> BuildPublishOperator::Next() {
   RAW_ASSIGN_OR_RETURN(ColumnBatch batch, child_->Next());
   if (batch.end_of_stream()) drained_ = true;
   return batch;
 }
 
-Status PmapPublishOperator::Close() {
+Status BuildPublishOperator::Close() {
   Status status = child_->Close();
   Finish(/*publish=*/drained_ && status.ok());
   return status;
 }
 
-void PmapPublishOperator::Finish(bool publish) {
+void BuildPublishOperator::Finish(bool publish) {
   if (finished_) return;
   finished_ = true;
-  if (publish && map_ != nullptr && map_->CheckConsistency().ok()) {
-    entry_->PublishPmap(std::move(map_));
+  if (publish && state_ != nullptr && state_->CheckConsistency().ok()) {
+    entry_->PublishBuild(slot_, version_, std::move(state_));
   } else {
-    entry_->AbandonPmapBuild();
+    entry_->AbandonBuild(slot_);
   }
+}
+
+bool ClaimPmapBuild(FormatScanContext& tc) {
+  if (tc.building_pmap != nullptr) return true;
+  if (!tc.entry->TryClaimBuild(AdaptiveSlot::kPositionalMap, tc.version)) {
+    return false;
+  }
+  const TableInfo& info = tc.entry->info;
+  tc.building_pmap = std::make_shared<PositionalMap>(
+      PositionalMap::WithStride(info.schema.num_fields(), info.pmap_stride));
+  return true;
 }
 
 Schema QualifiedSchema(const TableEntry& entry, const std::vector<int>& cols) {

@@ -33,16 +33,18 @@ class SelectColumnsOperator : public Operator {
   Schema schema_;
 };
 
-/// Owns the positional map a cold textual scan is building for this query
-/// and publishes it to the table entry once the scan drains completely. The
-/// map stays private to the query until then, so concurrent sessions never
-/// observe a half-built map; a partial scan (LIMIT, error, dropped cursor)
-/// abandons the build claim instead, letting a later query rebuild.
-class PmapPublishOperator : public Operator {
+/// Owns the adaptive structure a cold scan is building for this query under
+/// the table's build claim for `slot` (a positional map or the driver's
+/// format state) and publishes it with the version the query pinned once
+/// the scan drains completely and the structure checks consistent. It stays
+/// private to the query until then, so concurrent sessions never observe a
+/// half-built one; a partial scan (LIMIT, error, dropped cursor) abandons
+/// the claim instead, letting a later query rebuild.
+class BuildPublishOperator : public Operator {
  public:
-  PmapPublishOperator(OperatorPtr child, std::shared_ptr<PositionalMap> map,
-                      TableEntry* entry);
-  ~PmapPublishOperator() override;
+  BuildPublishOperator(OperatorPtr child, const FormatScanContext& ctx,
+                       AdaptiveSlot slot);
+  ~BuildPublishOperator() override { Finish(/*publish=*/false); }
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -50,17 +52,24 @@ class PmapPublishOperator : public Operator {
   Status Open() override { return child_->Open(); }
   StatusOr<ColumnBatch> Next() override;
   Status Close() override;
-  std::string name() const override { return "PmapPublish"; }
+  std::string name() const override { return "BuildPublish"; }
 
  private:
   void Finish(bool publish);
 
   OperatorPtr child_;
-  std::shared_ptr<PositionalMap> map_;
   TableEntry* entry_;
+  int64_t version_;
+  AdaptiveSlot slot_;
+  std::shared_ptr<const FormatAdaptiveState> state_;
   bool drained_ = false;
   bool finished_ = false;
 };
+
+/// This query's positional-map build: the map it holds already, or a fresh
+/// one under a newly taken claim; false when another query holds the claim
+/// or the table's map is published.
+bool ClaimPmapBuild(FormatScanContext& tc);
 
 /// Qualified ("<table>.<column>") output schema for table columns.
 Schema QualifiedSchema(const TableEntry& entry, const std::vector<int>& cols);

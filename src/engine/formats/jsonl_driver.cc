@@ -29,13 +29,7 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
   PositionalMap* build = nullptr;
   if (opts.access_path != AccessPathKind::kExternalTable &&
       opts.build_positional_map && !tc.has_complete_pmap() &&
-      !tc.pmap_build_wired &&
-      (tc.building_pmap != nullptr || entry->TryClaimPmapBuild(tc.version))) {
-    if (tc.building_pmap == nullptr) {
-      tc.building_pmap = std::make_shared<PositionalMap>(
-          PositionalMap::WithStride(info.schema.num_fields(),
-                                    info.pmap_stride));
-    }
+      !tc.pmap_build_wired && ClaimPmapBuild(tc)) {
     tc.pmap_build_wired = true;
     build = tc.building_pmap.get();
   }
@@ -52,8 +46,8 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
   };
   auto wrap_publish = [&](OperatorPtr op) -> OperatorPtr {
     if (build == nullptr) return op;
-    return std::make_unique<PmapPublishOperator>(std::move(op),
-                                                 tc.building_pmap, entry);
+    return std::make_unique<BuildPublishOperator>(
+        std::move(op), tc, AdaptiveSlot::kPositionalMap);
   };
 
   if (morsels.size() > 1) {
@@ -179,12 +173,7 @@ class JsonlFormatDriver final : public FormatDriver {
         !opts.build_positional_map) {
       return false;
     }
-    if (tc.building_pmap != nullptr) return true;
-    if (!tc.entry->TryClaimPmapBuild(tc.version)) return false;
-    tc.building_pmap = std::make_shared<PositionalMap>(
-        PositionalMap::WithStride(tc.entry->info.schema.num_fields(),
-                                  tc.entry->info.pmap_stride));
-    return true;
+    return ClaimPmapBuild(tc);
   }
 
   int EstimateSkipDistance(const FormatScanContext& tc) const override {

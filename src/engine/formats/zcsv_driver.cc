@@ -14,50 +14,17 @@
 namespace raw {
 namespace {
 
-/// Publishes the block-offset index a cold compressed scan built once the
-/// scan drains completely — the FormatAdaptiveState twin of
-/// PmapPublishOperator (same claim/abandon discipline for partial scans).
-class IndexPublishOperator : public Operator {
- public:
-  IndexPublishOperator(OperatorPtr child, std::shared_ptr<GzipBlockIndex> index,
-                       TableEntry* entry)
-      : child_(std::move(child)), index_(std::move(index)), entry_(entry) {}
-  ~IndexPublishOperator() override { Finish(/*publish=*/false); }
-
-  const Schema& output_schema() const override {
-    return child_->output_schema();
+/// This query's block-index build: the one it holds already, or a fresh
+/// claim; false when another query holds the claim or the index is
+/// published.
+bool ClaimIndexBuild(FormatScanContext& tc) {
+  if (tc.building_format_state != nullptr) return true;
+  if (!tc.entry->TryClaimBuild(AdaptiveSlot::kFormatState, tc.version)) {
+    return false;
   }
-  Status Open() override { return child_->Open(); }
-  StatusOr<ColumnBatch> Next() override {
-    RAW_ASSIGN_OR_RETURN(ColumnBatch batch, child_->Next());
-    if (batch.end_of_stream()) drained_ = true;
-    return batch;
-  }
-  Status Close() override {
-    Status status = child_->Close();
-    Finish(/*publish=*/drained_ && status.ok());
-    return status;
-  }
-  std::string name() const override { return "IndexPublish"; }
-
- private:
-  void Finish(bool publish) {
-    if (finished_) return;
-    finished_ = true;
-    if (publish && index_ != nullptr && index_->CheckConsistency().ok()) {
-      const int64_t rows = index_->total_rows();
-      entry_->PublishFormatState(std::move(index_), rows);
-    } else {
-      entry_->AbandonFormatStateBuild();
-    }
-  }
-
-  OperatorPtr child_;
-  std::shared_ptr<GzipBlockIndex> index_;
-  TableEntry* entry_;
-  bool drained_ = false;
-  bool finished_ = false;
-};
+  tc.building_format_state = std::make_shared<GzipBlockIndex>();
+  return true;
+}
 
 const GzipBlockIndex* IndexView(const FormatScanContext& tc) {
   if (tc.format_state != nullptr) {
@@ -117,10 +84,7 @@ class CsvGzFormatDriver final : public FormatDriver {
         !opts.build_positional_map) {
       return false;
     }
-    if (tc.building_format_state != nullptr) return true;
-    if (!tc.entry->TryClaimFormatStateBuild(tc.version)) return false;
-    tc.building_format_state = std::make_shared<GzipBlockIndex>();
-    return true;
+    return ClaimIndexBuild(tc);
   }
 
   std::vector<ScanRange> SplitMorsels(const FormatScanContext& tc,
@@ -195,12 +159,7 @@ class CsvGzFormatDriver final : public FormatDriver {
     GzipBlockIndex* build = nullptr;
     if (opts.access_path != AccessPathKind::kExternalTable &&
         opts.build_positional_map && tc.format_state == nullptr &&
-        !tc.format_state_build_wired &&
-        (tc.building_format_state != nullptr ||
-         entry->TryClaimFormatStateBuild(tc.version))) {
-      if (tc.building_format_state == nullptr) {
-        tc.building_format_state = std::make_shared<GzipBlockIndex>();
-      }
+        !tc.format_state_build_wired && ClaimIndexBuild(tc)) {
       tc.format_state_build_wired = true;
       build = static_cast<GzipBlockIndex*>(tc.building_format_state.get());
     }
@@ -211,10 +170,8 @@ class CsvGzFormatDriver final : public FormatDriver {
         std::make_unique<ZcsvScanOperator>(tc.file.get(), std::move(spec)),
         qualified);
     if (build != nullptr) {
-      op = std::make_unique<IndexPublishOperator>(
-          std::move(op),
-          std::static_pointer_cast<GzipBlockIndex>(tc.building_format_state),
-          entry);
+      op = std::make_unique<BuildPublishOperator>(std::move(op), tc,
+                                                  AdaptiveSlot::kFormatState);
     }
     return op;
   }

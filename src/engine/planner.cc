@@ -161,7 +161,9 @@ class CacheInsertOperator : public Operator {
     active_.clear();
     accumulators_.clear();
     for (const Mapping& m : mappings_) {
-      if (cache_->ContainsFull(entry_->info.name, m.table_column)) continue;
+      if (cache_->ContainsFull(entry_->info.name, m.table_column, version_)) {
+        continue;
+      }
       auto column = std::make_shared<Column>(
           child_->output_schema().field(m.output_index).type);
       if (full_scan_ && expected_rows_ > 0) column->Reserve(expected_rows_);
@@ -204,7 +206,7 @@ class CacheInsertOperator : public Operator {
         for (size_t i = 0; i < active_.size() && published.ok(); ++i) {
           published = cache_->Insert(entry_->info.name,
                                      active_[i].table_column, row_ids,
-                                     std::move(accumulators_[i]));
+                                     std::move(accumulators_[i]), version_);
         }
         if (full_column) entry_->SetRowCountIfUnknown(rows_);
       });
@@ -256,14 +258,16 @@ class CacheInsertOperator : public Operator {
   bool drained_ = false;
 };
 
-/// RowFetcher that consults the shred cache first and falls back to a raw
-/// fetcher on a subsumption miss (all-or-nothing per fetch).
+/// RowFetcher that consults the shred cache first (shreds of the file
+/// generation the plan pinned, `version`) and falls back to a raw fetcher on
+/// a subsumption miss (all-or-nothing per fetch).
 class CacheAwareFetcher : public RowFetcher {
  public:
-  CacheAwareFetcher(ShredCache* cache, std::string table,
+  CacheAwareFetcher(ShredCache* cache, std::string table, int64_t version,
                     std::vector<int> table_columns, RowFetcherPtr inner)
       : cache_(cache),
         table_(std::move(table)),
+        version_(version),
         table_columns_(std::move(table_columns)),
         inner_(std::move(inner)) {}
 
@@ -274,7 +278,7 @@ class CacheAwareFetcher : public RowFetcher {
       std::vector<ColumnPtr> cached;
       bool all_hit = true;
       for (int col : table_columns_) {
-        auto hit = cache_->Lookup(table_, col, rows.ids);
+        auto hit = cache_->Lookup(table_, col, rows.ids, version_);
         if (!hit.ok()) {
           all_hit = false;
           break;
@@ -289,6 +293,7 @@ class CacheAwareFetcher : public RowFetcher {
  private:
   ShredCache* cache_;
   std::string table_;
+  int64_t version_;
   std::vector<int> table_columns_;
   RowFetcherPtr inner_;
 };
@@ -300,7 +305,6 @@ class CacheAwareFetcher : public RowFetcher {
 /// Per-query planning state: tables map to their FormatScanContext — the
 /// per-(query, table) snapshot threaded through every FormatDriver hook.
 struct BuildCtx {
-  Catalog* catalog;
   JitTemplateCache* jit;
   ShredCache* shreds;
   const PlannerOptions* opts;
@@ -309,30 +313,22 @@ struct BuildCtx {
   std::map<TableEntry*, FormatScanContext>* tables = nullptr;
   ScanHealth* health = nullptr;  // owned by the PhysicalPlan under build
 
-  /// Creates the table's context on first touch in this query, snapshotting
-  /// the open file handles and adaptive state once (TableEntry::Pin), so the
-  /// whole plan sees one consistent view even while other sessions publish
-  /// maps, load copies, reset the engine, or reopen a changed file.
-  Status Pin(TableEntry* entry) {
-    FormatScanContext& tc = (*tables)[entry];
-    if (tc.entry != nullptr) return Status::OK();
-    tc.entry = entry;
+  /// Adopts a table's pinned context (Catalog::Pin took the snapshot the
+  /// whole plan reads, whatever other sessions publish, reset or reopen
+  /// meanwhile) and fills in the per-plan fields.
+  void Adopt(FormatScanContext pinned) {
+    TableEntry* entry = pinned.entry;
+    FormatScanContext& tc = (*tables)[entry] = std::move(pinned);
     tc.opts = opts;
     tc.jit = jit;
     tc.num_threads = num_threads;
     tc.desc = desc;
     tc.health = health;
-    Status pinned = entry->Pin(tc);
-    if (!pinned.ok()) {
-      tables->erase(entry);
-      return pinned;
-    }
-    // First touch in this query: one scan tick per (query, table).
+    // One scan tick per (planned query, table).
     if (opts->count_accesses) entry->NoteScan();
-    return Status::OK();
   }
 
-  /// The context Pin created for `entry`.
+  /// The context adopted for `entry`.
   FormatScanContext& Ctx(TableEntry* entry) { return tables->at(entry); }
 };
 
@@ -410,7 +406,7 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
   const bool must_run_raw_scan = tc.HoldsUnwiredBuildClaim();
   if (opts.use_shred_cache && !must_run_raw_scan) {
     for (int c : cols) {
-      auto hit = ctx.shreds->LookupFull(info.name, c);
+      auto hit = ctx.shreds->LookupFull(info.name, c, tc.version);
       if (hit.ok()) {
         cached_cols.push_back(c);
         cached_values.push_back(std::move(hit).value());
@@ -474,7 +470,7 @@ StatusOr<RowFetcherPtr> BuildFetcher(BuildCtx& ctx, FormatScanContext& tc,
   }
   if (!opts.use_shred_cache) return inner;
   return RowFetcherPtr(std::make_unique<CacheAwareFetcher>(
-      ctx.shreds, tc.entry->info.name, cols, std::move(inner)));
+      ctx.shreds, tc.entry->info.name, tc.version, cols, std::move(inner)));
 }
 
 // =============================================================================
@@ -488,50 +484,25 @@ bool FusableColumnType(DataType type) {
 }
 
 /// Canonicalizes a predicate literal to the column's comparison type with
-/// exactly the coercion CompareExpr::TryConstCompareKernel applies, so the
-/// generated compare is bit-identical to the interpreted typed kernel.
-/// Returns false when that kernel would not handle the predicate (the
-/// interpreted path would widen to double instead) — such predicates keep
-/// the whole pipeline interpreted.
+/// the coercion CompareExpr::TryConstCompareKernel applies (CoerceLiteral),
+/// so the generated compare is bit-identical to the interpreted typed
+/// kernel. Returns false when that kernel would not handle the predicate (an
+/// inexact literal compares widened instead): the pipeline stays
+/// interpreted.
 bool CanonicalizeFusedLiteral(DataType col_type, const Datum& lit,
                               Datum* out) {
-  switch (col_type) {
-    case DataType::kInt32: {
-      auto v = lit.AsInt64();
-      if (!v.ok()) return false;
-      if (lit.type() != DataType::kInt32 &&
-          (v.value() < INT32_MIN || v.value() > INT32_MAX)) {
-        return false;
-      }
-      *out = Datum::Int32(static_cast<int32_t>(v.value()));
-      return true;
-    }
-    case DataType::kInt64: {
-      auto v = lit.AsInt64();
-      if (!v.ok()) return false;
-      *out = Datum::Int64(v.value());
-      return true;
-    }
-    case DataType::kFloat32: {
-      auto v = lit.AsDouble();
-      if (!v.ok()) return false;
-      const float f = static_cast<float>(v.value());
-      // Non-finite literals stay interpreted: fused compares are only
-      // checked bit-exact against the typed kernel on finite values.
-      if (!std::isfinite(f)) return false;
-      *out = Datum::Float32(f);
-      return true;
-    }
-    case DataType::kFloat64: {
-      auto v = lit.AsDouble();
-      if (!v.ok()) return false;
-      if (!std::isfinite(v.value())) return false;
-      *out = Datum::Float64(v.value());
-      return true;
-    }
-    default:
-      return false;
+  StatusOr<Datum> coerced = CoerceLiteral(lit, col_type);
+  if (!coerced.ok() || coerced->type() != col_type) return false;
+  // Non-finite literals stay interpreted: fused compares are only checked
+  // bit-exact against the typed kernel on finite values.
+  if ((col_type == DataType::kFloat32 &&
+       !std::isfinite(coerced->float32_value())) ||
+      (col_type == DataType::kFloat64 &&
+       !std::isfinite(coerced->float64_value()))) {
+    return false;
   }
+  *out = std::move(coerced).value();
+  return true;
 }
 
 /// Whether partials of `kind` merge order-insensitively. COUNT/MIN/MAX and
@@ -639,7 +610,7 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
     in.type = schema.field(c).type;
     ColumnPtr dense;
     if (opts.use_shred_cache && !tc.HoldsUnwiredBuildClaim()) {
-      auto hit = ctx.shreds->LookupFull(entry->info.name, c);
+      auto hit = ctx.shreds->LookupFull(entry->info.name, c, tc.version);
       if (hit.ok()) dense = std::move(hit).value();
     }
     in.dense = dense != nullptr;
@@ -740,31 +711,18 @@ std::string_view FullColumnsReason(const FormatScanContext& tc) {
 // Spec resolution helpers
 // =============================================================================
 
-/// Resolves a (possibly unqualified) column reference to a table + column
-/// index among the query's tables.
-Status ResolveRef(const std::vector<TableEntry*>& tables, ColumnRefSpec* ref,
-                  TableEntry** out_entry, int* out_column) {
-  TableEntry* found = nullptr;
-  int column = -1;
+/// The table and column index of a bound (qualified) column reference.
+Status ColumnOf(const std::vector<TableEntry*>& tables,
+                const ColumnRefSpec& ref, TableEntry** out_entry,
+                int* out_column) {
   for (TableEntry* entry : tables) {
-    if (!ref->table.empty() && entry->info.name != ref->table) continue;
-    int idx = entry->info.schema.FieldIndex(ref->column);
-    if (idx < 0) continue;
-    if (found != nullptr) {
-      return Status::InvalidArgument("ambiguous column reference '" +
-                                     ref->column + "'");
-    }
-    found = entry;
-    column = idx;
+    if (entry->info.name != ref.table) continue;
+    *out_entry = entry;
+    *out_column = entry->info.schema.FieldIndex(ref.column);
+    if (*out_column >= 0) return Status::OK();
   }
-  if (found == nullptr) {
-    return Status::NotFound("column '" + ref->ToString() +
-                            "' not found in query tables");
-  }
-  ref->table = found->info.name;
-  *out_entry = found;
-  *out_column = column;
-  return Status::OK();
+  return Status::InvalidArgument("column '" + ref.ToString() +
+                                 "' is not bound to the query's tables");
 }
 
 /// Finds the index of "<table>.<column>" in `schema` or returns an error.
@@ -794,12 +752,12 @@ struct SidePlan {
   ShredPolicy policy = ShredPolicy::kShreds;
 };
 
-/// Estimates the fraction of `entry`'s rows passing `pred` using the shred
-/// cache (exact when the full predicate column is cached), or nullopt.
+/// Estimates the fraction of `tc`'s table rows passing `pred` using the
+/// shred cache (exact when the full predicate column is cached), or nullopt.
 std::optional<double> EstimateSelectivity(ShredCache* shreds,
-                                          const TableEntry& entry,
+                                          const FormatScanContext& tc,
                                           const PredicateSpec& pred, int col) {
-  auto cached = shreds->LookupFull(entry.info.name, col);
+  auto cached = shreds->LookupFull(tc.entry->info.name, col, tc.version);
   if (!cached.ok()) return std::nullopt;
   const Column& values = **cached;
   if (values.length() == 0) return 1.0;
@@ -830,7 +788,7 @@ ShredPolicy ResolveAdaptivePolicy(BuildCtx& ctx, const SidePlan& side) {
   bool any_estimate = false;
   for (size_t i = 0; i < side.predicates.size(); ++i) {
     std::optional<double> est = EstimateSelectivity(
-        ctx.shreds, entry, side.predicates[i], side.predicate_cols[i]);
+        ctx.shreds, tc, side.predicates[i], side.predicate_cols[i]);
     if (est.has_value()) {
       selectivity *= *est;
       any_estimate = true;
@@ -995,6 +953,7 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
 // =============================================================================
 
 StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
+                                     std::vector<FormatScanContext> pinned,
                                      const PlannerOptions& options) {
   RAW_RETURN_NOT_OK(query.Validate());
   for (const PredicateSpec& pred : query.predicates) {
@@ -1047,17 +1006,18 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
   }
 
   std::map<TableEntry*, FormatScanContext> table_ctxs;
-  BuildCtx ctx{catalog_,   jit_,
-               shreds_,    &effective,
-               &desc,      ResolveNumThreads(effective.num_threads),
+  BuildCtx ctx{jit_,       shreds_,
+               &effective, &desc,
+               ResolveNumThreads(effective.num_threads),
                &table_ctxs, plan.health.get()};
 
-  // Resolve tables.
+  if (pinned.size() != query.tables.size()) {
+    return Status::Internal("planner needs one pinned context per table");
+  }
   std::vector<TableEntry*> entries;
-  for (const std::string& t : query.tables) {
-    RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_->Get(t));
-    entries.push_back(entry);
-    RAW_RETURN_NOT_OK(ctx.Pin(entry));  // snapshot the table once per query
+  for (FormatScanContext& tc : pinned) {
+    entries.push_back(tc.entry);
+    ctx.Adopt(std::move(tc));
   }
 
   // If planning fails after a table context claimed an adaptive-state build
@@ -1070,21 +1030,21 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
       if (disarm) return;
       for (auto& [entry, tc] : *tables) {
         if (tc.building_pmap != nullptr && !tc.pmap_build_wired) {
-          entry->AbandonPmapBuild();
+          entry->AbandonBuild(AdaptiveSlot::kPositionalMap);
         }
         if (tc.building_format_state != nullptr &&
             !tc.format_state_build_wired) {
-          entry->AbandonFormatStateBuild();
+          entry->AbandonBuild(AdaptiveSlot::kFormatState);
         }
       }
     }
   } claim_guard{&table_ctxs};
 
-  // Resolve all column references (mutating copies of the spec items).
+  // Column references arrive bound (qualified) by the binder.
   QuerySpec q = query;
-  auto resolve = [&](ColumnRefSpec* ref, TableEntry** entry,
+  auto resolve = [&](const ColumnRefSpec* ref, TableEntry** entry,
                      int* column) -> Status {
-    return ResolveRef(entries, ref, entry, column);
+    return ColumnOf(entries, *ref, entry, column);
   };
 
   std::vector<TableEntry*> pred_entry(q.predicates.size());

@@ -23,10 +23,13 @@ namespace raw {
 /// which kernels to JIT-compile.
 class Planner {
  public:
-  Planner(Catalog* catalog, JitTemplateCache* jit, ShredCache* shreds)
-      : catalog_(catalog), jit_(jit), shreds_(shreds) {}
+  Planner(JitTemplateCache* jit, ShredCache* shreds)
+      : jit_(jit), shreds_(shreds) {}
 
+  /// Plans a bound `query` (see sql::Bind) over `pinned`, the query's
+  /// tables as Catalog::Pin snapshotted them, in `query.tables` order.
   StatusOr<PhysicalPlan> Plan(const QuerySpec& query,
+                              std::vector<FormatScanContext> pinned,
                               const PlannerOptions& options);
 
   /// How many plans ran through a fused JIT pipeline vs. interpreted
@@ -46,7 +49,6 @@ class Planner {
  private:
   struct TableSide;  // planning state for one table (defined in planner.cc)
 
-  Catalog* catalog_;
   JitTemplateCache* jit_;
   ShredCache* shreds_;
   std::atomic<int64_t> plans_fused_{0};

@@ -40,7 +40,7 @@ RawEngine::RawEngine(RawEngineOptions options)
       catalog_(options_.catalog),
       jit_(options_.jit_compiler),
       shreds_(options_.shred_cache_bytes, options_.shred_cache_shards),
-      planner_(&catalog_, &jit_, &shreds_) {
+      planner_(&jit_, &shreds_) {
   // Env knobs override the configured autotune defaults (strict parsing:
   // malformed values fall back rather than misconfigure silently).
   options_.autotune.enabled =
@@ -137,13 +137,11 @@ void RawEngine::EndQuery() {
   last_activity_ns_.store(NowNs(), std::memory_order_release);
 }
 
-StatusOr<std::string> RawEngine::ResultCacheKey(const QuerySpec& spec) {
+std::string RawEngine::ResultCacheKey(
+    const QuerySpec& spec, const std::vector<FormatScanContext>& pinned) {
   std::string key = spec.Fingerprint();
-  for (const std::string& table : spec.tables) {
-    // Catalog::Get re-validates the file signature as a side effect, so a
-    // changed file both purges matching entries and shifts this key.
-    RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_.Get(table));
-    key += "|" + table + "@" + std::to_string(entry->version());
+  for (const FormatScanContext& tc : pinned) {
+    key += "|" + tc.entry->info.name + "@" + std::to_string(tc.version);
   }
   return key;
 }
@@ -202,13 +200,23 @@ EngineStats RawEngine::Stats() const {
 
 StatusOr<std::shared_ptr<const PositionalMap>>
 RawEngine::PositionalMapSnapshot(const std::string& table) {
-  RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_.Get(table));
-  return entry->pmap();
+  RAW_ASSIGN_OR_RETURN(std::vector<FormatScanContext> pinned,
+                       catalog_.Pin({table}));
+  return pinned[0].published_pmap;
+}
+
+bool RawEngine::ShredCacheContainsFull(const std::string& table,
+                                       int column) const {
+  StatusOr<TableEntry*> entry = catalog_.Lookup(table);
+  return entry.ok() &&
+         shreds_.ContainsFull(table, column, entry.value()->version());
 }
 
 Status RawEngine::DropFilePageCache(const std::string& table) {
-  RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog_.Get(table));
-  return entry->DropPageCache();
+  RAW_ASSIGN_OR_RETURN(std::vector<FormatScanContext> pinned,
+                       catalog_.Pin({table}));
+  const MmapFile* file = pinned[0].file.get();
+  return file != nullptr ? file->DropPageCache() : Status::OK();
 }
 
 void RawEngine::ResetAdaptiveState() {

@@ -216,10 +216,9 @@ class RawEngine {
       const std::string& table);
 
   /// Read-only introspection: true when the shred pool holds the complete
-  /// `column` of `table` (no LRU refresh, no counter side effects).
-  bool ShredCacheContainsFull(const std::string& table, int column) const {
-    return shreds_.ContainsFull(table, column);
-  }
+  /// `column` of `table`'s current file generation (no LRU refresh, no
+  /// counter side effects).
+  bool ShredCacheContainsFull(const std::string& table, int column) const;
 
   /// Best-effort OS page-cache drop for `table`'s file (cold-run benches).
   Status DropFilePageCache(const std::string& table);
@@ -265,10 +264,11 @@ class RawEngine {
   /// query counters, access mining and the result cache.
   std::unique_ptr<Session> OpenInternalSession();
 
-  /// Result-cache key: the spec's structural fingerprint plus each referenced
-  /// table's staleness version (so a changed file can never serve old bytes,
+  /// Result-cache key: the spec's structural fingerprint plus the version
+  /// each table was pinned at (so a changed file can never serve old bytes,
   /// even if an invalidation sweep were missed).
-  StatusOr<std::string> ResultCacheKey(const QuerySpec& spec);
+  static std::string ResultCacheKey(
+      const QuerySpec& spec, const std::vector<FormatScanContext>& pinned);
 
   RawEngineOptions options_;
   Catalog catalog_;

@@ -127,10 +127,11 @@ StatusOr<QuerySpec> PreparedQuery::BindParams(
   QuerySpec bound = spec_;
   for (PredicateSpec& pred : bound.predicates) {
     if (!pred.is_parameter()) continue;
-    // Coerce exactly like an inline literal of the column's type would.
+    // Coerce exactly like an inline literal would be.
     RAW_ASSIGN_OR_RETURN(
         pred.literal,
-        params[static_cast<size_t>(pred.param_index)].CastTo(pred.param_type));
+        CoerceLiteral(params[static_cast<size_t>(pred.param_index)],
+                      pred.param_type));
     pred.param_index = -1;
   }
   bound.num_params = 0;
@@ -140,13 +141,13 @@ StatusOr<QuerySpec> PreparedQuery::BindParams(
 StatusOr<QueryResult> PreparedQuery::Execute(
     const std::vector<Datum>& params) {
   RAW_ASSIGN_OR_RETURN(QuerySpec bound, BindParams(params));
-  return session_->Execute(bound);
+  return session_->ExecuteBound(bound, session_->options_);
 }
 
 StatusOr<Cursor> PreparedQuery::ExecuteStream(
     const std::vector<Datum>& params) {
   RAW_ASSIGN_OR_RETURN(QuerySpec bound, BindParams(params));
-  return session_->ExecuteStream(bound);
+  return session_->StreamBound(bound, session_->options_);
 }
 
 // =============================================================================
@@ -174,6 +175,7 @@ StatusOr<PreparedQuery> Session::Prepare(const std::string& sql) {
 }
 
 StatusOr<PhysicalPlan> Session::PlanSpec(const QuerySpec& spec,
+                                         std::vector<FormatScanContext> pinned,
                                          const PlannerOptions& options,
                                          double* plan_seconds) {
   // Foreground queries raise the inflight gauge for their plan's whole
@@ -189,8 +191,9 @@ StatusOr<PhysicalPlan> Session::PlanSpec(const QuerySpec& spec,
         [engine](const void*) { engine->EndQuery(); });
   }
   Stopwatch watch;
-  RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                       engine_->planner_.Plan(spec, options));
+  RAW_ASSIGN_OR_RETURN(
+      PhysicalPlan plan,
+      engine_->planner_.Plan(spec, std::move(pinned), options));
   *plan_seconds = watch.ElapsedSeconds();
   if (!internal_) {
     engine_->queries_planned_.fetch_add(1, std::memory_order_relaxed);
@@ -206,7 +209,7 @@ StatusOr<QueryResult> Session::Query(const std::string& sql) {
 StatusOr<QueryResult> Session::Query(const std::string& sql,
                                      const PlannerOptions& options) {
   RAW_ASSIGN_OR_RETURN(QuerySpec spec, Parse(sql));
-  return Execute(spec, options);
+  return ExecuteBound(spec, options);
 }
 
 StatusOr<QueryResult> Session::Execute(const QuerySpec& spec) {
@@ -215,6 +218,15 @@ StatusOr<QueryResult> Session::Execute(const QuerySpec& spec) {
 
 StatusOr<QueryResult> Session::Execute(const QuerySpec& spec,
                                        const PlannerOptions& options) {
+  QuerySpec bound = spec;
+  RAW_RETURN_NOT_OK(sql::Bind(&engine_->catalog_, &bound));
+  return ExecuteBound(bound, options);
+}
+
+StatusOr<QueryResult> Session::ExecuteBound(const QuerySpec& spec,
+                                            const PlannerOptions& options) {
+  RAW_ASSIGN_OR_RETURN(std::vector<FormatScanContext> pinned,
+                       engine_->catalog_.Pin(spec.tables));
   // Semantic result cache: a repeated materializing execution (typically a
   // re-bound PreparedQuery — BindParams folds the bound values into the
   // predicate literals, so they are part of the fingerprint) returns the
@@ -224,25 +236,23 @@ StatusOr<QueryResult> Session::Execute(const QuerySpec& spec,
   const bool cacheable =
       cache != nullptr && !internal_ && !spec.explain && spec.num_params == 0;
   if (cacheable) {
-    StatusOr<std::string> key = engine_->ResultCacheKey(spec);
-    if (key.ok()) {
-      cache_key = std::move(key).value();
-      QueryResult cached;
-      if (cache->Lookup(cache_key, &cached)) {
-        // A hit is foreground activity (keeps the materializer polite) but
-        // costs no planning or execution — report timings accordingly.
-        engine_->NoteForegroundActivity();
-        cached.plan_seconds = 0;
-        cached.compile_seconds = 0;
-        cached.execute_seconds = 0;
-        cached.plan_description += " [result-cache hit]";
-        return cached;
-      }
+    cache_key = engine_->ResultCacheKey(spec, pinned);
+    QueryResult cached;
+    if (cache->Lookup(cache_key, &cached)) {
+      // A hit is foreground activity (keeps the materializer polite) but
+      // costs no planning or execution — report timings accordingly.
+      engine_->NoteForegroundActivity();
+      cached.plan_seconds = 0;
+      cached.compile_seconds = 0;
+      cached.execute_seconds = 0;
+      cached.plan_description += " [result-cache hit]";
+      return cached;
     }
   }
   double plan_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                       PlanSpec(spec, options, &plan_seconds));
+  RAW_ASSIGN_OR_RETURN(
+      PhysicalPlan plan,
+      PlanSpec(spec, std::move(pinned), options, &plan_seconds));
   if (spec.explain) {
     // EXPLAIN: return the plan description as a one-row result.
     QueryResult result;
@@ -280,7 +290,7 @@ StatusOr<QueryResult> Session::Execute(const QuerySpec& spec,
   const bool worth_caching =
       result.execute_seconds * 1e6 >=
       static_cast<double>(engine_->options_.result_cache_min_us);
-  if (cacheable && worth_caching && !cache_key.empty()) {
+  if (cacheable && worth_caching) {
     cache->Insert(cache_key, result, spec.tables);
   }
   return result;
@@ -293,7 +303,7 @@ StatusOr<Cursor> Session::Stream(const std::string& sql) {
 StatusOr<Cursor> Session::Stream(const std::string& sql,
                                  const PlannerOptions& options) {
   RAW_ASSIGN_OR_RETURN(QuerySpec spec, Parse(sql));
-  return ExecuteStream(spec, options);
+  return StreamBound(spec, options);
 }
 
 StatusOr<Cursor> Session::ExecuteStream(const QuerySpec& spec) {
@@ -302,9 +312,19 @@ StatusOr<Cursor> Session::ExecuteStream(const QuerySpec& spec) {
 
 StatusOr<Cursor> Session::ExecuteStream(const QuerySpec& spec,
                                         const PlannerOptions& options) {
+  QuerySpec bound = spec;
+  RAW_RETURN_NOT_OK(sql::Bind(&engine_->catalog_, &bound));
+  return StreamBound(bound, options);
+}
+
+StatusOr<Cursor> Session::StreamBound(const QuerySpec& spec,
+                                      const PlannerOptions& options) {
+  RAW_ASSIGN_OR_RETURN(std::vector<FormatScanContext> pinned,
+                       engine_->catalog_.Pin(spec.tables));
   double plan_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                       PlanSpec(spec, options, &plan_seconds));
+  RAW_ASSIGN_OR_RETURN(
+      PhysicalPlan plan,
+      PlanSpec(spec, std::move(pinned), options, &plan_seconds));
   if (spec.explain) {
     return Cursor::FromBatch(ExplainBatch(plan.description), plan.description,
                              plan_seconds, plan.health->jit_wait_seconds());

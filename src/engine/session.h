@@ -8,6 +8,7 @@
 #include "engine/executor.h"
 #include "engine/logical_plan.h"
 #include "engine/physical_plan.h"
+#include "format/format_driver.h"
 
 namespace raw {
 
@@ -144,6 +145,8 @@ class Session {
   }
 
   /// Parses + binds `sql` without executing (EXPLAIN-style tooling, tests).
+  /// Binding reads only the catalog's registry: no file is opened or
+  /// checked until a query runs.
   StatusOr<QuerySpec> Parse(const std::string& sql);
 
   /// Parses + binds once; the result re-executes with new parameters.
@@ -155,7 +158,8 @@ class Session {
   StatusOr<QueryResult> Query(const std::string& sql,
                               const PlannerOptions& options);
 
-  /// Executes a programmatic logical query.
+  /// Executes a programmatic logical query, bound first exactly like SQL
+  /// (column qualification and literal coercion; see sql::Bind).
   StatusOr<QueryResult> Execute(const QuerySpec& spec);
   StatusOr<QueryResult> Execute(const QuerySpec& spec,
                                 const PlannerOptions& options);
@@ -179,8 +183,17 @@ class Session {
   Session(RawEngine* engine, PlannerOptions options, int64_t id)
       : engine_(engine), options_(std::move(options)), id_(id) {}
 
-  /// Plans `spec`, returning the plan plus timing metadata.
+  /// Runs a bound spec: pins each table once (Catalog::Pin) and reads only
+  /// those pins for the result-cache key, planning and execution.
+  StatusOr<QueryResult> ExecuteBound(const QuerySpec& spec,
+                                     const PlannerOptions& options);
+  StatusOr<Cursor> StreamBound(const QuerySpec& spec,
+                               const PlannerOptions& options);
+
+  /// Plans `spec` over its pinned tables, returning the plan plus timing
+  /// metadata.
   StatusOr<PhysicalPlan> PlanSpec(const QuerySpec& spec,
+                                  std::vector<FormatScanContext> pinned,
                                   const PlannerOptions& options,
                                   double* plan_seconds);
 

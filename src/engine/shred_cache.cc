@@ -21,27 +21,30 @@ ShredCache::Shard& ShredCache::ShardFor(const std::string& key) const {
 }
 
 ShredCache::Entry* ShredCache::Find(Shard& shard, const std::string& key,
-                                    bool refresh_lru) {
+                                    int64_t version, bool refresh_lru) {
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;
+  if (it == shard.index.end() || it->second->version != version) {
+    return nullptr;
+  }
   if (refresh_lru) shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return &*it->second;
 }
 
 Status ShredCache::Insert(const std::string& table, int column,
-                          const int64_t* row_ids, const Column& values) {
+                          const int64_t* row_ids, const Column& values,
+                          int64_t version) {
   std::shared_ptr<const std::vector<int64_t>> ids;
   if (row_ids != nullptr) {
     ids = std::make_shared<const std::vector<int64_t>>(
         row_ids, row_ids + values.length());
   }
   return Insert(table, column, std::move(ids),
-                std::make_shared<Column>(values));
+                std::make_shared<Column>(values), version);
 }
 
 Status ShredCache::Insert(const std::string& table, int column,
                           std::shared_ptr<const std::vector<int64_t>> row_ids,
-                          ColumnPtr values) {
+                          ColumnPtr values, int64_t version) {
   const int64_t new_rows = values->length();
   if (row_ids != nullptr) {
     if (static_cast<int64_t>(row_ids->size()) != new_rows) {
@@ -58,18 +61,20 @@ Status ShredCache::Insert(const std::string& table, int column,
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* existing = Find(shard, key, /*refresh_lru=*/false);
-  if (existing != nullptr) {
+  auto found = shard.index.find(key);
+  if (found != shard.index.end()) {
+    const Entry* existing = &*found->second;
     int64_t old_rows = existing->full()
                            ? existing->values->length()
                            : static_cast<int64_t>(existing->row_ids->size());
-    if (existing->full() || old_rows >= new_rows) {
+    if (existing->version == version &&
+        (existing->full() || old_rows >= new_rows)) {
       return Status::OK();  // keep the (at least as large) existing entry
     }
     shard.bytes_cached -= existing->bytes;
     total_bytes_.fetch_sub(existing->bytes, std::memory_order_relaxed);
-    shard.lru.erase(shard.index[key]);
-    shard.index.erase(key);
+    shard.lru.erase(found->second);
+    shard.index.erase(found);
   }
   Entry entry;
   entry.key = key;
@@ -79,6 +84,7 @@ Status ShredCache::Insert(const std::string& table, int column,
   }
   entry.values = std::move(values);
   entry.row_ids = std::move(row_ids);
+  entry.version = version;
   shard.bytes_cached += entry.bytes;
   total_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
   shard.lru.push_front(std::move(entry));
@@ -105,11 +111,11 @@ void ShredCache::EvictOverCapacity(Shard& shard) {
 }
 
 bool ShredCache::Covers(const std::string& table, int column,
-                        const std::vector<int64_t>& rows) {
+                        const std::vector<int64_t>& rows, int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/false);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/false);
   if (entry == nullptr) return false;
   if (entry->full()) {
     for (int64_t r : rows) {
@@ -125,11 +131,12 @@ bool ShredCache::Covers(const std::string& table, int column,
 }
 
 StatusOr<ColumnPtr> ShredCache::Lookup(const std::string& table, int column,
-                                       const std::vector<int64_t>& rows) {
+                                       const std::vector<int64_t>& rows,
+                                       int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/true);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/true);
   if (entry == nullptr) {
     ++shard.misses;
     return Status::NotFound("no cached shred");
@@ -164,11 +171,11 @@ StatusOr<ColumnPtr> ShredCache::Lookup(const std::string& table, int column,
 }
 
 StatusOr<ColumnPtr> ShredCache::LookupFull(const std::string& table,
-                                           int column) {
+                                           int column, int64_t version) {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* entry = Find(shard, key, /*refresh_lru=*/true);
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/true);
   if (entry == nullptr || !entry->full()) {
     ++shard.misses;
     return Status::NotFound("no cached full column");
@@ -177,12 +184,13 @@ StatusOr<ColumnPtr> ShredCache::LookupFull(const std::string& table,
   return entry->values;
 }
 
-bool ShredCache::ContainsFull(const std::string& table, int column) const {
+bool ShredCache::ContainsFull(const std::string& table, int column,
+                              int64_t version) const {
   std::string key = MakeKey(table, column);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  return it != shard.index.end() && it->second->full();
+  Entry* entry = Find(shard, key, version, /*refresh_lru=*/false);
+  return entry != nullptr && entry->full();
 }
 
 void ShredCache::Clear() {

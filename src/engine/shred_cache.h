@@ -36,6 +36,10 @@ struct CacheStats {
 /// arbitrary shreds is bookkeeping the paper also points out can become
 /// costly, §5.1).
 ///
+/// Every entry carries the file generation (TableEntry version) its values
+/// were read from, and every read names the generation its query pinned: an
+/// entry of another generation never matches, and an insert replaces it.
+///
 /// Thread-safety: the cache is *sharded* by (table, column) key hash; each
 /// shard has its own mutex and LRU list, so concurrent sessions touching
 /// different columns never contend on one lock. The byte budget stays
@@ -56,7 +60,7 @@ class ShredCache {
   /// Inserts values for `row_ids` (nullptr => full column starting at row 0).
   /// `row_ids` must be strictly increasing when present.
   Status Insert(const std::string& table, int column, const int64_t* row_ids,
-                const Column& values);
+                const Column& values, int64_t version = 0);
 
   /// Same, taking ownership instead of copying: the cache keeps `values`
   /// itself (the caller must not modify it afterwards) and shares `row_ids`
@@ -64,25 +68,28 @@ class ShredCache {
   /// scan hold one row-id vector.
   Status Insert(const std::string& table, int column,
                 std::shared_ptr<const std::vector<int64_t>> row_ids,
-                ColumnPtr values);
+                ColumnPtr values, int64_t version = 0);
 
   /// Returns the cached values for exactly `rows` (in order), or nullopt if
   /// no entry subsumes the request. A hit refreshes LRU order.
   StatusOr<ColumnPtr> Lookup(const std::string& table, int column,
-                             const std::vector<int64_t>& rows);
+                             const std::vector<int64_t>& rows,
+                             int64_t version = 0);
 
   /// True when an entry subsumes `rows` without materializing the result.
   bool Covers(const std::string& table, int column,
-              const std::vector<int64_t>& rows);
+              const std::vector<int64_t>& rows, int64_t version = 0);
 
   /// Full-column fast path: the complete cached column when the entry is
   /// full-length, else NotFound.
-  StatusOr<ColumnPtr> LookupFull(const std::string& table, int column);
+  StatusOr<ColumnPtr> LookupFull(const std::string& table, int column,
+                                 int64_t version = 0);
 
   /// Side-effect-free introspection: true when a *full* column is cached for
   /// (table, column). Unlike LookupFull this neither refreshes LRU order nor
   /// counts a hit/miss — it exists for stats surfaces and tests.
-  bool ContainsFull(const std::string& table, int column) const;
+  bool ContainsFull(const std::string& table, int column,
+                    int64_t version = 0) const;
 
   void Clear();
 
@@ -107,6 +114,7 @@ class ShredCache {
     std::string key;
     std::shared_ptr<const std::vector<int64_t>> row_ids;  // null => full
     ColumnPtr values;
+    int64_t version = 0;  // file generation the values were read from
     int64_t bytes = 0;
 
     bool full() const { return row_ids == nullptr; }
@@ -132,8 +140,10 @@ class ShredCache {
 
   Shard& ShardFor(const std::string& key) const;
 
-  /// Caller holds `shard.mu`.
-  static Entry* Find(Shard& shard, const std::string& key, bool refresh_lru);
+  /// The entry for `key` read from generation `version`, or null. Caller
+  /// holds `shard.mu`.
+  static Entry* Find(Shard& shard, const std::string& key, int64_t version,
+                     bool refresh_lru);
   void EvictOverCapacity(Shard& shard);
 
   int64_t capacity_bytes_;

@@ -28,11 +28,11 @@ Status QualifyRef(const std::vector<TableEntry*>& tables, ColumnRefSpec* ref,
 
 }  // namespace
 
-Status Bind(Catalog* catalog, QuerySpec* spec) {
+Status Bind(const Catalog* catalog, QuerySpec* spec) {
   RAW_RETURN_NOT_OK(spec->Validate());
   std::vector<TableEntry*> tables;
   for (const std::string& t : spec->tables) {
-    RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog->Get(t));
+    RAW_ASSIGN_OR_RETURN(TableEntry * entry, catalog->Lookup(t));
     tables.push_back(entry);
   }
   if (spec->is_join()) {
@@ -52,9 +52,9 @@ Status Bind(Catalog* catalog, QuerySpec* spec) {
       pred.param_type = col_type;
       continue;
     }
-    // Coerce the literal to the column type so typed comparison fast paths
-    // apply (string literals only compare against string columns, etc.).
-    RAW_ASSIGN_OR_RETURN(pred.literal, pred.literal.CastTo(col_type));
+    // Coerce the literal to the column type where that is exact, so typed
+    // comparison fast paths apply (see CoerceLiteral).
+    RAW_ASSIGN_OR_RETURN(pred.literal, CoerceLiteral(pred.literal, col_type));
   }
   for (AggItemSpec& agg : spec->aggregates) {
     if (agg.count_star) continue;

@@ -6,11 +6,14 @@
 
 namespace raw::sql {
 
-/// Semantic checks + name qualification against the catalog: verifies every
-/// referenced table exists, qualifies unqualified column references, coerces
-/// predicate literals to the column's type (so the planner's typed fast
-/// paths apply), and validates aggregate input types.
-Status Bind(Catalog* catalog, QuerySpec* spec);
+/// Semantic checks + name qualification against the catalog's registry (no
+/// file is opened or checked): verifies every referenced table exists,
+/// qualifies column references, coerces predicate literals to the column's
+/// type where exact (CoerceLiteral, so the typed fast paths apply), and
+/// validates aggregate input types. The one column resolver and literal
+/// coercion for SQL and programmatic specs alike; idempotent on a bound
+/// spec.
+Status Bind(const Catalog* catalog, QuerySpec* spec);
 
 }  // namespace raw::sql
 

@@ -30,19 +30,6 @@ struct PipelineSpec;
 struct PlannerOptions;
 struct TableEntry;
 
-/// Opaque base for per-format adaptive runtime state a driver publishes on a
-/// TableEntry as a side effect of scanning — the generalization of the CSV
-/// positional map to structures only one format understands (e.g. the
-/// compressed-CSV block-offset index). Published snapshots are immutable and
-/// shared_ptr-pinned per query, exactly like positional maps, so
-/// ResetAdaptiveState can drop the entry's reference while in-flight queries
-/// keep theirs.
-struct FormatAdaptiveState {
-  virtual ~FormatAdaptiveState() = default;
-  /// Memory footprint, reported through TableStats.
-  virtual int64_t MemoryBytes() const { return 0; }
-};
-
 /// Per-format cost parameters the shared cost model charges for one value —
 /// the driver-owned half of CostModel (engine/cost_model.h keeps only the
 /// format-independent pieces). `base` tuning knobs come from CostParams so a
@@ -65,10 +52,11 @@ struct FormatCostParams {
 /// hook: the snapshot of the table taken when planning started (open file
 /// handles and adaptive state — one consistent view even while other
 /// sessions publish maps, reset the engine, or reopen a changed file), the
-/// planner options, and the plan-description sink. The planner owns one per
-/// table and the plan pins its shared handles for the plan's lifetime;
-/// drivers update the build-claim fields when they wire adaptive-state
-/// construction into a scan.
+/// planner options, and the plan-description sink. Catalog::Pin takes one
+/// per (query, table), the planner fills in the per-plan fields and the
+/// plan keeps its shared handles for the plan's lifetime; drivers update
+/// the build-claim fields when they wire adaptive-state construction into a
+/// scan.
 struct FormatScanContext {
   TableEntry* entry = nullptr;
   const PlannerOptions* opts = nullptr;
@@ -106,7 +94,8 @@ struct FormatScanContext {
   std::shared_ptr<FormatAdaptiveState> building_format_state;
   bool format_state_build_wired = false;
 
-  std::shared_ptr<const InMemoryTable> loaded;  // resolved for kLoaded
+  /// DBMS-baseline copy: the published one, or this query's load (kLoaded).
+  std::shared_ptr<const InMemoryTable> loaded;
   int64_t row_count = -1;
 
   /// Set when a generated kernel this plan asked for was not compiled yet

@@ -189,6 +189,7 @@ std::string EngineStatsJson(const EngineStats& stats) {
     o.Int("file_size", t.file_size);
     o.Int("file_mtime_ns", t.file_mtime_ns);
     o.Int("stale_publishes", t.stale_publishes);
+    o.Int("signature_checks", t.signature_checks);
     o.Key("column_accesses");
     os << '[';
     for (size_t i = 0; i < t.column_accesses.size(); ++i) {

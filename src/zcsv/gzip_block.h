@@ -25,8 +25,8 @@ struct GzipBlock {
 
 /// The compressed-CSV block-offset index: the format's adaptive state,
 /// built as a side effect of the first (cold) scan and published through the
-/// generic FormatAdaptiveState claim/publish protocol — the gzip analogue of
-/// a positional map, at member rather than field granularity.
+/// TableEntry claim/publish protocol — the gzip analogue of a positional
+/// map, at member rather than field granularity.
 class GzipBlockIndex final : public FormatAdaptiveState {
  public:
   void AppendBlock(const GzipBlock& block);
@@ -36,6 +36,7 @@ class GzipBlockIndex final : public FormatAdaptiveState {
     return blocks_[static_cast<size_t>(i)];
   }
   int64_t total_rows() const { return total_rows_; }
+  int64_t num_rows() const override { return total_rows_; }
 
   /// Any block's decompressed text contains the quote character: positional
   /// reads must use the quote-aware tokenizer.
@@ -50,7 +51,7 @@ class GzipBlockIndex final : public FormatAdaptiveState {
   }
 
   /// Blocks must tile the file: contiguous compressed offsets and row ids.
-  Status CheckConsistency() const;
+  Status CheckConsistency() const override;
 
  private:
   std::vector<GzipBlock> blocks_;

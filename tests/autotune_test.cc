@@ -221,6 +221,62 @@ TEST_F(AutotuneTest, PreemptionBoundedByOneBatch) {
       << "build pulled batches after the preemption signal";
 }
 
+// A background build pins the file generation it started on. When the file
+// is replaced while the build drains, the build must publish nothing (no
+// map, no shreds, no row count of the displaced bytes) and the dropped
+// publishes are counted; the next build indexes the current file.
+TEST_F(AutotuneTest, BackgroundBuildDrainedAfterAReplacementPublishesNothing) {
+  const TableSpec v2 = TableSpec::UniformInt32("t", 8, 1000, /*seed=*/92);
+  std::atomic<int64_t> hook_calls{0};
+  RawEngine* engine_ptr = nullptr;
+  RawEngineOptions options;
+  options.autotune.enabled = true;
+  options.autotune.idle_wait_ms = 50;
+  options.autotune.poll_ms = 5;
+  options.autotune.batch_rows = 64;  // many batches over kRows rows
+  options.autotune.batch_hook = [&] {
+    if (hook_calls.fetch_add(1) + 1 != 2) return;
+    // One batch drained: replace the file, and let a lookup notice it.
+    const std::string next = Path("t.csv.next");
+    ASSERT_OK(WriteCsvFile(v2, next));
+    ASSERT_EQ(0, std::rename(next.c_str(), Path("t.csv").c_str()));
+    ASSERT_OK(engine_ptr->PositionalMapSnapshot("t").status());
+  };
+  auto engine = NewEngine(options);
+  engine_ptr = engine.get();
+  // Heat the table, then drop its map: the worker's first action is the
+  // navigation build.
+  Count(engine.get());
+  Count(engine.get());
+  engine->ResetAdaptiveState();
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        const EngineStats stats = engine->Stats();
+        const TableStats* t = stats.table("t");
+        return t != nullptr && t->stale_publishes >= 1;
+      },
+      10000))
+      << "the displaced build's publishes were not dropped";
+  // Whatever the worker has rebuilt since describes the current file only.
+  const EngineStats stats = engine->Stats();
+  const TableStats* t = stats.table("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_GE(t->version, 1);
+  EXPECT_NE(t->pmap_rows, kRows) << "displaced map published";
+  EXPECT_NE(t->row_count, kRows) << "displaced row count published";
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        const EngineStats stats = engine->Stats();
+        return stats.table("t")->pmap_rows == 1000;
+      },
+      10000))
+      << "no build over the current file";
+
+  auto fresh = std::make_unique<RawEngine>();
+  ASSERT_OK(fresh->RegisterCsv("t", Path("t.csv"), v2.ToSchema()));
+  EXPECT_EQ(Count(engine.get()), Count(fresh.get()));
+}
+
 // Result cache: second identical query is a hit (no plan, no execution),
 // ResetAdaptiveState() invalidates, and the post-reset query recomputes.
 TEST_F(AutotuneTest, ResultCacheHitAndResetInvalidation) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
 #include "tests/test_util.h"
@@ -62,6 +64,94 @@ TEST_F(EngineTest, CatalogBasics) {
                    .ok());  // duplicate
   EXPECT_EQ(engine->Stats().tables.size(), 2u);
   EXPECT_FALSE(engine->Query("SELECT COUNT(*) FROM missing").ok());
+}
+
+// Each query goes through the catalog once per table: exactly one
+// file-signature check per table per query, whatever its shape, with the
+// result cache off (the library default) and on (rawd's default) — and none
+// to parse or prepare a statement.
+TEST_F(EngineTest, OneSignatureCheckPerTablePerQuery) {
+  const std::string sql = "SELECT MAX(col1) FROM t_csv WHERE col0 < 500000000";
+  for (const int64_t cache_bytes : {int64_t{0}, int64_t{1} << 20}) {
+    SCOPED_TRACE("result_cache_bytes=" + std::to_string(cache_bytes));
+    RawEngineOptions options;
+    options.result_cache_bytes = cache_bytes;
+    options.result_cache_min_us = 0;
+    RawEngine engine(options);
+    ASSERT_OK(engine.RegisterCsv("t_csv", Path("t.csv"), spec_.ToSchema()));
+    ASSERT_OK(engine.RegisterBinary("t_bin", Path("t.bin"), spec_.ToSchema()));
+    auto session = engine.OpenSession();
+    auto checks = [&](const char* table) {
+      return engine.Stats().table(table)->signature_checks;
+    };
+
+    ASSERT_OK(session->Parse(sql).status());
+    ASSERT_OK_AND_ASSIGN(
+        PreparedQuery prepared,
+        session->Prepare("SELECT MAX(col1) FROM t_csv WHERE col0 < ?"));
+    EXPECT_EQ(checks("t_csv"), 0) << "Parse/Prepare touched the file";
+
+    struct Shape {
+      const char* name;
+      std::function<StatusOr<QueryResult>()> run;
+      bool join;
+    };
+    QuerySpec programmatic;
+    programmatic.tables = {"t_bin"};
+    programmatic.projections.push_back(ColumnRefSpec{"", "col2"});
+    programmatic.limit = 3;
+    const std::vector<Shape> shapes = {
+        {"miss", [&] { return session->Query(sql); }, false},
+        {"hit", [&] { return session->Query(sql); }, false},
+        {"explain", [&] { return session->Query("EXPLAIN " + sql); }, false},
+        {"join",
+         [&] {
+           return session->Query(
+               "SELECT COUNT(*) FROM t_csv JOIN t_bin ON t_csv.col0 = "
+               "t_bin.col0");
+         },
+         true},
+        {"prepared", [&] { return prepared.Execute({Datum::Int64(7)}); },
+         false},
+        {"prepared again", [&] { return prepared.Execute({Datum::Int64(7)}); },
+         false},
+        {"stream", [&] { return session->Stream(sql)->Consume(); }, false},
+        {"programmatic", [&] { return session->Execute(programmatic); },
+         false},
+    };
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(shape.name);
+      const int64_t csv_before = checks("t_csv");
+      const int64_t bin_before = checks("t_bin");
+      ASSERT_OK_AND_ASSIGN(QueryResult result, shape.run());
+      const bool on_bin =
+          shape.join || std::string(shape.name) == "programmatic";
+      const bool on_csv = shape.join || !on_bin;
+      EXPECT_EQ(checks("t_csv") - csv_before, on_csv ? 1 : 0)
+          << result.plan_description;
+      EXPECT_EQ(checks("t_bin") - bin_before, on_bin ? 1 : 0)
+          << result.plan_description;
+      if (std::string(shape.name) == "hit") {
+        EXPECT_EQ(result.plan_description.find("[result-cache hit]") !=
+                      std::string::npos,
+                  cache_bytes > 0)
+            << result.plan_description;
+      }
+    }
+  }
+}
+
+TEST_F(EngineTest, MissingFileIsATypedErrorAtExecutionNotAtPrepare) {
+  RawEngine engine;
+  ASSERT_OK(engine.RegisterCsv("gone", Path("gone.csv"), spec_.ToSchema()));
+  auto session = engine.OpenSession();
+  ASSERT_OK_AND_ASSIGN(
+      PreparedQuery prepared,
+      session->Prepare("SELECT MAX(col1) FROM gone WHERE col0 < ?"));
+  auto result = prepared.Execute({Datum::Int64(5)});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError)
+      << result.status().ToString();
 }
 
 TEST_F(EngineTest, SimpleAggregateMatchesGroundTruth) {

@@ -499,13 +499,16 @@ class StalenessTest : public testing::TempDirTest {
 
   void TearDown() override { FaultInjector::Global().Disarm(); }
 
-  /// The CSV and binary cases of the pinned-handle regressions.
+  /// The per-format cases of the pinned-handle regressions.
   struct PinCase {
     const char* file;
-    bool binary;
+    FileFormat format;
   };
   static std::vector<PinCase> PinCases() {
-    return {{"pin.csv", false}, {"pin.bin", true}};
+    return {{"pin.csv", FileFormat::kCsv},
+            {"pin.bin", FileFormat::kBinary},
+            {"pin.jsonl", FileFormat::kJsonl},
+            {"pin.csv.gz", FileFormat::kCsvGz}};
   }
 
   /// Writes `spec` to `path` the way a well-behaved producer replaces a
@@ -514,14 +517,37 @@ class StalenessTest : public testing::TempDirTest {
   void ReplaceTable(const PinCase& c, const TableSpec& spec) {
     const std::string path = Path(c.file);
     const std::string next = path + ".next";
-    ASSERT_OK(c.binary ? WriteBinaryFile(spec, next)
-                       : WriteCsvFile(spec, next));
+    switch (c.format) {
+      case FileFormat::kBinary:
+        ASSERT_OK(WriteBinaryFile(spec, next));
+        break;
+      case FileFormat::kJsonl:
+        ASSERT_OK(WriteJsonlFile(spec, next));
+        break;
+      case FileFormat::kCsvGz:
+        ASSERT_OK(WriteCsvGzTable(spec, next, /*block_bytes=*/2048));
+        break;
+      default:
+        ASSERT_OK(WriteCsvFile(spec, next));
+        break;
+    }
     ASSERT_EQ(0, std::rename(next.c_str(), path.c_str()));
   }
 
-  Status Register(RawEngine& engine, const PinCase& c, const Schema& schema) {
-    return c.binary ? engine.RegisterBinary("t", Path(c.file), schema)
-                    : engine.RegisterCsv("t", Path(c.file), schema);
+  /// Registers `c`'s file as table "t" in a RawEngine or a Catalog.
+  template <typename Target>
+  Status Register(Target& target, const PinCase& c, const Schema& schema) {
+    const std::string path = Path(c.file);
+    switch (c.format) {
+      case FileFormat::kBinary:
+        return target.RegisterBinary("t", path, schema);
+      case FileFormat::kJsonl:
+        return target.RegisterJsonl("t", path, schema);
+      case FileFormat::kCsvGz:
+        return target.RegisterCsvGz("t", path, schema);
+      default:
+        return target.RegisterCsv("t", path, schema);
+    }
   }
 
   /// Arms a one-shot EIO on the next open of `c`'s file.
@@ -603,28 +629,30 @@ TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {
   const Schema schema{{"a", DataType::kInt32}, {"b", DataType::kInt32}};
   Catalog catalog;
   ASSERT_OK(catalog.RegisterCsv("t", path, schema));
-  ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Get("t"));
-  ASSERT_OK(entry->EnsureOpen());
+  ASSERT_OK_AND_ASSIGN(std::vector<FormatScanContext> pinned,
+                       catalog.Pin({"t"}));
+  TableEntry* entry = pinned[0].entry;
+  const AdaptiveSlot slot = AdaptiveSlot::kPositionalMap;
 
   // A scan claims the build, the file changes mid-claim, the scan finishes:
   // the publication must be refused — the map indexes the old bytes.
-  ASSERT_TRUE(entry->TryClaimPmapBuild(entry->version()));
+  ASSERT_TRUE(entry->TryClaimBuild(slot, pinned[0].version));
   ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n5,6\n7,8\n"));
   ASSERT_TRUE(entry->CheckStale());
   const uint64_t positions[2] = {0, 2};
   auto stale_map =
       std::make_shared<PositionalMap>(PositionalMap::WithStride(2, 10));
   stale_map->AppendRow(0, positions);
-  entry->PublishPmap(stale_map);
+  entry->PublishBuild(slot, pinned[0].version, stale_map);
   EXPECT_EQ(nullptr, entry->pmap()) << "stale-built map was published";
 
   // A claim over the current bytes publishes normally.
-  ASSERT_OK(entry->EnsureOpen());
-  ASSERT_TRUE(entry->TryClaimPmapBuild(entry->version()));
+  ASSERT_OK_AND_ASSIGN(pinned, catalog.Pin({"t"}));
+  ASSERT_TRUE(entry->TryClaimBuild(slot, pinned[0].version));
   auto fresh_map =
       std::make_shared<PositionalMap>(PositionalMap::WithStride(2, 10));
   fresh_map->AppendRow(0, positions);
-  entry->PublishPmap(fresh_map);
+  entry->PublishBuild(slot, pinned[0].version, fresh_map);
   EXPECT_NE(nullptr, entry->pmap());
 }
 
@@ -694,11 +722,8 @@ TEST_F(StalenessTest, FailedReopenUnderAPinnedQueryIsTypedAndFreesTheOldFile) {
     SCOPED_TRACE(c.file);
     ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v1));
     Catalog catalog;
-    ASSERT_OK(c.binary ? catalog.RegisterBinary("t", Path(c.file),
-                                                v1.ToSchema())
-                       : catalog.RegisterCsv("t", Path(c.file),
-                                             v1.ToSchema()));
-    ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Get("t"));
+    ASSERT_OK(Register(catalog, c, v1.ToSchema()));
+    ASSERT_OK_AND_ASSIGN(TableEntry * entry, catalog.Lookup("t"));
 
     FormatScanContext running;  // a query in flight on the first generation
     running.entry = entry;
@@ -731,7 +756,7 @@ TEST_F(StalenessTest, FailedReopenUnderAPinnedQueryIsTypedAndFreesTheOldFile) {
     ASSERT_NE(nullptr, next.file);
     EXPECT_GT(next.file->size(), old_size);
     EXPECT_EQ(running.version + 1, next.version);
-    if (c.binary) {
+    if (c.format == FileFormat::kBinary) {
       ASSERT_NE(nullptr, next.bin_reader);
       EXPECT_EQ(300, next.bin_reader->num_rows());
       EXPECT_EQ(next.file.get(), next.bin_reader->file())
@@ -880,6 +905,87 @@ TEST_F(StalenessTest, ChurnWithFailingReopensIsTypedOrCorrectUnderLoad) {
               << r.status().ToString();
         }
       }
+    }
+  }
+}
+
+TEST_F(StalenessTest, RenamedGenerationsUnderConcurrentSessionsAnswerFromOne) {
+  // Sessions query through the result cache while another thread renames
+  // alternating file generations (different row counts and seeds) over the
+  // table. Every answer must be one generation's answer, never a mix, and
+  // once the renames stop the next query answers from the last generation.
+  const std::vector<TableSpec> generations = {
+      TableSpec::UniformInt32("t", 4, 200, /*seed=*/11),
+      TableSpec::UniformInt32("t", 4, 260, /*seed=*/12)};
+  const std::vector<std::string> sqls = {
+      "SELECT COUNT(*), MAX(col1) FROM t WHERE col0 > 300000000",
+      "SELECT MIN(col2), SUM(col3) FROM t WHERE col1 < 700000000"};
+  auto answer = [](const QueryResult& r) {
+    std::string out;
+    for (int c = 0; c < r.num_columns(); ++c) {
+      out += r.table.column(c)->GetDatum(0).ToString() + ";";
+    }
+    return out;
+  };
+  constexpr int kSessions = 3;
+  constexpr int kQueriesPerSession = 24;
+  constexpr int kRenames = 16;
+  for (const PinCase& c : PinCases()) {
+    SCOPED_TRACE(c.file);
+    // Oracle answers per generation, from a fresh engine each.
+    std::vector<std::vector<std::string>> oracle(generations.size());
+    for (size_t g = 0; g < generations.size(); ++g) {
+      ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, generations[g]));
+      RawEngine fresh;
+      ASSERT_OK(Register(fresh, c, generations[g].ToSchema()));
+      for (const std::string& sql : sqls) {
+        ASSERT_OK_AND_ASSIGN(QueryResult r, fresh.Query(sql));
+        oracle[g].push_back(answer(r));
+      }
+    }
+    ASSERT_NE(oracle[0], oracle[1]);
+    ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, generations[0]));
+    RawEngineOptions options;
+    options.result_cache_bytes = 1 << 20;
+    options.result_cache_min_us = 0;
+    RawEngine engine(options);
+    ASSERT_OK(Register(engine, c, generations[0].ToSchema()));
+
+    std::thread renamer([&] {
+      for (int i = 1; i <= kRenames; ++i) {
+        ReplaceTable(c, generations[static_cast<size_t>(i) % 2]);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+    std::vector<std::vector<StatusOr<QueryResult>>> results(kSessions);
+    std::vector<std::thread> sessions;
+    for (int s = 0; s < kSessions; ++s) {
+      sessions.emplace_back([&, s] {
+        auto session = engine.OpenSession();
+        for (int q = 0; q < kQueriesPerSession; ++q) {
+          results[static_cast<size_t>(s)].push_back(
+              session->Query(sqls[static_cast<size_t>(q) % sqls.size()]));
+        }
+      });
+    }
+    for (std::thread& t : sessions) t.join();
+    renamer.join();
+
+    for (const auto& per_session : results) {
+      for (size_t q = 0; q < per_session.size(); ++q) {
+        ASSERT_OK(per_session[q].status());
+        const std::string got = answer(*per_session[q]);
+        const size_t which = q % sqls.size();
+        EXPECT_TRUE(got == oracle[0][which] || got == oracle[1][which])
+            << sqls[which] << " answered " << got << ", generations "
+            << oracle[0][which] << " / " << oracle[1][which];
+      }
+    }
+    const size_t last = static_cast<size_t>(kRenames) % 2;
+    auto session = engine.OpenSession();
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(QueryResult r, session->Query(sqls[i]));
+      EXPECT_EQ(answer(r), oracle[last][i]) << sqls[i];
     }
   }
 }

@@ -386,6 +386,41 @@ TEST_F(FusionTest, IneligibleShapesStayInterpreted) {
   EXPECT_FALSE(Fused(off)) << off.plan_description;
 }
 
+TEST_F(FusionTest, InexactIntegerLiteralsStayInterpretedAndExact) {
+  // A literal an integer column cannot hold exactly compares widened: the
+  // plan stays unfused and answers like the exact predicate it implies.
+  auto engine = BinEngine();
+  if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
+  const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
+  struct Case {
+    std::string inexact;
+    std::string exact;
+  };
+  const std::vector<Case> cases = {
+      {"col1 < " + lit + ".5", "col1 <= " + lit},
+      {"col1 >= " + lit + ".5", "col1 > " + lit},
+      {"col1 = " + lit + ".5", "col1 < 0"},
+      {"col1 < 5000000000", "col1 >= -2147483648"},
+      {"col3 < " + lit + ".5", "col3 <= " + lit},
+  };
+  for (const Case& c : cases) {
+    const std::string sql = "SELECT COUNT(*), MAX(col2) FROM f WHERE ";
+    SCOPED_TRACE(c.inexact);
+    ASSERT_OK_AND_ASSIGN(QueryResult on,
+                         engine->Query(sql + c.inexact,
+                                       Opts(JitFusion::kOn, 1)));
+    EXPECT_FALSE(Fused(on)) << on.plan_description;
+    ASSERT_OK_AND_ASSIGN(QueryResult off,
+                         engine->Query(sql + c.inexact,
+                                       Opts(JitFusion::kOff, 1)));
+    ExpectSameResults(on, off, c.inexact);
+    ASSERT_OK_AND_ASSIGN(QueryResult exact,
+                         engine->Query(sql + c.exact, Opts(JitFusion::kOn, 1)));
+    EXPECT_TRUE(Fused(exact)) << exact.plan_description;
+    ExpectSameResults(on, exact, c.exact);
+  }
+}
+
 // --- dense (shred-cache) inputs ----------------------------------------------
 
 TEST_F(FusionTest, CachedColumnsFeedFusedPipelinesAsDenseInputs) {

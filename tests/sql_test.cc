@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/mmap_file.h"
+#include "engine/raw_engine.h"
 #include "engine/sql/lexer.h"
 #include "engine/sql/parser.h"
 #include "tests/test_util.h"
@@ -159,6 +161,131 @@ TEST(ParserTest, ToStringRendersSpec) {
   EXPECT_NE(s.find("MAX(col11)"), std::string::npos);
   EXPECT_NE(s.find("col1 < 500"), std::string::npos);
   EXPECT_NE(s.find("LIMIT 3"), std::string::npos);
+}
+
+// --- literal coercion --------------------------------------------------------
+
+TEST(CoerceLiteralTest, ExactConversionsTakeTheColumnType) {
+  struct Case {
+    Datum literal;
+    DataType column;
+    Datum expected;
+  };
+  const std::vector<Case> cases = {
+      {Datum::Int64(7), DataType::kInt32, Datum::Int32(7)},
+      {Datum::Float64(2.0), DataType::kInt32, Datum::Int32(2)},
+      {Datum::Float64(-3.0), DataType::kInt64, Datum::Int64(-3)},
+      {Datum::Int64(5000000000), DataType::kInt64, Datum::Int64(5000000000)},
+      {Datum::Int64(3), DataType::kFloat64, Datum::Float64(3.0)},
+      {Datum::Float64(0.5), DataType::kFloat32, Datum::Float32(0.5f)},
+      {Datum::String("12"), DataType::kInt32, Datum::Int32(12)},
+      // Inexact for the column: the literal keeps its own type.
+      {Datum::Float64(2.5), DataType::kInt32, Datum::Float64(2.5)},
+      {Datum::Float64(2.5), DataType::kInt64, Datum::Float64(2.5)},
+      {Datum::Int64(5000000000), DataType::kInt32, Datum::Int64(5000000000)},
+      {Datum::Float64(5e9), DataType::kInt32, Datum::Float64(5e9)},
+      {Datum::Float64(1e19), DataType::kInt64, Datum::Float64(1e19)},
+  };
+  for (const Case& c : cases) {
+    ASSERT_OK_AND_ASSIGN(Datum got, CoerceLiteral(c.literal, c.column));
+    EXPECT_EQ(got, c.expected)
+        << c.literal.ToString() << " -> " << DataTypeToString(c.column);
+  }
+  EXPECT_FALSE(CoerceLiteral(Datum::String("x"), DataType::kInt32).ok());
+}
+
+/// Integer columns compared against literals they cannot hold exactly:
+/// every form of the query (SQL, programmatic spec, `?` parameter) must give
+/// the SQL answer, interpreted and with fusion on.
+class LiteralCoercionTest : public testing::TempDirTest {
+ protected:
+  void SetUp() override {
+    testing::TempDirTest::SetUp();
+    // a (int32) = b (int64) = 0..9.
+    std::string csv;
+    for (int i = 0; i < 10; ++i) {
+      csv += std::to_string(i) + "," + std::to_string(i) + "\n";
+    }
+    ASSERT_OK(WriteStringToFile(Path("t.csv"), csv));
+    ASSERT_OK(engine_.RegisterCsv(
+        "t", Path("t.csv"),
+        Schema{{"a", DataType::kInt32}, {"b", DataType::kInt64}}));
+  }
+
+  struct Case {
+    const char* column;
+    CompareOp op;
+    Datum literal;
+    int64_t expected;
+  };
+  static std::vector<Case> Cases() {
+    return {
+        {"a", CompareOp::kLt, Datum::Float64(2.5), 3},
+        {"a", CompareOp::kGe, Datum::Float64(2.5), 7},
+        {"a", CompareOp::kEq, Datum::Float64(2.5), 0},
+        {"a", CompareOp::kNe, Datum::Float64(2.5), 10},
+        {"a", CompareOp::kLt, Datum::Int64(5000000000), 10},
+        {"a", CompareOp::kGt, Datum::Int64(-5000000000), 10},
+        {"a", CompareOp::kLe, Datum::Float64(2.0), 3},
+        {"b", CompareOp::kLt, Datum::Float64(2.5), 3},
+        {"b", CompareOp::kGt, Datum::Float64(8.5), 1},
+    };
+  }
+
+  static std::string Sql(const Case& c, bool param) {
+    return std::string("SELECT COUNT(*) FROM t WHERE ") + c.column + " " +
+           std::string(CompareOpToString(c.op)) + " " +
+           (param ? std::string("?") : c.literal.ToString());
+  }
+
+  static QuerySpec Spec(const Case& c) {
+    QuerySpec spec;
+    spec.tables = {"t"};
+    AggItemSpec count;
+    count.kind = AggKind::kCount;
+    count.count_star = true;
+    spec.aggregates.push_back(count);
+    PredicateSpec pred;
+    pred.column.column = c.column;
+    pred.op = c.op;
+    pred.literal = c.literal;
+    spec.predicates.push_back(pred);
+    return spec;
+  }
+
+  static int64_t Count(const QueryResult& result) {
+    auto value = result.Scalar();
+    EXPECT_OK(value.status());
+    return value.ok() ? *value->AsInt64() : -1;
+  }
+
+  RawEngine engine_;
+};
+
+TEST_F(LiteralCoercionTest, InexactLiteralsGiveTheSqlAnswerInEveryForm) {
+  std::vector<JitFusion> modes = {JitFusion::kOff};
+  if (engine_.Stats().jit_compiler_available()) {
+    modes.push_back(JitFusion::kOn);
+  }
+  for (JitFusion mode : modes) {
+    PlannerOptions options;
+    options.jit_fusion = mode;
+    auto session = engine_.OpenSession(options);
+    for (const Case& c : Cases()) {
+      const std::string sql = Sql(c, /*param=*/false);
+      SCOPED_TRACE(sql + (mode == JitFusion::kOn ? " [kOn]" : " [kOff]"));
+      ASSERT_OK_AND_ASSIGN(QueryResult from_sql, session->Query(sql));
+      EXPECT_EQ(Count(from_sql), c.expected) << from_sql.plan_description;
+      ASSERT_OK_AND_ASSIGN(QueryResult from_spec, session->Execute(Spec(c)));
+      EXPECT_EQ(Count(from_spec), c.expected) << from_spec.plan_description;
+      ASSERT_OK_AND_ASSIGN(PreparedQuery prepared,
+                           session->Prepare(Sql(c, /*param=*/true)));
+      ASSERT_OK_AND_ASSIGN(QueryResult from_param,
+                           prepared.Execute({c.literal}));
+      EXPECT_EQ(Count(from_param), c.expected)
+          << from_param.plan_description;
+    }
+  }
 }
 
 }  // namespace
