@@ -46,6 +46,7 @@ Status PositionalMap::AppendFrom(const PositionalMap& other) {
   positions_.insert(positions_.end(), other.positions_.begin(),
                     other.positions_.end());
   num_rows_ += other.num_rows_;
+  keys_in_schema_order_ = keys_in_schema_order_ && other.keys_in_schema_order_;
   return Status::OK();
 }
 

@@ -52,8 +52,17 @@ class PositionalMap final : public FormatAdaptiveState {
   void AppendRow(uint64_t row_start, const uint64_t* positions);
 
   /// Appends all rows of `other` (a per-morsel partial map built over a later
-  /// slice of the same file). Both maps must track the same columns.
+  /// slice of the same file). Both maps must track the same columns. The
+  /// key-order bit becomes the AND of both maps' bits.
   Status AppendFrom(const PositionalMap& other);
+
+  /// Key-order bit of a JSONL field-offset map: true while every appended
+  /// row listed exactly the schema's keys, once each, in schema order, so a
+  /// warm scan may walk forward from any mapped value to a later column
+  /// (JsonlRowParser::ResumeRow). The building scan clears it at the first
+  /// row that did not. CSV fields are positional; CSV maps never clear it.
+  bool keys_in_schema_order() const { return keys_in_schema_order_; }
+  void ClearKeysInSchemaOrder() { keys_in_schema_order_ = false; }
 
   /// Byte offset of row `row`'s column 0.
   uint64_t RowStart(int64_t row) const {
@@ -89,6 +98,7 @@ class PositionalMap final : public FormatAdaptiveState {
   std::vector<uint64_t> row_starts_;
   std::vector<uint64_t> positions_;  // row-major [row][slot]
   int64_t num_rows_ = 0;
+  bool keys_in_schema_order_ = true;
 };
 
 }  // namespace raw

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -217,7 +216,7 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
     if (op != nullptr) return op;
   }
 
-  auto make_insitu = [&](std::optional<RowSet> rows) {
+  auto make_insitu = [&](const ScanRange& rows) {
     CsvScanSpec spec;
     spec.file_schema = info.schema;
     spec.outputs = cols;
@@ -226,22 +225,15 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
     spec.batch_rows = tc.opts->batch_rows;
     spec.use_pmap = &pmap;
     spec.anchor_column = anchor;
-    spec.row_set = std::move(rows);
+    spec.range = rows;
     spec.health = tc.health;
     return WrapQualified(std::make_unique<InsituCsvScanOperator>(
                              tc.file.get(), std::move(spec)),
                          qualified);
   };
-  if (morsels.size() == 1) return make_insitu(std::nullopt);
+  if (morsels.size() == 1) return make_insitu(morsels.front());
   std::vector<OperatorPtr> children;
-  for (const ScanRange& m : morsels) {
-    RowSet rows;
-    rows.ids.resize(static_cast<size_t>(m.count()));
-    for (int64_t i = 0; i < m.count(); ++i) {
-      rows.ids[static_cast<size_t>(i)] = m.begin + i;
-    }
-    children.push_back(make_insitu(std::move(rows)));
-  }
+  for (const ScanRange& m : morsels) children.push_back(make_insitu(m));
   return MorselScan(tc, qualified, std::move(children));
 }
 

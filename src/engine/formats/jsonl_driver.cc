@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -85,8 +84,9 @@ StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
       qualified));
 }
 
-/// Warm JSONL scan: jump to every mapped value offset. Ids are file-global,
-/// so no rebasing is needed.
+/// Warm JSONL scan: jump to every mapped value offset. With num_threads > 1
+/// the mapped rows split into row-range morsels; ids are file-global, so no
+/// rebasing is needed.
 StatusOr<OperatorPtr> BuildJsonlPositionalScan(FormatScanContext& tc,
                                                const std::vector<int>& cols,
                                                const Schema& qualified,
@@ -97,25 +97,17 @@ StatusOr<OperatorPtr> BuildJsonlPositionalScan(FormatScanContext& tc,
   const PositionalMap& pmap = *tc.published_pmap;
   (*tc.desc) << "[offset-scan " << info.name << "] ";
 
-  auto make_insitu = [&](std::optional<RowSet> rows) {
+  auto make_insitu = [&](const ScanRange& rows) {
     JsonlScanSpec spec;
     spec.file_schema = info.schema;
     spec.outputs = cols;
     spec.batch_rows = opts.batch_rows;
     spec.use_pmap = &pmap;
-    spec.row_set = std::move(rows);
+    spec.range = rows;
     spec.health = tc.health;
     return WrapQualified(
         std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
         qualified);
-  };
-  auto iota_rows = [](int64_t first, int64_t count) {
-    RowSet rows;
-    rows.ids.resize(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      rows.ids[static_cast<size_t>(i)] = first + i;
-    }
-    return rows;
   };
 
   if (morsels.size() > 1) {
@@ -123,15 +115,13 @@ StatusOr<OperatorPtr> BuildJsonlPositionalScan(FormatScanContext& tc,
     popts.deadline = tc.opts->deadline;
     popts.num_threads = tc.num_threads;
     std::vector<OperatorPtr> children;
-    for (const ScanRange& m : morsels) {
-      children.push_back(make_insitu(iota_rows(m.begin, m.count())));
-    }
+    for (const ScanRange& m : morsels) children.push_back(make_insitu(m));
     (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
                << morsels.size() << "] ";
     return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
         qualified, std::move(children), std::move(popts)));
   }
-  return StatusOr<OperatorPtr>(make_insitu(std::nullopt));
+  return StatusOr<OperatorPtr>(make_insitu(ScanRange::Whole()));
 }
 
 class JsonlFormatDriver final : public FormatDriver {
@@ -178,14 +168,19 @@ class JsonlFormatDriver final : public FormatDriver {
 
   int EstimateSkipDistance(const FormatScanContext& tc) const override {
     if (!tc.has_complete_pmap()) return 0;
-    // Untracked values re-parse from the row start (key order is not
-    // positional), so the typical "skip" is about half the object's keys.
-    const auto& tracked = tc.published_pmap->tracked_columns();
-    if (static_cast<int>(tracked.size()) ==
-        tc.entry->info.schema.num_fields()) {
-      return 0;  // every value jumps directly
+    const PositionalMap& pmap = *tc.published_pmap;
+    const int num_fields = tc.entry->info.schema.num_fields();
+    if (!pmap.keys_in_schema_order() && pmap.num_tracked() < num_fields) {
+      // Untracked values re-parse from the row start, so the typical "skip"
+      // is about half the object's keys.
+      return num_fields / 2;
     }
-    return tc.entry->info.schema.num_fields() / 2;
+    // Keys in schema order: walks start at the nearest tracked value, as the
+    // CSV anchor does — half the tracking stride.
+    const auto& tracked = pmap.tracked_columns();
+    const int stride =
+        tracked.size() > 1 ? tracked[1] - tracked[0] : num_fields;
+    return stride / 2;
   }
 
   std::vector<ScanRange> SplitMorsels(const FormatScanContext& tc,
@@ -247,8 +242,8 @@ class JsonlFormatDriver final : public FormatDriver {
     p.jump = base.csv_jump;
     p.skip_field = base.csv_skip_field;
     p.random_penalty = base.bin_random_penalty * 4;
-    // An untracked fetch parses the whole object anyway, so extra columns in
-    // the same late scan are nearly free.
+    // An untracked fetch walks (or parses) across the neighbouring values
+    // anyway, so extra columns in the same late scan are nearly free.
     p.colocated_shreds = true;
     return p;
   }

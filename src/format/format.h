@@ -2,6 +2,7 @@
 #define RAW_FORMAT_FORMAT_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -63,6 +64,29 @@ struct ScanRange {
   bool bounded() const { return end >= 0; }
   /// Rows/bytes covered; meaningless (negative) while unbounded.
   int64_t count() const { return end - begin; }
+
+  /// Resolves the range over data of `limit` units of `expected` into
+  /// [*first, *last); the whole range is [0, limit). InvalidArgument when
+  /// the range counts the other unit or reaches outside [0, limit).
+  Status Resolve(Unit expected, int64_t limit, int64_t* first,
+                 int64_t* last) const {
+    *first = 0;
+    *last = limit;
+    if (whole()) return Status::OK();
+    const char* name = expected == Unit::kBytes ? "byte" : "row";
+    if (unit != expected) {
+      return Status::InvalidArgument(std::string("scan range must be ") +
+                                     name + "-addressed");
+    }
+    const int64_t range_end = bounded() ? end : limit;
+    if (begin < 0 || range_end > limit || begin > range_end) {
+      return Status::InvalidArgument(std::string("scan ") + name +
+                                     " range out of bounds");
+    }
+    *first = begin;
+    *last = range_end;
+    return Status::OK();
+  }
 
   bool operator==(const ScanRange& other) const {
     return unit == other.unit && begin == other.begin && end == other.end;

@@ -2,12 +2,20 @@
 
 #include "common/macros.h"
 
+#include <array>
 #include <cstring>
 
 #include "common/kernels.h"
 
 namespace raw {
 namespace {
+
+// The bytes that end a number / true / false / null literal.
+constexpr std::array<bool, 256> kEndsLiteral = [] {
+  std::array<bool, 256> t{};
+  for (unsigned char c : {',', '}', ' ', '\t', '\r', '\n'}) t[c] = true;
+  return t;
+}();
 
 inline const char* SkipSpace(const char* p, const char* end) {
   while (p != end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
@@ -152,10 +160,7 @@ Status ParseJsonValue(const char** pp, const char* end, JsonlField* out) {
   }
   // Number / true / false / null: literal text up to a structural character.
   const char* start = p;
-  while (p != end && *p != ',' && *p != '}' && *p != ' ' && *p != '\t' &&
-         *p != '\r' && *p != '\n') {
-    ++p;
-  }
+  while (p != end && !kEndsLiteral[static_cast<unsigned char>(*p)]) ++p;
   if (p == start) return Malformed("empty value");
   out->data = start;
   out->size = static_cast<int32_t>(p - start);
@@ -166,38 +171,75 @@ Status ParseJsonValue(const char** pp, const char* end, JsonlField* out) {
 JsonlRowParser::JsonlRowParser(const Schema& schema)
     : num_fields_(schema.num_fields()) {
   for (int c = 0; c < schema.num_fields(); ++c) {
-    index_.emplace(schema.field(c).name, c);
+    const std::string& name = schema.field(c).name;
+    index_.emplace(name, c);
+    SchemaKey key;
+    key.quoted.push_back('"');
+    key.quoted += name;
+    key.quoted.push_back('"');
+    key.comparable = name.find_first_of("\"\\") == std::string::npos;
+    keys_.push_back(std::move(key));
   }
 }
 
+bool JsonlRowParser::KeyIs(const char* p, const char* end, int c) const {
+  const SchemaKey& key = keys_[static_cast<size_t>(c)];
+  return key.comparable &&
+         static_cast<size_t>(end - p) >= key.quoted.size() &&
+         std::memcmp(p, key.quoted.data(), key.quoted.size()) == 0;
+}
+
+bool JsonlRowParser::MatchKey(const char** pp, const char* end, int c) const {
+  const char* p = *pp;
+  if (!KeyIs(p, end, c)) return false;
+  p = SkipSpace(p + keys_[static_cast<size_t>(c)].quoted.size(), end);
+  if (p == end || *p != ':') return false;
+  *pp = SkipSpace(p + 1, end);
+  return true;
+}
+
 Status JsonlRowParser::ParseRow(const char** pp, const char* end,
-                                const char* base, JsonlField* fields) const {
+                                const char* base, JsonlField* fields,
+                                bool* schema_order) const {
   for (int c = 0; c < num_fields_; ++c) fields[c] = JsonlField{};
   const char* p = SkipSpace(*pp, end);
   if (p == end || *p != '{') return Malformed("expected '{'");
   p = SkipSpace(p + 1, end);
+  int expect = 0;         // the schema key predicted next
+  bool in_order = true;   // every key so far was the predicted one
   if (p != end && *p == '}') {
     ++p;
   } else {
     while (true) {
       if (p == end || *p != '"') return Malformed("expected key string");
-      const char* key = nullptr;
-      int32_t key_size = 0;
-      bool key_escaped = false;
-      ++p;
-      RAW_RETURN_NOT_OK(ScanJsonString(&p, end, &key, &key_size, &key_escaped));
-      if (key_escaped) return Malformed("escaped keys are not supported");
+      int col;
+      if (expect < num_fields_ && KeyIs(p, end, expect)) {
+        p += keys_[static_cast<size_t>(expect)].quoted.size();
+        col = expect++;
+      } else {
+        in_order = false;
+        const char* key = nullptr;
+        int32_t key_size = 0;
+        bool key_escaped = false;
+        ++p;
+        RAW_RETURN_NOT_OK(
+            ScanJsonString(&p, end, &key, &key_size, &key_escaped));
+        if (key_escaped) return Malformed("escaped keys are not supported");
+        auto it =
+            index_.find(std::string_view(key, static_cast<size_t>(key_size)));
+        col = it != index_.end() ? it->second : -1;
+        if (col >= 0) expect = col + 1;
+      }
       p = SkipSpace(p, end);
       if (p == end || *p != ':') return Malformed("expected ':'");
       p = SkipSpace(p + 1, end);
-      JsonlField value;
+      JsonlField skipped;
+      JsonlField& value = col >= 0 ? fields[col] : skipped;
       // The offset map records the value *including* a string's opening
       // quote, so a positional jump can re-detect the value kind in place.
       value.offset = static_cast<uint64_t>(p - base);
       RAW_RETURN_NOT_OK(ParseJsonValue(&p, end, &value));
       value.present = true;
-      auto it = index_.find(std::string_view(key, static_cast<size_t>(key_size)));
-      if (it != index_.end()) fields[it->second] = value;
       p = SkipSpace(p, end);
       if (p == end) return Malformed("unterminated object");
       if (*p == ',') {
@@ -217,10 +259,38 @@ Status JsonlRowParser::ParseRow(const char** pp, const char* end,
   *pp = p;
   for (int c = 0; c < num_fields_; ++c) {
     if (!fields[c].present) {
-      return Status::ParseError("JSONL row is missing key");
+      return Status::ParseError("JSONL row is missing key " +
+                                keys_[static_cast<size_t>(c)].quoted);
     }
   }
+  if (schema_order != nullptr) {
+    *schema_order = in_order && expect == num_fields_;
+  }
   return Status::OK();
+}
+
+bool JsonlRowParser::ResumeRow(const char* p, const char* end,
+                               const char* base, int from, int to,
+                               JsonlField* fields) const {
+  int c = from;
+  if (c < 0) {
+    p = SkipSpace(p, end);
+    if (p == end || *p != '{') return false;
+    p = SkipSpace(p + 1, end);
+    c = 0;
+    if (!MatchKey(&p, end, c)) return false;
+  }
+  while (true) {
+    JsonlField& f = fields[c];
+    f.offset = static_cast<uint64_t>(p - base);
+    if (!ParseJsonValue(&p, end, &f).ok()) return false;
+    f.present = true;
+    if (c == to) return true;
+    p = SkipSpace(p, end);
+    if (p == end || *p != ',') return false;
+    p = SkipSpace(p + 1, end);
+    if (!MatchKey(&p, end, ++c)) return false;
+  }
 }
 
 int64_t CountJsonlRows(const char* begin, const char* end) {

@@ -29,23 +29,25 @@ JsonlScanOperator::JsonlScanOperator(const char* data, size_t size,
 }
 
 Status JsonlScanOperator::Open() {
-  pos_ = data_;
-  end_ = data_ + size_;
-  if (!spec_.range.whole()) {
-    if (spec_.range.unit != ScanRange::Unit::kBytes) {
-      return Status::InvalidArgument("JSONL scan range must be byte-addressed");
-    }
-    const int64_t size = static_cast<int64_t>(size_);
-    const int64_t range_end = spec_.range.bounded() ? spec_.range.end : size;
-    if (spec_.range.begin < 0 || range_end > size ||
-        spec_.range.begin > range_end) {
-      return Status::InvalidArgument("JSONL scan byte range out of bounds");
-    }
-    pos_ = data_ + spec_.range.begin;
-    end_ = data_ + range_end;
-  }
   row_ = 0;
   input_cursor_ = 0;
+  const PositionalMap* pmap = spec_.use_pmap;
+  if (pmap != nullptr) {
+    if (spec_.row_set.has_value() && !spec_.range.whole()) {
+      return Status::InvalidArgument(
+          "JSONL offset scan takes a row range or a row set, not both");
+    }
+    RAW_RETURN_NOT_OK(spec_.range.Resolve(
+        ScanRange::Unit::kRows, pmap->num_rows(), &row_begin_, &row_end_));
+  } else {
+    int64_t first = 0;
+    int64_t last = 0;
+    RAW_RETURN_NOT_OK(spec_.range.Resolve(ScanRange::Unit::kBytes,
+                                          static_cast<int64_t>(size_), &first,
+                                          &last));
+    pos_ = data_ + first;
+    end_ = data_ + last;
+  }
   if (spec_.outputs.empty()) {
     return Status::InvalidArgument("JSONL scan needs at least one output");
   }
@@ -59,14 +61,24 @@ Status JsonlScanOperator::Open() {
   }
   row_fields_.assign(static_cast<size_t>(spec_.file_schema.num_fields()), {});
   refs_.assign(spec_.outputs.size(), {});
-  if (spec_.use_pmap != nullptr) {
-    needs_full_row_ = false;
-    slot_for_output_.clear();
+  if (pmap != nullptr) {
+    // Plan each row's walk: an output starts a new segment at its nearest
+    // tracked value unless walking on from the previous output is no longer.
+    segments_.clear();
+    bool walks_keys = false;
     for (int c : spec_.outputs) {
-      int slot = spec_.use_pmap->SlotFor(c);
-      slot_for_output_.push_back(slot);
-      if (slot < 0) needs_full_row_ = true;
+      const int slot = pmap->NearestTrackedAtOrBefore(c);
+      const int anchor = slot < 0 ? -1 : pmap->tracked_columns()[slot];
+      if (!segments_.empty() && anchor <= segments_.back().to) {
+        segments_.back().to = c;
+      } else {
+        segments_.push_back({slot, anchor, c});
+      }
+      walks_keys = walks_keys || segments_.back().from != c;
     }
+    // Jumping straight to tracked values needs no key order; walking past
+    // keys does.
+    resume_ = !walks_keys || pmap->keys_in_schema_order();
   }
   return Status::OK();
 }
@@ -253,7 +265,9 @@ StatusOr<ColumnBatch> JsonlScanOperator::NextSequential() {
     pos_ = SkipBlank(pos_, end_);
     if (pos_ >= end_) break;
     const uint64_t row_start = static_cast<uint64_t>(pos_ - data_);
-    Status parsed = parser_.ParseRow(&pos_, end_, data_, row_fields_.data());
+    bool schema_order = true;
+    Status parsed = parser_.ParseRow(&pos_, end_, data_, row_fields_.data(),
+                                     pmap != nullptr ? &schema_order : nullptr);
     if (!parsed.ok()) {
       // A line that isn't valid JSON at all. Tolerant policies step over it
       // to the next newline (skip drops it; null-fill emits a zero row);
@@ -282,6 +296,7 @@ StatusOr<ColumnBatch> JsonlScanOperator::NextSequential() {
           row_fields_[static_cast<size_t>(spec_.outputs[j])]);
     }
     if (pmap != nullptr) {
+      if (!schema_order) pmap->ClearKeysInSchemaOrder();
       const auto& tracked = pmap->tracked_columns();
       for (int s = 0; s < num_slots; ++s) {
         slot_positions[static_cast<size_t>(s)] =
@@ -306,7 +321,7 @@ StatusOr<ColumnBatch> JsonlScanOperator::NextPositional() {
   ColumnBatch out(output_schema_);
   const PositionalMap& pmap = *spec_.use_pmap;
   const int64_t total = spec_.row_set.has_value() ? spec_.row_set->size()
-                                                  : pmap.num_rows();
+                                                  : row_end_ - row_begin_;
   if (input_cursor_ >= total) return ColumnBatch::EndOfStream(output_schema_);
   if (spec_.profile) spec_.profile->parsing.Start();
 
@@ -314,29 +329,45 @@ StatusOr<ColumnBatch> JsonlScanOperator::NextPositional() {
   for (auto& v : refs_) v.clear();
   row_id_scratch_.clear();
 
+  // The published map outlived the bytes it indexes: the file shrank after
+  // the map was built. A typed error, never an out-of-range read.
+  auto beyond_eof = [&](const char* what, uint64_t offset, int64_t row_id) {
+    if (spec_.health != nullptr) {
+      spec_.health->io_faults.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (spec_.profile) spec_.profile->parsing.Stop();
+    return Status::DataCorruption(
+        std::string("field-offset map ") + what + " " +
+        std::to_string(offset) + " for row " + std::to_string(row_id) +
+        " lies beyond the file's " + std::to_string(size_) +
+        " bytes (file truncated since the map was built?)");
+  };
+
   int64_t rows = 0;
   while (rows < spec_.batch_rows && input_cursor_ < total) {
     int64_t row_id = spec_.row_set.has_value()
                          ? spec_.row_set->ids[static_cast<size_t>(input_cursor_)]
-                         : input_cursor_;
+                         : row_begin_ + input_cursor_;
     if (row_id < 0 || row_id >= pmap.num_rows()) {
       return Status::InvalidArgument("JSONL row id outside the offset map");
     }
-    if (needs_full_row_) {
-      // Some output column is untracked: jump to the row start and parse the
-      // whole object once; every output rides along.
-      const uint64_t row_start = pmap.RowStart(row_id);
-      if (row_start >= size_) {
-        if (spec_.health != nullptr) {
-          spec_.health->io_faults.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (spec_.profile) spec_.profile->parsing.Stop();
-        return Status::DataCorruption(
-            "field-offset map row start " + std::to_string(row_start) +
-            " for row " + std::to_string(row_id) + " lies beyond the file's " +
-            std::to_string(size_) +
-            " bytes (file truncated since the map was built?)");
+    // Walk each segment from its mapped value; any miss re-reads the row.
+    bool walked = resume_;
+    for (size_t k = 0; walked && k < segments_.size(); ++k) {
+      const Segment& seg = segments_[k];
+      const uint64_t position = seg.slot < 0 ? pmap.RowStart(row_id)
+                                             : pmap.Position(row_id, seg.slot);
+      if (position >= size_) {
+        return beyond_eof(seg.slot < 0 ? "row start" : "offset", position,
+                          row_id);
       }
+      walked = parser_.ResumeRow(data_ + position, file_end, data_, seg.from,
+                                 seg.to, row_fields_.data());
+    }
+    if (!walked) {
+      // Parse the whole object from the row start; every output rides along.
+      const uint64_t row_start = pmap.RowStart(row_id);
+      if (row_start >= size_) return beyond_eof("row start", row_start, row_id);
       const char* p = data_ + row_start;
       Status parsed = parser_.ParseRow(&p, file_end, data_, row_fields_.data());
       if (!parsed.ok()) {
@@ -350,51 +381,9 @@ StatusOr<ColumnBatch> JsonlScanOperator::NextPositional() {
         }
         row_fields_.assign(row_fields_.size(), {});
       }
-      for (size_t j = 0; j < spec_.outputs.size(); ++j) {
-        refs_[j].push_back(
-            row_fields_[static_cast<size_t>(spec_.outputs[j])]);
-      }
-    } else {
-      // Every output is tracked: jump straight to each value's mapped byte
-      // offset — no tokenizing past other fields at all.
-      bool row_dropped = false;
-      for (size_t j = 0; j < spec_.outputs.size(); ++j) {
-        const uint64_t position = pmap.Position(row_id, slot_for_output_[j]);
-        if (position >= size_) {
-          if (spec_.health != nullptr) {
-            spec_.health->io_faults.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (spec_.profile) spec_.profile->parsing.Stop();
-          return Status::DataCorruption(
-              "field-offset map offset " + std::to_string(position) +
-              " for row " + std::to_string(row_id) +
-              " lies beyond the file's " + std::to_string(size_) +
-              " bytes (file truncated since the map was built?)");
-        }
-        const char* p = data_ + position;
-        JsonlField value;
-        Status parsed = ParseJsonValue(&p, file_end, &value);
-        if (!parsed.ok()) {
-          if (spec_.policy == MalformedRowPolicy::kFail) return parsed;
-          if (spec_.policy == MalformedRowPolicy::kSkip) {
-            // Drop the whole row: rewind the columns already collected.
-            for (size_t k = 0; k < j; ++k) refs_[k].pop_back();
-            if (spec_.health != nullptr) {
-              spec_.health->rows_skipped.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            }
-            row_dropped = true;
-            break;
-          }
-          value = JsonlField{};  // null-fill: non-converting empty field
-        }
-        value.present = true;
-        refs_[j].push_back(value);
-      }
-      if (row_dropped) {
-        ++input_cursor_;
-        continue;
-      }
+    }
+    for (size_t j = 0; j < spec_.outputs.size(); ++j) {
+      refs_[j].push_back(row_fields_[static_cast<size_t>(spec_.outputs[j])]);
     }
     row_id_scratch_.push_back(row_id);
     ++input_cursor_;

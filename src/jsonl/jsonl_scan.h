@@ -21,9 +21,10 @@ namespace raw {
 ///  * a sequential scan of a newline-aligned byte range (optionally building
 ///    the field-offset map — a PositionalMap whose tracked positions are the
 ///    byte offsets of tracked columns' *values*, wherever their keys appear
-///    in each row), or
-///  * a positional scan that jumps straight to mapped value offsets (tracked
-///    columns) or to the row start (untracked columns) for a set of rows.
+///    in each row, plus the map's key-order bit), or
+///  * a positional scan that jumps to mapped value offsets for a set of rows
+///    and, when the map's rows list their keys in schema order, walks from
+///    the nearest mapped value to the untracked ones.
 struct JsonlScanSpec {
   Schema file_schema;        // full object schema (all keys)
   std::vector<int> outputs;  // columns to materialize, ascending
@@ -32,20 +33,26 @@ struct JsonlScanSpec {
   /// Sequential mode: byte-addressed morsel (default: whole file). Must cut
   /// on line boundaries (see SplitJsonlByteRanges). Emitted row ids are
   /// range-local; the parallel scan driver rebases them.
+  /// Positional mode: a row range of the map (ScanRange::Rows); emitted ids
+  /// are file-global. Not combined with `row_set`.
   ScanRange range;
 
   /// Sequential mode: build this field-offset map while scanning (may be
   /// null). Offsets are file-global even for sub-range scans.
   PositionalMap* build_pmap = nullptr;
 
-  /// Positional mode: jump with this map (null => sequential mode). Unlike
-  /// CSV there is no anchor column — JSON keys carry no positional order, so
-  /// untracked columns re-parse from the row start instead of incrementally
-  /// parsing from a preceding field.
+  /// Positional mode: jump with this map (null => sequential mode). Tracked
+  /// columns jump straight to their value. When the map's key-order bit is
+  /// set, an untracked column is reached the way the CSV anchor reaches one:
+  /// the walk starts at the nearest tracked value at or before it, checks
+  /// each key it passes, and re-anchors at any tracked value on the way to a
+  /// later output. A key that does not match (bytes changed since the map
+  /// was built) sends the row to a whole-object parse from the row start,
+  /// as do all untracked reads when the bit is clear.
   const PositionalMap* use_pmap = nullptr;
 
   /// Positional mode: explicit rows (column shreds). Only `ids` are used;
-  /// positions resolve through the map. When absent, all mapped rows.
+  /// positions resolve through the map. When absent, the rows of `range`.
   std::optional<RowSet> row_set;
 
   /// What to do with rows whose bytes don't convert to the schema (or lines
@@ -95,8 +102,17 @@ class JsonlScanOperator : public Operator {
   int64_t row_ = 0;
   // Positional cursor state.
   int64_t input_cursor_ = 0;
-  bool needs_full_row_ = false;        // some output column is untracked
-  std::vector<int> slot_for_output_;   // tracked slot per output, -1 untracked
+  int64_t row_begin_ = 0;  // first map row of `range`
+  int64_t row_end_ = 0;    // one past its last
+  /// One stretch of a row's resume walk: jump to `slot`'s mapped value (the
+  /// row start when -1), which belongs to column `from`, and walk to `to`.
+  struct Segment {
+    int slot = -1;
+    int from = -1;
+    int to = -1;
+  };
+  std::vector<Segment> segments_;
+  bool resume_ = false;  // rows are read by segments, else parsed whole
   // Scratch.
   std::vector<JsonlField> row_fields_;             // one per schema field
   std::vector<std::vector<JsonlField>> refs_;      // [output][batch row]

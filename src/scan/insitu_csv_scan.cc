@@ -21,18 +21,22 @@ Status InsituCsvScanOperator::Open() {
   const char* begin = data_;
   end_ = begin + size_;
   pos_ = begin + DataStartOffset(begin, end_, spec_.options);
-  if (!spec_.range.whole()) {
-    if (spec_.range.unit != ScanRange::Unit::kBytes) {
-      return Status::InvalidArgument("CSV scan range must be byte-addressed");
+  const PositionalMap* pmap = spec_.use_pmap;
+  if (pmap != nullptr) {
+    if (spec_.row_set.has_value() && !spec_.range.whole()) {
+      return Status::InvalidArgument(
+          "CSV positional scan takes a row range or a row set, not both");
     }
-    const int64_t size = static_cast<int64_t>(size_);
-    const int64_t range_end = spec_.range.bounded() ? spec_.range.end : size;
-    if (spec_.range.begin < 0 || range_end > size ||
-        spec_.range.begin > range_end) {
-      return Status::InvalidArgument("CSV scan byte range out of bounds");
-    }
-    pos_ = begin + spec_.range.begin;
-    end_ = begin + range_end;
+    RAW_RETURN_NOT_OK(spec_.range.Resolve(
+        ScanRange::Unit::kRows, pmap->num_rows(), &row_begin_, &row_end_));
+  } else if (!spec_.range.whole()) {  // whole: from the data start
+    int64_t first = 0;
+    int64_t last = 0;
+    RAW_RETURN_NOT_OK(spec_.range.Resolve(ScanRange::Unit::kBytes,
+                                          static_cast<int64_t>(size_), &first,
+                                          &last));
+    pos_ = begin + first;
+    end_ = begin + last;
   }
   row_ = 0;
   input_cursor_ = 0;
@@ -373,7 +377,7 @@ StatusOr<ColumnBatch> InsituCsvScanOperator::NextPositional() {
   const PositionalMap& pmap = *spec_.use_pmap;
   const int64_t total = spec_.row_set.has_value()
                             ? spec_.row_set->size()
-                            : pmap.num_rows();
+                            : row_end_ - row_begin_;
   if (input_cursor_ >= total) return ColumnBatch::EndOfStream(output_schema_);
   if (spec_.profile) spec_.profile->parsing.Start();
 
@@ -392,8 +396,8 @@ StatusOr<ColumnBatch> InsituCsvScanOperator::NextPositional() {
       row_id = spec_.row_set->ids[static_cast<size_t>(input_cursor_)];
       position = spec_.row_set->positions[static_cast<size_t>(input_cursor_)];
     } else {
-      row_id = input_cursor_;
-      position = pmap.Position(input_cursor_, anchor_slot_);
+      row_id = row_begin_ + input_cursor_;
+      position = pmap.Position(row_id, anchor_slot_);
     }
     if (position >= size_) {
       // The published map outlived the bytes it indexes: the file shrank

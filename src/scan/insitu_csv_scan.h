@@ -21,7 +21,7 @@ namespace raw {
 ///  * a sequential scan of the whole file (optionally building a positional
 ///    map as a side effect), or
 ///  * a positional scan that jumps to `anchor_column` via `use_pmap` for a
-///    set of rows (all rows, or an explicit RowSet for column shreds) and
+///    set of rows (a row range, or an explicit RowSet for column shreds) and
 ///    incrementally parses to the requested columns.
 struct CsvScanSpec {
   Schema file_schema;         // full file schema (all physical columns)
@@ -39,6 +39,8 @@ struct CsvScanSpec {
   /// of a data row and `range.end` one past a row terminator (or the file
   /// size); see SplitCsvByteRanges. Emitted row ids are local to the range
   /// (the parallel scan driver rebases them by morsel prefix sums).
+  /// Positional mode: a row range of the map (ScanRange::Rows); emitted ids
+  /// are file-global. Not combined with `row_set`.
   ScanRange range;
 
   /// Sequential mode: build this map while scanning (may be null).
@@ -51,7 +53,7 @@ struct CsvScanSpec {
   int anchor_column = -1;
 
   /// Positional mode: explicit rows (column shreds). Empty positions are
-  /// filled from the map. When absent, all mapped rows are visited.
+  /// filled from the map. When absent, the rows of `range` are visited.
   std::optional<RowSet> row_set;
 
   /// What to do with rows whose bytes don't convert to the schema.
@@ -99,6 +101,8 @@ class InsituCsvScanOperator : public Operator {
   int64_t row_ = 0;
   // Positional cursor state.
   int64_t input_cursor_ = 0;
+  int64_t row_begin_ = 0;  // first map row of `range`
+  int64_t row_end_ = 0;    // one past its last
   int anchor_slot_ = -1;
   // Scratch: field views per output column for the current batch.
   std::vector<std::vector<FieldRef>> refs_;

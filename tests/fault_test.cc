@@ -32,6 +32,7 @@
 #include "engine/catalog.h"
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
+#include "jsonl/jsonl_scan.h"
 #include "scan/insitu_csv_scan.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -621,6 +622,77 @@ TEST_F(StalenessTest, TruncationUnderAWarmPmapIsDetectedNotCrashed) {
       << result.status().ToString();
   ASSERT_OK_AND_ASSIGN(auto stale, engine.PositionalMapSnapshot("t"));
   EXPECT_EQ(nullptr, stale) << "stale map survived the truncation";
+}
+
+TEST_F(StalenessTest, FlippedKeyByteUnderAnOrderedJsonlMapIsTypedOrCorrect) {
+  // An ordered field-offset map lets a warm scan walk from a mapped value to
+  // untracked ones, checking each key it passes. Flip one key byte of a row
+  // under that map: a key the walk checks must become a typed error (the
+  // row no longer has that key); any other key leaves the answer correct.
+  // Never a value read under the wrong key.
+  const TableSpec spec = TableSpec::UniformInt32("k", 12, 30, /*seed=*/11);
+  const std::string path = Path("k.jsonl");
+  ASSERT_OK(WriteJsonlFile(spec, path));
+  ASSERT_OK_AND_ASSIGN(const std::string good, ReadFileToString(path));
+  const Schema schema = spec.ToSchema();
+
+  PositionalMap pmap = PositionalMap::WithStride(12, 10);  // col0, col10
+  auto scan = [&](const std::string& bytes, const std::vector<int>& outputs,
+                  PositionalMap* build) -> StatusOr<std::vector<std::string>> {
+    JsonlScanSpec s;
+    s.file_schema = schema;
+    s.outputs = outputs;
+    s.build_pmap = build;
+    s.use_pmap = build == nullptr ? &pmap : nullptr;
+    JsonlScanOperator op(bytes.data(), bytes.size(), std::move(s));
+    RAW_RETURN_NOT_OK(op.Open());
+    std::vector<std::string> values;
+    while (true) {
+      RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op.Next());
+      if (batch.end_of_stream()) break;
+      for (int64_t r = 0; r < batch.num_rows(); ++r) {
+        for (int c = 0; c < batch.num_columns(); ++c) {
+          values.push_back(batch.column(c)->GetDatum(r).ToString());
+        }
+      }
+    }
+    return values;
+  };
+  ASSERT_OK(scan(good, {0}, &pmap).status());
+  ASSERT_TRUE(pmap.keys_in_schema_order());
+
+  // Outputs {6, 7, 10}: a walk from col0's value that checks the keys of
+  // col1..col7, then a jump to col10's value.
+  const std::vector<int> outputs = {6, 7, 10};
+  ASSERT_OK_AND_ASSIGN(const std::vector<std::string> truth,
+                       scan(good, outputs, nullptr));
+  const size_t row_start = good.find('\n', good.find('\n') + 1) + 1;
+  const size_t row_end = good.find('\n', row_start);
+  int typed = 0;
+  for (int c = 0; c < 12; ++c) {
+    std::string key = "\"col";
+    key += std::to_string(c);
+    key += '"';
+    const size_t at = good.find(key, row_start);
+    ASSERT_LT(at, row_end) << key;
+    const bool walked = c >= 1 && c <= 7;
+    for (size_t i = 0; i < key.size(); ++i) {
+      SCOPED_TRACE(key + " byte " + std::to_string(i));
+      std::string bad = good;
+      bad[at + i] = static_cast<char>(bad[at + i] ^ 0x01);
+      auto got = scan(bad, outputs, nullptr);
+      if (!got.ok()) {
+        EXPECT_TRUE(got.status().code() == StatusCode::kParseError ||
+                    got.status().code() == StatusCode::kDataCorruption)
+            << got.status().ToString();
+        ++typed;
+        continue;
+      }
+      EXPECT_FALSE(walked) << "a checked key was flipped, yet no error";
+      EXPECT_EQ(*got, truth);
+    }
+  }
+  EXPECT_GE(typed, 7 * 6);  // every byte of the checked keys "col1".."col7"
 }
 
 TEST_F(StalenessTest, PmapBuiltUnderAMutatedClaimIsDropped) {

@@ -26,6 +26,8 @@
 #include "engine/executor.h"
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
+#include "jsonl/jsonl_scan.h"
+#include "scan/insitu_csv_scan.h"
 #include "scan/morsel.h"
 #include "scan/shred_scan.h"
 #include "tests/test_util.h"
@@ -299,6 +301,99 @@ TEST_F(ParallelScanTest, ParallelPositionalMapMatchesSerialMap) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, scan_all(2));
   EXPECT_EQ(serial, scan_all(8));
+}
+
+TEST_F(ParallelScanTest, RowRangeMorselsOfWarmScansMatchTheSerialScan) {
+  // Interpreted warm positional scans, CSV and JSONL, take one row range per
+  // morsel. At any thread count, and with a short last morsel, the morsels
+  // stitched in order must equal the serial scan, row ids included.
+  const std::string jsonl_path = dir_->FilePath("t.jsonl");
+  ASSERT_OK(WriteJsonlFile(*spec_, jsonl_path));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> csv,
+                       MmapFile::Open(*csv_path_));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<MmapFile> jsonl,
+                       MmapFile::Open(jsonl_path));
+  const Schema schema = spec_->ToSchema();
+  const std::vector<int> outputs = {2, 5, 7};
+
+  auto drain = [](Operator* op) {
+    std::vector<std::string> rows;
+    EXPECT_OK(op->Open());
+    while (true) {
+      auto batch = op->Next();
+      EXPECT_OK(batch.status());
+      if (!batch.ok() || batch->end_of_stream()) break;
+      for (int64_t r = 0; r < batch->num_rows(); ++r) {
+        std::string row =
+            std::to_string(batch->row_ids()[static_cast<size_t>(r)]);
+        for (int c = 0; c < batch->num_columns(); ++c) {
+          row += '|';
+          row += batch->column(c)->GetDatum(r).ToString();
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    return rows;
+  };
+
+  PositionalMap csv_map = PositionalMap::WithStride(8, 3);
+  PositionalMap jsonl_map = PositionalMap::WithStride(8, 3);
+  {
+    CsvScanSpec c;
+    c.file_schema = schema;
+    c.outputs = {0};
+    c.build_pmap = &csv_map;
+    InsituCsvScanOperator csv_build(csv.get(), std::move(c));
+    drain(&csv_build);
+    JsonlScanSpec j;
+    j.file_schema = schema;
+    j.outputs = {0};
+    j.build_pmap = &jsonl_map;
+    JsonlScanOperator jsonl_build(jsonl.get(), std::move(j));
+    drain(&jsonl_build);
+  }
+  ASSERT_EQ(csv_map.num_rows(), jsonl_map.num_rows());
+
+  auto make = [&](bool is_csv, const ScanRange& rows) -> OperatorPtr {
+    if (is_csv) {
+      CsvScanSpec c;
+      c.file_schema = schema;
+      c.outputs = outputs;
+      c.use_pmap = &csv_map;
+      c.anchor_column = 0;
+      c.range = rows;
+      return std::make_unique<InsituCsvScanOperator>(csv.get(), std::move(c));
+    }
+    JsonlScanSpec j;
+    j.file_schema = schema;
+    j.outputs = outputs;
+    j.use_pmap = &jsonl_map;
+    j.range = rows;
+    return std::make_unique<JsonlScanOperator>(jsonl.get(), std::move(j));
+  };
+
+  const int64_t n = csv_map.num_rows();
+  std::vector<ScanRange> morsels;
+  for (int64_t b = 0; b < n; b += 700) {
+    morsels.push_back(ScanRange::Rows(b, std::min<int64_t>(700, n - b)));
+  }
+  ASSERT_LT(morsels.back().count(), 700);  // a short last morsel
+  for (bool is_csv : {true, false}) {
+    SCOPED_TRACE(is_csv ? "csv" : "jsonl");
+    OperatorPtr serial_op = make(is_csv, ScanRange::Whole());
+    const std::vector<std::string> serial = drain(serial_op.get());
+    ASSERT_EQ(static_cast<int64_t>(serial.size()), n);
+    for (int threads : {1, 2, 4}) {
+      std::vector<OperatorPtr> children;
+      for (const ScanRange& m : morsels) children.push_back(make(is_csv, m));
+      ParallelTableScanOperator::Options popts;
+      popts.num_threads = threads;
+      ParallelTableScanOperator parallel(serial_op->output_schema(),
+                                         std::move(children),
+                                         std::move(popts));
+      EXPECT_EQ(drain(&parallel), serial) << "threads=" << threads;
+    }
+  }
 }
 
 TEST_F(ParallelScanTest, GroupByDeterministicAcrossThreadCounts) {
