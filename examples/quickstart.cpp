@@ -2,15 +2,15 @@
 //
 //   1. Write a small CSV file.
 //   2. Register it with the engine (name + schema + format).
-//   3. Run SQL; the engine generates a JIT access path for the file/query
-//      combination (falling back to the interpreted scan without a host
-//      compiler) and caches positional map + column shreds for next time.
+//   3. Open a session and run SQL through it. The engine generates a JIT
+//      access path for the file/query combination (running the interpreted
+//      scan while the kernel compiles, or without a host compiler) and
+//      caches positional map + column shreds for next time.
 //
-// This example deliberately stays on the classic one-shot surface
-// (engine.Query(...)): it is a thin shim over an engine-owned default
-// session, kept as the backward-compatible quickstart path. See
-// csv_analytics / multiformat_join for the session API (OpenSession,
-// Prepare, streaming cursors, concurrent clients).
+// Every query goes through a session: session->Query() plans the query,
+// drains its cursor and returns the whole result. See csv_analytics /
+// multiformat_join for the rest of the session API (Prepare with `?`
+// parameters, streaming cursors, concurrent sessions).
 
 #include <cstdio>
 
@@ -64,7 +64,8 @@ int main() {
     return 1;
   }
 
-  // --- 3. query it in place ---------------------------------------------------
+  // --- 3. query it in place through a session --------------------------------
+  auto session = engine.OpenSession();
   const char* queries[] = {
       "SELECT COUNT(*) FROM readings",
       "SELECT MAX(celsius), MIN(celsius), AVG(celsius) FROM readings",
@@ -72,7 +73,7 @@ int main() {
       "SELECT id, celsius FROM readings WHERE celsius > 13.0 LIMIT 3",
   };
   for (const char* sql : queries) {
-    auto result = engine.Query(sql);
+    auto result = session->Query(sql);
     if (!result.ok()) {
       fprintf(stderr, "query failed: %s\n", result.status().ToString().c_str());
       return 1;

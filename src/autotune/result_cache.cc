@@ -86,9 +86,6 @@ bool PackResult(const QueryResult& result, std::string* out) {
            table.row_ids().size() * sizeof(int64_t));
   PutBytes(out, result.plan_description.data(),
            result.plan_description.size());
-  Put(out, result.execute_seconds);
-  Put(out, result.plan_seconds);
-  Put(out, result.compile_seconds);
   Put(out, result.rows_skipped);
   Put(out, result.rows_nulled);
   Put(out, result.io_faults);
@@ -128,9 +125,6 @@ QueryResult UnpackResult(const std::string& packed) {
     result.table.SetRowIds(std::move(row_ids));
   }
   result.plan_description = std::string(in.GetBytes());
-  result.execute_seconds = in.Get<double>();
-  result.plan_seconds = in.Get<double>();
-  result.compile_seconds = in.Get<double>();
   result.rows_skipped = in.Get<int64_t>();
   result.rows_nulled = in.Get<int64_t>();
   result.io_faults = in.Get<int64_t>();
@@ -177,7 +171,7 @@ void ResultCache::Insert(const std::string& key, const QueryResult& result,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    // Refresh in place (same key => same semantic result; timings differ).
+    // Refresh in place (same key => same semantic result).
     total_bytes_.fetch_sub(it->second->bytes, std::memory_order_relaxed);
     shard.bytes_cached -= it->second->bytes;
     auto node = it->second;

@@ -40,10 +40,11 @@ struct ResultCacheStats {
 /// LRU list, one global atomic byte total so the budget is cache-wide.
 ///
 /// Most cached results are a row or two, so an entry stores its result
-/// packed into one buffer (schema, values, row ids, plan text, timings)
-/// rather than as a table of small heap objects, and keeps one copy of its
-/// key: a daemon answering many one-off queries holds a few hundred bytes
-/// per result instead of over a kilobyte. Lookup rebuilds a fresh table.
+/// packed into one buffer (schema, values, row ids, plan text, robustness
+/// counts) rather than as a table of small heap objects, and keeps one copy
+/// of its key: a daemon answering many one-off queries holds a few hundred
+/// bytes per result instead of over a kilobyte. Lookup rebuilds a fresh
+/// table.
 class ResultCache {
  public:
   static constexpr int kDefaultNumShards = 8;
@@ -52,7 +53,8 @@ class ResultCache {
                        int num_shards = kDefaultNumShards);
 
   /// Copies the cached result for `key` into `*out` and refreshes LRU
-  /// order; false (and a miss count) when absent.
+  /// order; false (and a miss count) when absent. Entries store no timings:
+  /// a hit's plan/execute/compile seconds are 0, since it ran nothing.
   bool Lookup(const std::string& key, QueryResult* out);
 
   /// Caches `result` under `key`, recording `tables` for invalidation.

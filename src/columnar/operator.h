@@ -25,7 +25,7 @@ namespace raw {
 /// batch silently truncates the stream.
 /// Open() must be idempotent *before* the first Next() — the planner opens
 /// subtrees while building plans (to materialize output schemas for
-/// expression binding) and the executor opens the root again.
+/// expression binding) and the query's Cursor opens the root again.
 class Operator {
  public:
   virtual ~Operator() = default;

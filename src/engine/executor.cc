@@ -1,9 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <chrono>
-
-#include "common/stopwatch.h"
 
 namespace raw {
 
@@ -23,30 +20,6 @@ StatusOr<Datum> QueryResult::Scalar() const {
         std::to_string(table.num_columns()));
   }
   return ValueAt(0, 0);
-}
-
-StatusOr<QueryResult> Executor::Run(PhysicalPlan plan) {
-  // Fast-fail before draining: a deadline that lapsed during planning (or
-  // while queued in a server's admission queue) must not start execution.
-  if (plan.deadline.expired()) {
-    return Status::ResourceExhausted("query deadline exceeded");
-  }
-  QueryResult result;
-  Stopwatch watch;
-  RAW_ASSIGN_OR_RETURN(result.table, CollectAll(plan.root.get()));
-  result.execute_seconds = watch.ElapsedSeconds();
-  // Execution-time facts (join-build structure stats, ...) append once the
-  // drain is done.
-  result.plan_description = plan.description + plan.RuntimeDescription();
-  if (plan.health != nullptr) {
-    result.rows_skipped =
-        plan.health->rows_skipped.load(std::memory_order_relaxed);
-    result.rows_nulled =
-        plan.health->rows_nulled.load(std::memory_order_relaxed);
-    result.io_faults = plan.health->io_faults.load(std::memory_order_relaxed);
-    result.compile_seconds = plan.health->jit_wait_seconds();
-  }
-  return result;
 }
 
 // =============================================================================

@@ -26,7 +26,7 @@ struct QueryResult {
                                // and, for the DBMS baseline, data loading)
   double compile_seconds = 0;  // time this query waited for the JIT compiler
   std::string plan_description;
-  /// Robustness totals copied from the plan's ScanHealth after the drain:
+  /// Robustness totals read from the plan's ScanHealth after the drain:
   /// rows dropped / zero-filled under a tolerant malformed-row policy, and
   /// I/O faults (truncation, corruption) the scans detected and reported.
   int64_t rows_skipped = 0;
@@ -43,12 +43,6 @@ struct QueryResult {
   StatusOr<Datum> Scalar() const;
 
   double total_seconds() const { return plan_seconds + execute_seconds; }
-};
-
-/// Drains a physical plan into a QueryResult.
-class Executor {
- public:
-  static StatusOr<QueryResult> Run(PhysicalPlan plan);
 };
 
 /// The morsel-parallel table-scan driver: owns one pre-built scan operator

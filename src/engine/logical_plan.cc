@@ -5,9 +5,15 @@
 namespace raw {
 
 std::string PredicateSpec::ToString() const {
-  return column.ToString() + " " + std::string(CompareOpToString(op)) + " " +
-         (is_parameter() ? "?" + std::to_string(param_index + 1)
-                         : literal.ToString());
+  std::string out =
+      column.ToString() + " " + std::string(CompareOpToString(op)) + " ";
+  if (is_parameter()) {
+    out += '?';
+    out += std::to_string(param_index + 1);
+  } else {
+    out += literal.ToString();
+  }
+  return out;
 }
 
 std::string QuerySpec::ToString() const {

@@ -97,8 +97,8 @@ struct PlannerOptions {
 /// Resolves PlannerOptions::num_threads (see above); always >= 1.
 int ResolveNumThreads(int requested);
 
-/// The executable plan: an operator tree plus bookkeeping the executor needs
-/// (per-query counters, explain text).
+/// The executable plan: an operator tree plus the bookkeeping its Cursor
+/// needs (per-query counters, explain text).
 struct PhysicalPlan {
   /// Immutable snapshots the operator tree references by raw pointer (file
   /// handles, positional maps, loaded tables). Holding them here pins them
@@ -112,8 +112,8 @@ struct PhysicalPlan {
   /// tolerant malformed-row policy, I/O faults observed, time spent waiting
   /// for the JIT compiler). Owned here
   /// (and, like `resources`, outliving `root`) so scan specs can hold a raw
-  /// pointer for the plan's whole lifetime; the executor folds the totals
-  /// into the query result.
+  /// pointer for the plan's whole lifetime; the plan's Cursor reports the
+  /// totals in its result and folds them into the engine once, on Close.
   std::shared_ptr<ScanHealth> health;
   OperatorPtr root;
   std::string description;      // EXPLAIN-style summary

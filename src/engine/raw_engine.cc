@@ -48,8 +48,6 @@ RawEngine::RawEngine(RawEngineOptions options)
       0;
   options_.result_cache_bytes = GetEnvInt64(
       "RAW_RESULT_CACHE_BYTES", options_.result_cache_bytes, 0, 1ll << 40);
-  options_.result_cache_min_us = GetEnvInt64(
-      "RAW_RESULT_CACHE_MIN_US", options_.result_cache_min_us, 0, 1ll << 40);
   if (options_.result_cache_bytes > 0) {
     result_cache_ =
         std::make_unique<autotune::ResultCache>(options_.result_cache_bytes);
@@ -85,7 +83,6 @@ RawEngine::RawEngine(RawEngineOptions options)
     shreds_.EraseTable(table);
     if (result_cache_ != nullptr) result_cache_->InvalidateTable(table);
   });
-  default_session_ = OpenSession(options_.planner);
   materializer_ =
       std::make_unique<autotune::BackgroundMaterializer>(this,
                                                          options_.autotune);
@@ -137,6 +134,15 @@ void RawEngine::EndQuery() {
   last_activity_ns_.store(NowNs(), std::memory_order_release);
 }
 
+void RawEngine::FoldScanHealth(const ScanHealth& health) {
+  rows_skipped_.fetch_add(health.rows_skipped.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  rows_nulled_.fetch_add(health.rows_nulled.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  io_faults_.fetch_add(health.io_faults.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+}
+
 std::string RawEngine::ResultCacheKey(
     const QuerySpec& spec, const std::vector<FormatScanContext>& pinned) {
   std::string key = spec.Fingerprint();
@@ -144,24 +150,6 @@ std::string RawEngine::ResultCacheKey(
     key += "|" + tc.entry->info.name + "@" + std::to_string(tc.version);
   }
   return key;
-}
-
-StatusOr<QuerySpec> RawEngine::ParseSql(const std::string& sql) {
-  return default_session_->Parse(sql);
-}
-
-StatusOr<QueryResult> RawEngine::Query(const std::string& sql) {
-  return default_session_->Query(sql);
-}
-
-StatusOr<QueryResult> RawEngine::Query(const std::string& sql,
-                                       const PlannerOptions& options) {
-  return default_session_->Query(sql, options);
-}
-
-StatusOr<QueryResult> RawEngine::Execute(const QuerySpec& spec,
-                                         const PlannerOptions& options) {
-  return default_session_->Execute(spec, options);
 }
 
 EngineStats RawEngine::Stats() const {

@@ -32,12 +32,6 @@ struct RawEngineOptions {
   /// Semantic result-cache budget; 0 disables the cache entirely. The
   /// RAW_RESULT_CACHE_BYTES env knob overrides at engine construction.
   int64_t result_cache_bytes = 0;
-  /// Cost-aware result-cache admission: only results whose execution took at
-  /// least this many microseconds are cached (0 = admit everything). Keeps
-  /// sub-threshold queries — cheaper to recompute than to cache — from
-  /// evicting expensive results. The RAW_RESULT_CACHE_MIN_US env knob
-  /// overrides at engine construction.
-  int64_t result_cache_min_us = 0;
 };
 
 /// Live admission-control counters a serving tier (rawd) maintains on its
@@ -143,9 +137,6 @@ struct EngineStats {
 ///   engine.RegisterCsv("t", "/data/t.csv", schema);
 ///   auto session = engine.OpenSession();
 ///   auto result = session->Query("SELECT MAX(col11) FROM t WHERE col1 < 100");
-///
-/// The classic one-shot surface (engine.Query(...)) remains as a thin shim
-/// over an engine-owned default session.
 class RawEngine {
  public:
   explicit RawEngine(RawEngineOptions options = RawEngineOptions());
@@ -189,22 +180,6 @@ class RawEngine {
   /// The returned handle must not outlive the engine.
   std::unique_ptr<Session> OpenSession();
   std::unique_ptr<Session> OpenSession(const PlannerOptions& options);
-
-  // --- legacy one-shot surface (shims over the default session) --------------
-  /// Parses, binds, plans and executes `sql` with the engine's default
-  /// planner options.
-  StatusOr<QueryResult> Query(const std::string& sql);
-
-  /// Same, with explicit per-query planner options (experiments sweep these).
-  StatusOr<QueryResult> Query(const std::string& sql,
-                              const PlannerOptions& options);
-
-  /// Executes a programmatic logical query.
-  StatusOr<QueryResult> Execute(const QuerySpec& spec,
-                                const PlannerOptions& options);
-
-  /// Parses + binds without executing (EXPLAIN-style tooling, tests).
-  StatusOr<QuerySpec> ParseSql(const std::string& sql);
 
   // --- introspection ---------------------------------------------------------
   /// Read-only snapshot of caches, counters and per-table adaptive state.
@@ -251,6 +226,7 @@ class RawEngine {
   void ResetAdaptiveState();
 
  private:
+  friend class Cursor;
   friend class Session;
   friend class autotune::BackgroundMaterializer;
 
@@ -259,6 +235,9 @@ class RawEngine {
   /// background work; End restarts the idle clock.
   void BeginQuery();
   void EndQuery();
+
+  /// Adds one plan's ScanHealth to the robustness totals (Cursor::Close).
+  void FoldScanHealth(const ScanHealth& health);
 
   /// Opens the materializer's session: single-threaded plans, excluded from
   /// query counters, access mining and the result cache.
@@ -284,15 +263,14 @@ class RawEngine {
   std::atomic<int64_t> queries_planned_{0};
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> queries_inflight_{0};
-  /// Robustness accumulators (see EngineStats); sessions fold each query's
-  /// ScanHealth in, including for queries that ultimately failed.
+  /// Robustness accumulators (see EngineStats); each plan's cursor folds its
+  /// ScanHealth in once, including for queries that failed or were
+  /// abandoned.
   std::atomic<int64_t> rows_skipped_{0};
   std::atomic<int64_t> rows_nulled_{0};
   std::atomic<int64_t> io_faults_{0};
   /// steady_clock ns of the last foreground activity (0 = never).
   std::atomic<int64_t> last_activity_ns_{0};
-
-  std::unique_ptr<Session> default_session_;  // backs the legacy shims
 
   std::unique_ptr<autotune::ResultCache> result_cache_;  // null when disabled
   /// Declared last: destroyed first, joining the worker thread while every

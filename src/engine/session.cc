@@ -30,14 +30,16 @@ Cursor::~Cursor() {
   (void)ignored;
 }
 
-Cursor Cursor::FromBatch(ColumnBatch batch, std::string description,
-                         double plan_seconds, double compile_seconds) {
+Cursor Cursor::Explain(RawEngine* engine, PhysicalPlan plan,
+                       double plan_seconds) {
   Cursor cursor;
-  cursor.plan_.description = std::move(description);
-  cursor.empty_schema_ = batch.schema();
-  cursor.pending_ = std::make_unique<ColumnBatch>(std::move(batch));
+  cursor.engine_ = engine;
+  cursor.pending_ =
+      std::make_unique<ColumnBatch>(ExplainBatch(plan.description));
+  cursor.empty_schema_ = cursor.pending_->schema();
+  cursor.plan_.description = std::move(plan.description);
+  cursor.plan_.health = std::move(plan.health);
   cursor.plan_seconds_ = plan_seconds;
-  cursor.compile_seconds_ = compile_seconds;
   return cursor;
 }
 
@@ -49,7 +51,15 @@ const Schema& Cursor::schema() const {
 
 Status Cursor::EnsureOpen() {
   if (opened_ || plan_.root == nullptr) return Status::OK();
-  RAW_RETURN_NOT_OK(plan_.root->Open());
+  // A deadline that lapsed during planning (or while queued in a server's
+  // admission queue) must not start execution.
+  if (plan_.deadline.expired()) {
+    return Status::ResourceExhausted("query deadline exceeded");
+  }
+  Stopwatch watch;
+  Status status = plan_.root->Open();
+  execute_seconds_ += watch.ElapsedSeconds();
+  RAW_RETURN_NOT_OK(status);
   opened_ = true;
   return Status::OK();
 }
@@ -60,15 +70,17 @@ StatusOr<ColumnBatch> Cursor::Next() {
     pending_.reset();
     return batch;
   }
-  if (eof_ || closed_ || plan_.root == nullptr) {
-    if (plan_.root == nullptr) eof_ = true;
+  if (eof_ || closed_) return ColumnBatch(schema());
+  if (plan_.root == nullptr) {
+    eof_ = true;
+    RAW_RETURN_NOT_OK(Close());
     return ColumnBatch(schema());
   }
   if (plan_.deadline.expired()) {
     return Status::ResourceExhausted("query deadline exceeded");
   }
-  Stopwatch watch;
   RAW_RETURN_NOT_OK(EnsureOpen());
+  Stopwatch watch;
   // Zero-row data batches (a fully filtered morsel, say) are legal
   // mid-stream; only the EndOfStream sentinel terminates. Loop past the
   // former so clients keep the simple "empty batch == done" contract.
@@ -97,20 +109,33 @@ StatusOr<QueryResult> Cursor::Consume() {
   }
   QueryResult result;
   RAW_ASSIGN_OR_RETURN(result.table, ConcatBatches(result_schema, batches));
+  // Execution-time facts (join-build structure stats, ...) append once the
+  // drain is done.
   result.plan_description = plan_.description + plan_.RuntimeDescription();
   result.plan_seconds = plan_seconds_;
   result.compile_seconds = compile_seconds();
   result.execute_seconds = execute_seconds_;
+  if (plan_.health != nullptr) {
+    result.rows_skipped =
+        plan_.health->rows_skipped.load(std::memory_order_relaxed);
+    result.rows_nulled =
+        plan_.health->rows_nulled.load(std::memory_order_relaxed);
+    result.io_faults = plan_.health->io_faults.load(std::memory_order_relaxed);
+  }
   return result;
 }
 
 Status Cursor::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  if (plan_.root != nullptr && opened_) {
-    return plan_.root->Close();
+  Status status = Status::OK();
+  if (plan_.root != nullptr && opened_) status = plan_.root->Close();
+  // The plan's one fold: Close() has stopped every scan (morsel workers
+  // included), so the totals are final. A failed drain still counts.
+  if (engine_ != nullptr && plan_.health != nullptr) {
+    engine_->FoldScanHealth(*plan_.health);
   }
-  return Status::OK();
+  return status;
 }
 
 // =============================================================================
@@ -174,34 +199,6 @@ StatusOr<PreparedQuery> Session::Prepare(const std::string& sql) {
   return PreparedQuery(this, std::move(spec));
 }
 
-StatusOr<PhysicalPlan> Session::PlanSpec(const QuerySpec& spec,
-                                         std::vector<FormatScanContext> pinned,
-                                         const PlannerOptions& options,
-                                         double* plan_seconds) {
-  // Foreground queries raise the inflight gauge for their plan's whole
-  // lifetime (streaming cursors included): the guard rides in the plan's
-  // resource list and lowers it when the plan is destroyed. Raising it also
-  // preempts any background build before planning does real work.
-  std::shared_ptr<const void> inflight_guard;
-  if (!internal_) {
-    RawEngine* engine = engine_;
-    engine->BeginQuery();
-    inflight_guard = std::shared_ptr<const void>(
-        static_cast<const void*>(nullptr),
-        [engine](const void*) { engine->EndQuery(); });
-  }
-  Stopwatch watch;
-  RAW_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      engine_->planner_.Plan(spec, std::move(pinned), options));
-  *plan_seconds = watch.ElapsedSeconds();
-  if (!internal_) {
-    engine_->queries_planned_.fetch_add(1, std::memory_order_relaxed);
-    plan.resources.push_back(std::move(inflight_guard));
-  }
-  return plan;
-}
-
 StatusOr<QueryResult> Session::Query(const std::string& sql) {
   return Query(sql, options_);
 }
@@ -240,59 +237,16 @@ StatusOr<QueryResult> Session::ExecuteBound(const QuerySpec& spec,
     QueryResult cached;
     if (cache->Lookup(cache_key, &cached)) {
       // A hit is foreground activity (keeps the materializer polite) but
-      // costs no planning or execution — report timings accordingly.
+      // costs no planning or execution: cached entries carry no timings.
       engine_->NoteForegroundActivity();
-      cached.plan_seconds = 0;
-      cached.compile_seconds = 0;
-      cached.execute_seconds = 0;
       cached.plan_description += " [result-cache hit]";
       return cached;
     }
   }
-  double plan_seconds = 0;
-  RAW_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      PlanSpec(spec, std::move(pinned), options, &plan_seconds));
-  if (spec.explain) {
-    // EXPLAIN: return the plan description as a one-row result.
-    QueryResult result;
-    result.plan_description = plan.description;
-    result.plan_seconds = plan_seconds;
-    result.compile_seconds = plan.health->jit_wait_seconds();
-    result.table = ExplainBatch(plan.description);
-    return result;
-  }
-  if (!internal_) {
-    engine_->queries_executed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Keep the health block alive past the move so its totals reach the
-  // engine-wide counters even when the drain fails mid-stream (typed I/O
-  // faults on failed queries still count).
-  std::shared_ptr<ScanHealth> health = plan.health;
-  StatusOr<QueryResult> run = Executor::Run(std::move(plan));
-  if (health != nullptr) {
-    engine_->rows_skipped_.fetch_add(
-        health->rows_skipped.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    engine_->rows_nulled_.fetch_add(
-        health->rows_nulled.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    engine_->io_faults_.fetch_add(
-        health->io_faults.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  RAW_RETURN_NOT_OK(run.status());
-  QueryResult result = std::move(run).value();
-  result.plan_seconds = plan_seconds;
-  // Cost-aware admission: caching a result that took microseconds to compute
-  // just evicts results worth keeping. Below the configured floor the query
-  // re-executes on its next arrival instead.
-  const bool worth_caching =
-      result.execute_seconds * 1e6 >=
-      static_cast<double>(engine_->options_.result_cache_min_us);
-  if (cacheable && worth_caching) {
-    cache->Insert(cache_key, result, spec.tables);
-  }
+  RAW_ASSIGN_OR_RETURN(Cursor cursor,
+                       OpenCursor(spec, std::move(pinned), options));
+  RAW_ASSIGN_OR_RETURN(QueryResult result, cursor.Consume());
+  if (cacheable) cache->Insert(cache_key, result, spec.tables);
   return result;
 }
 
@@ -321,18 +275,40 @@ StatusOr<Cursor> Session::StreamBound(const QuerySpec& spec,
                                       const PlannerOptions& options) {
   RAW_ASSIGN_OR_RETURN(std::vector<FormatScanContext> pinned,
                        engine_->catalog_.Pin(spec.tables));
-  double plan_seconds = 0;
+  return OpenCursor(spec, std::move(pinned), options);
+}
+
+StatusOr<Cursor> Session::OpenCursor(const QuerySpec& spec,
+                                     std::vector<FormatScanContext> pinned,
+                                     const PlannerOptions& options) {
+  // Foreground queries raise the inflight gauge for their plan's whole
+  // lifetime (streaming cursors included): the guard rides in the plan's
+  // resource list and lowers it when the plan is destroyed. Raising it also
+  // preempts any background build before planning does real work.
+  std::shared_ptr<const void> inflight_guard;
+  if (!internal_) {
+    RawEngine* engine = engine_;
+    engine->BeginQuery();
+    inflight_guard = std::shared_ptr<const void>(
+        static_cast<const void*>(nullptr),
+        [engine](const void*) { engine->EndQuery(); });
+  }
+  Stopwatch watch;
   RAW_ASSIGN_OR_RETURN(
       PhysicalPlan plan,
-      PlanSpec(spec, std::move(pinned), options, &plan_seconds));
+      engine_->planner_.Plan(spec, std::move(pinned), options));
+  const double plan_seconds = watch.ElapsedSeconds();
+  if (!internal_) {
+    engine_->queries_planned_.fetch_add(1, std::memory_order_relaxed);
+    plan.resources.push_back(std::move(inflight_guard));
+  }
   if (spec.explain) {
-    return Cursor::FromBatch(ExplainBatch(plan.description), plan.description,
-                             plan_seconds, plan.health->jit_wait_seconds());
+    return Cursor::Explain(engine_, std::move(plan), plan_seconds);
   }
   if (!internal_) {
     engine_->queries_executed_.fetch_add(1, std::memory_order_relaxed);
   }
-  Cursor cursor(std::move(plan), plan_seconds);
+  Cursor cursor(engine_, std::move(plan), plan_seconds);
   RAW_RETURN_NOT_OK(cursor.EnsureOpen());
   return cursor;
 }

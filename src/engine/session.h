@@ -15,9 +15,10 @@ namespace raw {
 class RawEngine;
 class Session;
 
-/// A streaming query result: RecordBatch-at-a-time access to a running plan
-/// instead of one materialized table. Obtained from Session::Stream /
-/// ExecuteStream / PreparedQuery::ExecuteStream.
+/// A running plan, pulled RecordBatch at a time. Every query runs through
+/// one: Session::Stream / ExecuteStream / PreparedQuery::ExecuteStream hand
+/// it to the caller, and Session::Query / Execute / PreparedQuery::Execute
+/// drain it with Consume().
 ///
 ///   auto cursor = session->Stream("SELECT ... FROM t");
 ///   while (true) {
@@ -31,6 +32,10 @@ class Session;
 /// even if RawEngine::ResetAdaptiveState() runs mid-stream. Abandoning a
 /// cursor early is safe: Close() runs on destruction, releasing any
 /// adaptive-state build claims the plan holds.
+///
+/// Close() also folds the plan's ScanHealth (rows skipped / null-filled,
+/// I/O faults) into the engine's robustness totals — exactly once per plan,
+/// whether the stream drained, failed or was abandoned.
 ///
 /// A Cursor is single-consumer and not thread-safe; the engine underneath is.
 class Cursor {
@@ -53,7 +58,8 @@ class Cursor {
   /// entire result when called first).
   StatusOr<QueryResult> Consume();
 
-  /// Releases plan resources; idempotent, also runs on destruction.
+  /// Releases plan resources and folds the plan's ScanHealth into the
+  /// engine; idempotent, also runs on destruction.
   Status Close();
 
   bool done() const { return eof_; }
@@ -61,27 +67,28 @@ class Cursor {
   double plan_seconds() const { return plan_seconds_; }
   /// Time this query's operators have waited for the JIT compiler so far.
   double compile_seconds() const {
-    return plan_.health != nullptr ? plan_.health->jit_wait_seconds()
-                                   : compile_seconds_;
+    return plan_.health != nullptr ? plan_.health->jit_wait_seconds() : 0;
   }
-  /// Execution time accumulated inside Next() so far.
+  /// Execution time (opening the plan plus every Next()) so far.
   double execute_seconds() const { return execute_seconds_; }
 
  private:
   friend class Session;
 
-  Cursor(PhysicalPlan plan, double plan_seconds)
-      : plan_(std::move(plan)), plan_seconds_(plan_seconds) {}
+  Cursor(RawEngine* engine, PhysicalPlan plan, double plan_seconds)
+      : engine_(engine), plan_(std::move(plan)), plan_seconds_(plan_seconds) {}
 
   /// Opens the plan root (idempotent); called at creation so schema() is
   /// valid immediately and open-time errors surface from Stream(), not from
   /// the first Next().
   Status EnsureOpen();
 
-  /// Pre-materialized single-batch cursor (EXPLAIN).
-  static Cursor FromBatch(ColumnBatch batch, std::string description,
-                          double plan_seconds, double compile_seconds);
+  /// EXPLAIN: a one-row cursor holding the plan's description and health.
+  /// The operator tree (and any build claims it holds) is dropped here.
+  static Cursor Explain(RawEngine* engine, PhysicalPlan plan,
+                        double plan_seconds);
 
+  RawEngine* engine_ = nullptr;  // receives the ScanHealth fold
   PhysicalPlan plan_;
   Schema empty_schema_;
   std::unique_ptr<ColumnBatch> pending_;  // pre-materialized first batch
@@ -89,7 +96,6 @@ class Cursor {
   bool eof_ = false;
   bool closed_ = false;
   double plan_seconds_ = 0;
-  double compile_seconds_ = 0;  // EXPLAIN cursors (no plan to ask)
   double execute_seconds_ = 0;
 };
 
@@ -152,8 +158,9 @@ class Session {
   /// Parses + binds once; the result re-executes with new parameters.
   StatusOr<PreparedQuery> Prepare(const std::string& sql);
 
-  /// One-shot SQL execution with the session's planner options (or an
-  /// explicit override), materializing the full result.
+  /// Runs `sql` with the session's planner options (or an explicit
+  /// override) and materializes the full result: a result-cache hit, or
+  /// Stream(sql) drained by Cursor::Consume.
   StatusOr<QueryResult> Query(const std::string& sql);
   StatusOr<QueryResult> Query(const std::string& sql,
                               const PlannerOptions& options);
@@ -183,19 +190,17 @@ class Session {
   Session(RawEngine* engine, PlannerOptions options, int64_t id)
       : engine_(engine), options_(std::move(options)), id_(id) {}
 
-  /// Runs a bound spec: pins each table once (Catalog::Pin) and reads only
-  /// those pins for the result-cache key, planning and execution.
+  /// Runs a bound spec: a result-cache lookup, then StreamBound drained by
+  /// Cursor::Consume on a miss.
   StatusOr<QueryResult> ExecuteBound(const QuerySpec& spec,
                                      const PlannerOptions& options);
+  /// Pins each table once (Catalog::Pin), then OpenCursor.
   StatusOr<Cursor> StreamBound(const QuerySpec& spec,
                                const PlannerOptions& options);
-
-  /// Plans `spec` over its pinned tables, returning the plan plus timing
-  /// metadata.
-  StatusOr<PhysicalPlan> PlanSpec(const QuerySpec& spec,
-                                  std::vector<FormatScanContext> pinned,
-                                  const PlannerOptions& options,
-                                  double* plan_seconds);
+  /// Plans `spec` over its pinned tables and opens the plan's cursor.
+  StatusOr<Cursor> OpenCursor(const QuerySpec& spec,
+                              std::vector<FormatScanContext> pinned,
+                              const PlannerOptions& options);
 
   RawEngine* engine_;
   PlannerOptions options_;

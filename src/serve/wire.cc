@@ -48,15 +48,22 @@ Status PayloadReader::Bytes(void* out, size_t size) {
   return Status::OK();
 }
 
+void PayloadWriter::PutRaw(const void* data, size_t size) {
+  if (size == 0) return;
+  const size_t at = buf_.size();
+  buf_.resize(at + size);
+  std::memcpy(buf_.data() + at, data, size);
+}
+
 std::vector<uint8_t> EncodeFrame(MessageType type,
                                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(5 + payload.size());
+  std::vector<uint8_t> out(5 + payload.size());
   const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint8_t* lp = reinterpret_cast<const uint8_t*>(&len);
-  out.insert(out.end(), lp, lp + 4);
-  out.push_back(static_cast<uint8_t>(type));
-  out.insert(out.end(), payload.begin(), payload.end());
+  std::memcpy(out.data(), &len, 4);
+  out[4] = static_cast<uint8_t>(type);
+  if (!payload.empty()) {
+    std::memcpy(out.data() + 5, payload.data(), payload.size());
+  }
   return out;
 }
 

@@ -68,10 +68,7 @@ class PayloadWriter {
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
-  void PutRaw(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + size);
-  }
+  void PutRaw(const void* data, size_t size);
   std::vector<uint8_t> buf_;
 };
 

@@ -78,8 +78,11 @@ Datum TableDataSource::Value(int64_t row, int column) const {
           static_cast<double>(col.max_value)));
     case DataType::kBool:
       return Datum::Bool(rng.NextBool());
-    case DataType::kString:
-      return Datum::String("s" + std::to_string(rng.NextBelow(1000000)));
+    case DataType::kString: {
+      std::string value = "s";
+      value += std::to_string(rng.NextBelow(1000000));
+      return Datum::String(std::move(value));
+    }
   }
   return Datum();
 }

@@ -58,7 +58,8 @@ class AutotuneTest : public testing::TempDirTest {
       "SELECT COUNT(*) FROM t WHERE col0 < 500000000";
 
   int64_t Count(RawEngine* engine, const std::string& sql = kCountSql) {
-    auto result = engine->Query(sql);
+    auto session = engine->OpenSession();
+    auto result = session->Query(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (!result.ok()) return -1;
     auto scalar = result->Scalar();
@@ -283,9 +284,10 @@ TEST_F(AutotuneTest, ResultCacheHitAndResetInvalidation) {
   RawEngineOptions options;
   options.result_cache_bytes = 8ll << 20;
   auto engine = NewEngine(options);
+  auto session = engine->OpenSession();
   ASSERT_NE(engine->result_cache(), nullptr);
 
-  ASSERT_OK_AND_ASSIGN(QueryResult cold, engine->Query(kCountSql));
+  ASSERT_OK_AND_ASSIGN(QueryResult cold, session->Query(kCountSql));
   ASSERT_OK_AND_ASSIGN(Datum cold_count, cold.Scalar());
   {
     const EngineStats stats = engine->Stats();
@@ -294,7 +296,7 @@ TEST_F(AutotuneTest, ResultCacheHitAndResetInvalidation) {
     EXPECT_EQ(stats.result_cache.hits, 0);
   }
 
-  ASSERT_OK_AND_ASSIGN(QueryResult warm, engine->Query(kCountSql));
+  ASSERT_OK_AND_ASSIGN(QueryResult warm, session->Query(kCountSql));
   ASSERT_OK_AND_ASSIGN(Datum warm_count, warm.Scalar());
   EXPECT_EQ(cold_count, warm_count);
   EXPECT_NE(warm.plan_description.find("[result-cache hit]"),
@@ -320,7 +322,7 @@ TEST_F(AutotuneTest, ResultCacheHitAndResetInvalidation) {
     EXPECT_EQ(stats.result_cache.entries, 0);
     EXPECT_EQ(stats.result_cache.invalidated, 2);
   }
-  ASSERT_OK_AND_ASSIGN(QueryResult recomputed, engine->Query(kCountSql));
+  ASSERT_OK_AND_ASSIGN(QueryResult recomputed, session->Query(kCountSql));
   ASSERT_OK_AND_ASSIGN(Datum recount, recomputed.Scalar());
   EXPECT_EQ(recount, cold_count);
   EXPECT_EQ(recomputed.plan_description.find("[result-cache hit]"),
@@ -390,38 +392,6 @@ TEST_F(AutotuneTest, PreparedQueryReexecutionHitsResultCache) {
   EXPECT_EQ(engine->Stats().result_cache.entries, 2);
   // Re-executing never re-parses; the whole loop above parsed exactly once.
   EXPECT_EQ(engine->Stats().queries_parsed, 1);
-}
-
-// Cost-aware admission: with a floor far above anything this small table can
-// take, results are computed but never admitted — repeats re-execute instead
-// of evicting results worth keeping. Floor zero admits everything again.
-TEST_F(AutotuneTest, ResultCacheMinMicrosGatesAdmission) {
-  RawEngineOptions options;
-  options.result_cache_bytes = 8ll << 20;
-  options.result_cache_min_us = 600ll * 1000 * 1000;  // ten minutes
-  auto engine = NewEngine(options);
-  ASSERT_NE(engine->result_cache(), nullptr);
-
-  EXPECT_EQ(Count(engine.get()), Count(engine.get()));
-  {
-    const EngineStats stats = engine->Stats();
-    EXPECT_EQ(stats.result_cache.inserted, 0);
-    EXPECT_EQ(stats.result_cache.entries, 0);
-    EXPECT_EQ(stats.result_cache.hits, 0);
-    // Both lookups missed, both executions really ran.
-    EXPECT_EQ(stats.result_cache.misses, 2);
-    EXPECT_EQ(stats.queries_executed, 2);
-  }
-
-  // The env knob overrides the configured floor at engine construction.
-  ASSERT_EQ(setenv("RAW_RESULT_CACHE_MIN_US", "0", /*overwrite=*/1), 0);
-  auto permissive = NewEngine(options);
-  ASSERT_EQ(unsetenv("RAW_RESULT_CACHE_MIN_US"), 0);
-  EXPECT_EQ(permissive->options().result_cache_min_us, 0);
-  Count(permissive.get());
-  EXPECT_EQ(permissive->Stats().result_cache.inserted, 1);
-  Count(permissive.get());
-  EXPECT_EQ(permissive->Stats().result_cache.hits, 1);
 }
 
 // The worker must survive an adversary resetting adaptive state under it

@@ -109,6 +109,7 @@ class AdaptivePolicyTest : public testing::TempDirTest {
 
 TEST_F(AdaptivePolicyTest, ResolvesToShredsAtLowSelectivity) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("t", Path("t.csv"), spec_.ToSchema(),
                                CsvOptions(), 4));
   PlannerOptions options;
@@ -116,15 +117,15 @@ TEST_F(AdaptivePolicyTest, ResolvesToShredsAtLowSelectivity) {
   options.shred_policy = ShredPolicy::kAdaptive;
   // Query 1 caches col0 and discovers the row count.
   ASSERT_OK(
-      engine.Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999", options)
+      session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999", options)
           .status());
   // Low-selectivity second query: the cached col0 yields an exact estimate
   // and the model must push the col7 fetch above the filter.
   Datum lo = spec_.SelectivityLiteral(0, 0.02);
   ASSERT_OK_AND_ASSIGN(
       QueryResult low,
-      engine.Query("SELECT MAX(col7) FROM t WHERE col0 < " + lo.ToString(),
-                   options));
+      session->Query("SELECT MAX(col7) FROM t WHERE col0 < " + lo.ToString(),
+                     options));
   EXPECT_NE(low.plan_description.find("-> shreds"), std::string::npos)
       << low.plan_description;
   EXPECT_NE(low.plan_description.find("cache-estimated"), std::string::npos);
@@ -132,17 +133,19 @@ TEST_F(AdaptivePolicyTest, ResolvesToShredsAtLowSelectivity) {
 
 TEST_F(AdaptivePolicyTest, ResolvesToFullColumnsAtHighSelectivity) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("t", Path("t.csv"), spec_.ToSchema(),
                                CsvOptions(), 4));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.shred_policy = ShredPolicy::kAdaptive;
   ASSERT_OK(
-      engine.Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999", options)
+      session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999", options)
           .status());
   ASSERT_OK_AND_ASSIGN(
       QueryResult high,
-      engine.Query("SELECT MAX(col7) FROM t WHERE col0 < 999999999", options));
+      session->Query("SELECT MAX(col7) FROM t WHERE col0 < 999999999",
+                     options));
   EXPECT_NE(high.plan_description.find("-> full_columns"), std::string::npos)
       << high.plan_description;
 }
@@ -158,16 +161,17 @@ TEST_F(AdaptivePolicyTest, AdaptiveAnswersMatchFixedPolicies) {
          {ShredPolicy::kFullColumns, ShredPolicy::kShreds,
           ShredPolicy::kAdaptive}) {
       RawEngine engine;
+      auto session = engine.OpenSession();
       ASSERT_OK(engine.RegisterCsv("t", Path("t.csv"), spec_.ToSchema(),
                                    CsvOptions(), 4));
       PlannerOptions options;
       options.access_path = AccessPathKind::kInSitu;
       options.shred_policy = policy;
-      ASSERT_OK(engine
-                    .Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                           options)
+      ASSERT_OK(session
+                    ->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                            options)
                     .status());
-      ASSERT_OK_AND_ASSIGN(QueryResult result, engine.Query(sql, options));
+      ASSERT_OK_AND_ASSIGN(QueryResult result, session->Query(sql, options));
       ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
       if (!reference.has_value()) {
         reference = got;
@@ -180,6 +184,7 @@ TEST_F(AdaptivePolicyTest, AdaptiveAnswersMatchFixedPolicies) {
 
 TEST_F(AdaptivePolicyTest, FirstQueryDefaultsToShreds) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("t", Path("t.csv"), spec_.ToSchema(),
                                CsvOptions(), 4));
   PlannerOptions options;
@@ -187,8 +192,8 @@ TEST_F(AdaptivePolicyTest, FirstQueryDefaultsToShreds) {
   options.shred_policy = ShredPolicy::kAdaptive;
   ASSERT_OK_AND_ASSIGN(
       QueryResult first,
-      engine.Query("SELECT MAX(col7) FROM t WHERE col0 < 500000000",
-                   options));
+      session->Query("SELECT MAX(col7) FROM t WHERE col0 < 500000000",
+                     options));
   EXPECT_NE(first.plan_description.find("no stats -> shreds"),
             std::string::npos)
       << first.plan_description;

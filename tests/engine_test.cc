@@ -56,14 +56,26 @@ class EngineTest : public testing::TempDirTest {
   TableSpec spec_;
 };
 
+TEST_F(EngineTest, NewEngineHasNoSession) {
+  RawEngine engine;
+  EXPECT_EQ(engine.Stats().sessions_opened, 0);
+  EXPECT_EQ(engine.Stats().sessions_active(), 0);
+  {
+    auto session = engine.OpenSession();
+    EXPECT_EQ(engine.Stats().sessions_active(), 1);
+  }
+  EXPECT_EQ(engine.Stats().sessions_active(), 0);
+}
+
 TEST_F(EngineTest, CatalogBasics) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   EXPECT_NE(engine->Stats().table("t_csv"), nullptr);
   EXPECT_EQ(engine->Stats().table("nope"), nullptr);
   EXPECT_FALSE(engine->RegisterCsv("t_csv", Path("t.csv"), spec_.ToSchema())
                    .ok());  // duplicate
   EXPECT_EQ(engine->Stats().tables.size(), 2u);
-  EXPECT_FALSE(engine->Query("SELECT COUNT(*) FROM missing").ok());
+  EXPECT_FALSE(session->Query("SELECT COUNT(*) FROM missing").ok());
 }
 
 // Each query goes through the catalog once per table: exactly one
@@ -76,7 +88,6 @@ TEST_F(EngineTest, OneSignatureCheckPerTablePerQuery) {
     SCOPED_TRACE("result_cache_bytes=" + std::to_string(cache_bytes));
     RawEngineOptions options;
     options.result_cache_bytes = cache_bytes;
-    options.result_cache_min_us = 0;
     RawEngine engine(options);
     ASSERT_OK(engine.RegisterCsv("t_csv", Path("t.csv"), spec_.ToSchema()));
     ASSERT_OK(engine.RegisterBinary("t_bin", Path("t.bin"), spec_.ToSchema()));
@@ -156,11 +167,12 @@ TEST_F(EngineTest, MissingFileIsATypedErrorAtExecutionNotAtPrepare) {
 
 TEST_F(EngineTest, SimpleAggregateMatchesGroundTruth) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   int64_t lit = 300000000;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t_csv WHERE col1 < " +
-                    std::to_string(lit)));
+      session->Query("SELECT MAX(col5) FROM t_csv WHERE col1 < " +
+                     std::to_string(lit)));
   ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
   Datum expected = ExpectedMax(spec_, 5, 1, lit);
   EXPECT_EQ(*got.AsInt64(), expected.int64_value());
@@ -175,10 +187,11 @@ TEST_F(EngineTest, AllAccessPathsAgree) {
        {AccessPathKind::kExternalTable, AccessPathKind::kInSitu,
         AccessPathKind::kJit, AccessPathKind::kLoaded}) {
     auto engine = NewEngine();
+    auto session = engine->OpenSession();
     PlannerOptions options;
     options.access_path = path;
     options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
-    auto result = engine->Query(sql, options);
+    auto result = session->Query(sql, options);
     if (!result.ok() && path == AccessPathKind::kJit) {
       GTEST_SKIP() << "JIT unavailable: " << result.status().ToString();
     }
@@ -200,10 +213,11 @@ TEST_F(EngineTest, ShredsAndFullColumnsAgreeOnBothFormats) {
          {ShredPolicy::kFullColumns, ShredPolicy::kShreds,
           ShredPolicy::kMultiColumnShreds}) {
       auto engine = NewEngine();
+      auto session = engine->OpenSession();
       PlannerOptions options;
       options.access_path = AccessPathKind::kInSitu;
       options.shred_policy = policy;
-      ASSERT_OK_AND_ASSIGN(QueryResult result, engine->Query(sql, options));
+      ASSERT_OK_AND_ASSIGN(QueryResult result, session->Query(sql, options));
       ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
       EXPECT_EQ(*got.AsInt64(), expected.int64_value())
           << table << " " << ShredPolicyToString(policy);
@@ -213,10 +227,11 @@ TEST_F(EngineTest, ShredsAndFullColumnsAgreeOnBothFormats) {
 
 TEST_F(EngineTest, SecondQueryUsesPositionalMapAndCache) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
-  ASSERT_OK(engine->Query("SELECT MAX(col1) FROM t_csv WHERE col1 < 900000000",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col1) FROM t_csv WHERE col1 < 900000000",
+                           options)
                 .status());
   // Positional map built by query 1.
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const PositionalMap> pmap,
@@ -229,8 +244,8 @@ TEST_F(EngineTest, SecondQueryUsesPositionalMapAndCache) {
   // Second query over a different column still correct.
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t_csv WHERE col1 < 100000000",
-                    options));
+      session->Query("SELECT MAX(col5) FROM t_csv WHERE col1 < 100000000",
+                     options));
   ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
   EXPECT_EQ(*got.AsInt64(),
             ExpectedMax(spec_, 5, 1, 100000000).int64_value());
@@ -238,15 +253,16 @@ TEST_F(EngineTest, SecondQueryUsesPositionalMapAndCache) {
 
 TEST_F(EngineTest, RepeatQueryServedFromCacheIsFaster) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   std::string sql = "SELECT MAX(col3) FROM t_csv WHERE col1 < 800000000";
-  ASSERT_OK_AND_ASSIGN(QueryResult cold, engine->Query(sql, options));
+  ASSERT_OK_AND_ASSIGN(QueryResult cold, session->Query(sql, options));
   // The first run pools *both* touched columns: col1 as a full column (base
   // scan) and col3 as a shred over the qualifying rows (late scan).
   EXPECT_TRUE(engine->ShredCacheContainsFull("t_csv", 1));
   EXPECT_GE(engine->Stats().shred_cache.entries, 2);
-  ASSERT_OK_AND_ASSIGN(QueryResult warm, engine->Query(sql, options));
+  ASSERT_OK_AND_ASSIGN(QueryResult warm, session->Query(sql, options));
   ASSERT_OK_AND_ASSIGN(Datum a, cold.Scalar());
   ASSERT_OK_AND_ASSIGN(Datum b, warm.Scalar());
   EXPECT_EQ(a, b);
@@ -255,9 +271,10 @@ TEST_F(EngineTest, RepeatQueryServedFromCacheIsFaster) {
 
 TEST_F(EngineTest, CountAndMultipleAggregates) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query(
+      session->Query(
           "SELECT COUNT(*), MIN(col2), MAX(col2), AVG(col2) FROM t_bin"));
   ASSERT_EQ(result.num_rows(), 1);
   ASSERT_OK_AND_ASSIGN(Datum count, result.ValueAt(0, 0));
@@ -269,10 +286,11 @@ TEST_F(EngineTest, CountAndMultipleAggregates) {
 
 TEST_F(EngineTest, ProjectionWithLimit) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT col0, col1 FROM t_csv WHERE col0 < 500000000 "
-                    "LIMIT 5"));
+      session->Query("SELECT col0, col1 FROM t_csv WHERE col0 < 500000000 "
+                     "LIMIT 5"));
   EXPECT_LE(result.num_rows(), 5);
   EXPECT_EQ(result.num_columns(), 2);
   EXPECT_EQ(result.table.schema().field(0).name, "col0");
@@ -292,14 +310,15 @@ TEST_F(EngineTest, MultiPredicateQuery) {
        {ShredPolicy::kFullColumns, ShredPolicy::kShreds,
         ShredPolicy::kMultiColumnShreds}) {
     auto engine2 = NewEngine();
+    auto session2 = engine2->OpenSession();
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.shred_policy = policy;
     ASSERT_OK_AND_ASSIGN(
         QueryResult result,
-        engine2->Query("SELECT COUNT(*) FROM t_csv WHERE col1 < 500000000 "
-                       "AND col4 < 500000000",
-                       options));
+        session2->Query("SELECT COUNT(*) FROM t_csv WHERE col1 < 500000000 "
+                        "AND col4 < 500000000",
+                        options));
     ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
     EXPECT_EQ(got.int64_value(), expected) << ShredPolicyToString(policy);
   }
@@ -359,15 +378,16 @@ TEST_F(JoinEngineTest, PipelinedProjectionAllPlacementsAgree) {
        {JoinProjectionPlacement::kEarly, JoinProjectionPlacement::kIntermediate,
         JoinProjectionPlacement::kLate}) {
     auto engine = NewEngine();
+    auto session = engine->OpenSession();
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.join_placement = placement;
     ASSERT_OK_AND_ASSIGN(
         QueryResult result,
-        engine->Query("SELECT MAX(f1.col4) FROM f1 JOIN f2 ON f1.col0 = "
-                      "f2.col0 WHERE f2.col1 < " +
-                          std::to_string(lit),
-                      options));
+        session->Query("SELECT MAX(f1.col4) FROM f1 JOIN f2 ON f1.col0 = "
+                       "f2.col0 WHERE f2.col1 < " +
+                           std::to_string(lit),
+                       options));
     ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
     EXPECT_EQ(*got.AsInt64(), expected)
         << JoinProjectionPlacementToString(placement);
@@ -381,16 +401,17 @@ TEST_F(JoinEngineTest, LatePlacementDemotesWhenNoPositionalMapInReach) {
   int64_t lit = 100;
   int64_t expected = ExpectedJoinMax(0, 4, lit);
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.join_placement = JoinProjectionPlacement::kLate;
   options.build_positional_map = false;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(f1.col4) FROM f1 JOIN f2 ON f1.col0 = "
-                    "f2.col0 WHERE f2.col1 < " +
-                        std::to_string(lit),
-                    options));
+      session->Query("SELECT MAX(f1.col4) FROM f1 JOIN f2 ON f1.col0 = "
+                     "f2.col0 WHERE f2.col1 < " +
+                         std::to_string(lit),
+                     options));
   ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
   EXPECT_EQ(*got.AsInt64(), expected);
   EXPECT_NE(result.plan_description.find("no-pmap"), std::string::npos)
@@ -404,15 +425,16 @@ TEST_F(JoinEngineTest, BreakingProjectionAllPlacementsAgree) {
        {JoinProjectionPlacement::kEarly, JoinProjectionPlacement::kIntermediate,
         JoinProjectionPlacement::kLate}) {
     auto engine = NewEngine();
+    auto session = engine->OpenSession();
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.join_placement = placement;
     ASSERT_OK_AND_ASSIGN(
         QueryResult result,
-        engine->Query("SELECT MAX(f2.col4) FROM f1 JOIN f2 ON f1.col0 = "
-                      "f2.col0 WHERE f2.col1 < " +
-                          std::to_string(lit),
-                      options));
+        session->Query("SELECT MAX(f2.col4) FROM f1 JOIN f2 ON f1.col0 = "
+                       "f2.col0 WHERE f2.col1 < " +
+                           std::to_string(lit),
+                       options));
     ASSERT_OK_AND_ASSIGN(Datum got, result.Scalar());
     EXPECT_EQ(*got.AsInt64(), expected)
         << JoinProjectionPlacementToString(placement);
@@ -435,11 +457,13 @@ class RefEngineTest : public testing::TempDirTest {
 
 TEST_F(RefEngineTest, EventAndParticleQueries) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("atlas", Path("e.ref")));
   PlannerOptions opts;
   opts.access_path = AccessPathKind::kInSitu;
-  ASSERT_OK_AND_ASSIGN(QueryResult events,
-                       engine.Query("SELECT COUNT(*) FROM atlas_events", opts));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult events,
+      session->Query("SELECT COUNT(*) FROM atlas_events", opts));
   ASSERT_OK_AND_ASSIGN(Datum n, events.Scalar());
   EXPECT_EQ(n.int64_value(), 300);
 
@@ -454,21 +478,22 @@ TEST_F(RefEngineTest, EventAndParticleQueries) {
   }
   ASSERT_OK_AND_ASSIGN(
       QueryResult muons,
-      engine.Query("SELECT COUNT(*) FROM atlas_muons WHERE pt > 25.0", opts));
+      session->Query("SELECT COUNT(*) FROM atlas_muons WHERE pt > 25.0", opts));
   ASSERT_OK_AND_ASSIGN(Datum count, muons.Scalar());
   EXPECT_EQ(count.int64_value(), muons_passing);
 }
 
 TEST_F(RefEngineTest, GroupByEventId) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("atlas", Path("e.ref")));
   PlannerOptions opts;
   opts.access_path = AccessPathKind::kInSitu;
   opts.shred_policy = ShredPolicy::kFullColumns;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT eventID, COUNT(*) FROM atlas_jets GROUP BY eventID",
-                   opts));
+      session->Query(
+          "SELECT eventID, COUNT(*) FROM atlas_jets GROUP BY eventID", opts));
   // Every group's count matches the generator's jet multiplicity.
   EventGenerator gen(options_);
   std::vector<int64_t> expected(static_cast<size_t>(options_.num_events), 0);
@@ -486,6 +511,7 @@ TEST_F(RefEngineTest, GroupByEventId) {
 TEST_F(RefEngineTest, JoinEventsWithGoodRunsCsv) {
   ASSERT_OK(WriteGoodRunsCsv(Path("runs.csv"), options_));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("atlas", Path("e.ref")));
   ASSERT_OK(engine.RegisterCsv("good_runs", Path("runs.csv"),
                                Schema{{"run", DataType::kInt32}}, CsvOptions(),
@@ -494,9 +520,9 @@ TEST_F(RefEngineTest, JoinEventsWithGoodRunsCsv) {
   opts.access_path = AccessPathKind::kInSitu;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT COUNT(*) FROM atlas_events JOIN good_runs ON "
-                   "atlas_events.runNumber = good_runs.run",
-                   opts));
+      session->Query("SELECT COUNT(*) FROM atlas_events JOIN good_runs ON "
+                     "atlas_events.runNumber = good_runs.run",
+                     opts));
   // Ground truth.
   std::vector<int32_t> good = EventGenerator::GoodRuns(options_);
   std::set<int32_t> good_set(good.begin(), good.end());

@@ -40,6 +40,7 @@
 #include "serve/wire.h"
 #include "tests/test_util.h"
 #include "workload/data_gen.h"
+#include "zcsv/gzip_block.h"
 
 namespace raw {
 namespace {
@@ -249,6 +250,7 @@ TEST_F(FaultMatrixTest, EveryFaultKindOnEveryDriverYieldsATypedError) {
       const int64_t fired_before = injector.fired();
 
       RawEngine engine;
+      auto session = engine.OpenSession();
       Status failure;
       std::string sql = "SELECT MAX(col5) FROM t WHERE col1 < 900000000";
       if (std::strstr(c.file, ".ref") != nullptr) {
@@ -268,7 +270,7 @@ TEST_F(FaultMatrixTest, EveryFaultKindOnEveryDriverYieldsATypedError) {
         PlannerOptions options;
         options.access_path = AccessPathKind::kInSitu;
         options.num_threads = threads;
-        auto result = engine.Query(sql, options);
+        auto result = session->Query(sql, options);
         failure = result.status();
       } else {
         EXPECT_TRUE(c.fails_at_register);
@@ -299,7 +301,8 @@ class MalformedRowTest : public testing::TempDirTest {
 
   static int64_t Scalar(RawEngine& engine, const std::string& sql,
                         const PlannerOptions& options) {
-    auto result = engine.Query(sql, options);
+    auto session = engine.OpenSession();
+    auto result = session->Query(sql, options);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     if (!result.ok()) return INT64_MIN;
     auto datum = result->Scalar();
@@ -332,11 +335,12 @@ TEST_F(MalformedRowTest, CsvSkipAndNullFillMatchGroundTruthAtAnyThreadCount) {
   // Strict default: the malformed value is a typed parse error.
   {
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(engine.RegisterCsv("t", Path("m.csv"), schema));
     PlannerOptions strict;
     strict.access_path = AccessPathKind::kInSitu;
     auto result =
-        engine.Query("SELECT SUM(col2) FROM t WHERE col1 < 7", strict);
+        session->Query("SELECT SUM(col2) FROM t WHERE col1 < 7", strict);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(StatusCode::kParseError, result.status().code());
   }
@@ -347,6 +351,7 @@ TEST_F(MalformedRowTest, CsvSkipAndNullFillMatchGroundTruthAtAnyThreadCount) {
       SCOPED_TRACE(std::string(MalformedRowPolicyToString(policy)) + " x" +
                    std::to_string(threads));
       RawEngine engine;
+      auto session = engine.OpenSession();
       ASSERT_OK(engine.RegisterCsv("t", Path("m.csv"), schema));
       PlannerOptions options;
       options.access_path = AccessPathKind::kInSitu;
@@ -369,7 +374,7 @@ TEST_F(MalformedRowTest, CsvSkipAndNullFillMatchGroundTruthAtAnyThreadCount) {
 
       ASSERT_OK_AND_ASSIGN(
           QueryResult result,
-          engine.Query("SELECT SUM(col2) FROM t WHERE col1 < 7", options));
+          session->Query("SELECT SUM(col2) FROM t WHERE col1 < 7", options));
       if (policy == MalformedRowPolicy::kSkip) {
         EXPECT_EQ(bad_rows, result.rows_skipped);
         EXPECT_EQ(0, result.rows_nulled);
@@ -412,10 +417,11 @@ TEST_F(MalformedRowTest, JsonlSkipAndNullFillSurviveStructuralDamage) {
 
   {
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(engine.RegisterJsonl("t", Path("m.jsonl"), schema));
     PlannerOptions strict;
     strict.access_path = AccessPathKind::kInSitu;
-    auto result = engine.Query("SELECT SUM(b) FROM t WHERE a < 1000", strict);
+    auto result = session->Query("SELECT SUM(b) FROM t WHERE a < 1000", strict);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(StatusCode::kParseError, result.status().code());
   }
@@ -426,6 +432,7 @@ TEST_F(MalformedRowTest, JsonlSkipAndNullFillSurviveStructuralDamage) {
       SCOPED_TRACE(std::string(MalformedRowPolicyToString(policy)) + " x" +
                    std::to_string(threads));
       RawEngine engine;
+      auto session = engine.OpenSession();
       ASSERT_OK(engine.RegisterJsonl("t", Path("m.jsonl"), schema));
       PlannerOptions options;
       options.access_path = AccessPathKind::kInSitu;
@@ -443,7 +450,7 @@ TEST_F(MalformedRowTest, JsonlSkipAndNullFillSurviveStructuralDamage) {
 
       ASSERT_OK_AND_ASSIGN(
           QueryResult result,
-          engine.Query("SELECT SUM(b) FROM t WHERE a < 1000", options));
+          session->Query("SELECT SUM(b) FROM t WHERE a < 1000", options));
       if (policy == MalformedRowPolicy::kSkip) {
         EXPECT_EQ(bad_lines, result.rows_skipped);
       } else {
@@ -458,13 +465,14 @@ TEST_F(MalformedRowTest, EngineStatsJsonCarriesTheRobustnessCounters) {
   ASSERT_OK(WriteStringToFile(Path("j.csv"), text));
   const Schema schema{{"a", DataType::kInt32}, {"b", DataType::kInt32}};
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("t", Path("j.csv"), schema));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.malformed_row_policy = MalformedRowPolicy::kSkip;
   ASSERT_OK_AND_ASSIGN(QueryResult result,
-                       engine.Query("SELECT SUM(b) FROM t WHERE b < 100",
-                                    options));
+                       session->Query("SELECT SUM(b) FROM t WHERE b < 100",
+                                      options));
   EXPECT_EQ(1, result.rows_skipped);
   const std::string json = serve::EngineStatsJson(engine.Stats());
   EXPECT_NE(std::string::npos, json.find("\"robustness\"")) << json;
@@ -474,17 +482,235 @@ TEST_F(MalformedRowTest, EngineStatsJsonCarriesTheRobustnessCounters) {
 TEST_F(MalformedRowTest, LimitOverflowIsATypedParseError) {
   ASSERT_OK(WriteStringToFile(Path("l.csv"), "1\n2\n3\n"));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(
       engine.RegisterCsv("t", Path("l.csv"), Schema{{"a", DataType::kInt32}}));
   auto spec =
-      engine.ParseSql("SELECT COUNT(*) FROM t LIMIT 99999999999999999999");
+      session->Parse("SELECT COUNT(*) FROM t LIMIT 99999999999999999999");
   ASSERT_FALSE(spec.ok());
   EXPECT_EQ(StatusCode::kParseError, spec.status().code());
   EXPECT_NE(std::string::npos, spec.status().message().find("LIMIT"))
       << spec.status().ToString();
   ASSERT_OK_AND_ASSIGN(QueryResult ok,
-                       engine.Query("SELECT COUNT(*) FROM t LIMIT 2"));
+                       session->Query("SELECT COUNT(*) FROM t LIMIT 2"));
   (void)ok;
+}
+
+// ---------------------------------------------------------------------------
+// Drain paths: Query is a stream drained by Consume, and every plan folds its
+// scan health into the engine exactly once
+// ---------------------------------------------------------------------------
+
+class DrainPathTest : public testing::TempDirTest {
+ protected:
+  static constexpr int kRows = 60;
+  static constexpr int64_t kBadRows = 6;  // every 10th row's col2
+
+  void SetUp() override {
+    testing::TempDirTest::SetUp();
+    FaultInjector::Global().Disarm();
+    std::string csv;
+    std::string jsonl;
+    for (int i = 0; i < kRows; ++i) {
+      const bool bad = i % 10 == 5;
+      const std::string col2 = bad ? "oops" : std::to_string(3 * i);
+      csv += std::to_string(i) + "," + std::to_string(i % 7) + "," + col2 +
+             "\n";
+      jsonl += "{\"col0\": " + std::to_string(i) +
+               ", \"col1\": " + std::to_string(i % 7) +
+               ", \"col2\": " + (bad ? "\"oops\"" : col2) + "}\n";
+    }
+    ASSERT_OK(WriteStringToFile(Path("d.csv"), csv));
+    ASSERT_OK(WriteStringToFile(Path("d.jsonl"), jsonl));
+    ASSERT_OK(WriteCsvGzFile(Path("d.csv.gz"), csv, /*block_bytes=*/256));
+    ASSERT_OK(WriteBinaryFile(TableSpec::UniformInt32("d", 3, kRows, 3),
+                              Path("d.bin")));
+    EventGenOptions ev;
+    ev.num_events = kRows;
+    ASSERT_OK(WriteRefFile(Path("d.ref"), ev, /*cluster_rows=*/16));
+  }
+
+  void TearDown() override { FaultInjector::Global().Disarm(); }
+
+  /// A fresh engine with `format`'s file registered as `t` (REF as `ev_*`).
+  std::unique_ptr<RawEngine> NewEngine(const std::string& format) {
+    auto engine = std::make_unique<RawEngine>();
+    const Schema schema{{"col0", DataType::kInt32},
+                        {"col1", DataType::kInt32},
+                        {"col2", DataType::kInt32}};
+    Status registered;
+    if (format == "csv") {
+      registered = engine->RegisterCsv("t", Path("d.csv"), schema);
+    } else if (format == "bin") {
+      registered = engine->RegisterBinary("t", Path("d.bin"), schema);
+    } else if (format == "jsonl") {
+      registered = engine->RegisterJsonl("t", Path("d.jsonl"), schema);
+    } else if (format == "csv.gz") {
+      registered = engine->RegisterCsvGz("t", Path("d.csv.gz"), schema);
+    } else {
+      registered = engine->RegisterRef("ev", Path("d.ref"));
+    }
+    EXPECT_OK(registered);
+    return engine;
+  }
+};
+
+TEST_F(DrainPathTest, QueryAndStreamConsumeAgreeOnEveryFormatAndPolicy) {
+  const std::string sql = "SELECT col0, col2 FROM t WHERE col1 < 5";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"csv", sql},
+      {"bin", sql},
+      {"jsonl", sql},
+      {"csv.gz", sql},
+      {"ref", "SELECT runNumber, COUNT(*) FROM ev_events GROUP BY runNumber"},
+  };
+  for (const auto& [format, query] : cases) {
+    const bool text = format == "csv" || format == "jsonl" ||
+                      format == "csv.gz";
+    for (auto policy : {MalformedRowPolicy::kFail, MalformedRowPolicy::kSkip,
+                        MalformedRowPolicy::kNullFill}) {
+      SCOPED_TRACE(format + " " +
+                   std::string(MalformedRowPolicyToString(policy)));
+      PlannerOptions options;
+      options.access_path = AccessPathKind::kInSitu;
+      options.num_threads = 1;
+      options.malformed_row_policy = policy;
+      // One engine per path, so both plan over the same cold state.
+      auto query_engine = NewEngine(format);
+      auto stream_engine = NewEngine(format);
+      StatusOr<QueryResult> queried =
+          query_engine->OpenSession()->Query(query, options);
+      StatusOr<QueryResult> streamed = [&]() -> StatusOr<QueryResult> {
+        auto session = stream_engine->OpenSession();
+        RAW_ASSIGN_OR_RETURN(Cursor cursor, session->Stream(query, options));
+        return cursor.Consume();
+      }();
+
+      ASSERT_EQ(queried.ok(), streamed.ok())
+          << queried.status().ToString() << " vs "
+          << streamed.status().ToString();
+      if (queried.ok()) {
+        EXPECT_EQ(queried->table.ToString(kRows),
+                  streamed->table.ToString(kRows));
+        EXPECT_EQ(queried->plan_description, streamed->plan_description);
+        EXPECT_EQ(queried->rows_skipped, streamed->rows_skipped);
+        EXPECT_EQ(queried->rows_nulled, streamed->rows_nulled);
+        EXPECT_EQ(queried->io_faults, streamed->io_faults);
+      } else {
+        EXPECT_EQ(queried.status().code(), streamed.status().code());
+      }
+      // Each path raises the engine totals by what its result reported.
+      const EngineStats by_query = query_engine->Stats();
+      const EngineStats by_stream = stream_engine->Stats();
+      EXPECT_EQ(by_query.rows_skipped, by_stream.rows_skipped);
+      EXPECT_EQ(by_query.rows_nulled, by_stream.rows_nulled);
+      EXPECT_EQ(by_query.io_faults, by_stream.io_faults);
+      const int64_t bad = text ? kBadRows : 0;
+      switch (policy) {
+        case MalformedRowPolicy::kFail:
+          EXPECT_EQ(queried.ok(), !text);
+          EXPECT_EQ(by_stream.rows_skipped + by_stream.rows_nulled, 0);
+          break;
+        case MalformedRowPolicy::kSkip:
+          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+          EXPECT_EQ(streamed->rows_skipped, bad);
+          EXPECT_EQ(by_stream.rows_skipped, bad);
+          break;
+        case MalformedRowPolicy::kNullFill:
+          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+          EXPECT_EQ(streamed->rows_nulled, bad);
+          EXPECT_EQ(by_stream.rows_nulled, bad);
+          break;
+      }
+    }
+  }
+}
+
+TEST_F(DrainPathTest, AbandonedCursorFoldsItsCountsOnce) {
+  // The only malformed rows are the first four, so the first batch has
+  // seen all of them however far the scan has read.
+  std::string csv;
+  for (int i = 0; i < 400; ++i) {
+    csv += std::to_string(i) + "," + (i < 4 ? "x" : std::to_string(i)) + "\n";
+  }
+  ASSERT_OK(WriteStringToFile(Path("a.csv"), csv));
+  RawEngine engine;
+  ASSERT_OK(engine.RegisterCsv(
+      "t", Path("a.csv"),
+      Schema{{"col0", DataType::kInt32}, {"col1", DataType::kInt32}}));
+  PlannerOptions options;
+  options.access_path = AccessPathKind::kInSitu;
+  options.num_threads = 1;
+  options.batch_rows = 16;
+  options.malformed_row_policy = MalformedRowPolicy::kSkip;
+  auto session = engine.OpenSession();
+  {
+    ASSERT_OK_AND_ASSIGN(Cursor cursor,
+                         session->Stream("SELECT col0, col1 FROM t", options));
+    ASSERT_OK_AND_ASSIGN(ColumnBatch first, cursor.Next());
+    ASSERT_GT(first.num_rows(), 0);
+    ASSERT_FALSE(cursor.done());
+    ASSERT_OK(cursor.Close());
+    EXPECT_EQ(engine.Stats().rows_skipped, 4);
+    ASSERT_OK(cursor.Close());
+    EXPECT_EQ(engine.Stats().rows_skipped, 4);
+  }  // destroying the closed cursor folds nothing more
+  EXPECT_EQ(engine.Stats().rows_skipped, 4);
+  {
+    // Abandoned without Close: the destructor folds.
+    ASSERT_OK_AND_ASSIGN(Cursor cursor,
+                         session->Stream("SELECT col0, col1 FROM t", options));
+    ASSERT_OK_AND_ASSIGN(ColumnBatch first, cursor.Next());
+    ASSERT_GT(first.num_rows(), 0);
+  }
+  EXPECT_EQ(engine.Stats().rows_skipped, 8);
+}
+
+TEST_F(DrainPathTest, FailedDrainFoldsItsIoFaultsOnce) {
+  const TableSpec spec = TableSpec::UniformInt32("g", 4, 400, /*seed=*/9);
+  ASSERT_OK(WriteCsvGzTable(spec, Path("g.csv.gz"), /*block_bytes=*/2048));
+  PlannerOptions options;
+  options.access_path = AccessPathKind::kInSitu;
+  options.num_threads = 1;
+  const std::string sql = "SELECT MAX(col3) FROM t WHERE col0 < 900000000";
+  for (bool stream : {false, true}) {
+    SCOPED_TRACE(stream ? "Stream" : "Query");
+    // A flipped bit in the compressed stream fails one gzip member.
+    FaultSpec fault;
+    fault.kind = FaultKind::kBitFlip;
+    fault.path_substr = "g.csv.gz";
+    FaultInjector::Global().Arm(fault);
+    RawEngine engine;
+    ASSERT_OK(engine.RegisterCsvGz("t", Path("g.csv.gz"), spec.ToSchema()));
+    auto session = engine.OpenSession();
+    if (stream) {
+      {
+        StatusOr<Cursor> cursor = session->Stream(sql, options);
+        Status failure = cursor.status();
+        while (failure.ok()) {
+          StatusOr<ColumnBatch> batch = cursor->Next();
+          if (!batch.ok()) {
+            failure = batch.status();
+          } else if (batch->empty()) {
+            break;
+          }
+        }
+        EXPECT_EQ(failure.code(), StatusCode::kDataCorruption)
+            << failure.ToString();
+        if (cursor.ok()) {
+          (void)cursor->Close();
+          EXPECT_EQ(engine.Stats().io_faults, 1);
+        }
+      }
+    } else {
+      auto result = session->Query(sql, options);
+      EXPECT_EQ(result.status().code(), StatusCode::kDataCorruption)
+          << result.status().ToString();
+    }
+    FaultInjector::Global().Disarm();
+    EXPECT_GT(engine.Stats().faults_injected, 0);
+    EXPECT_EQ(engine.Stats().io_faults, 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -600,12 +826,13 @@ TEST_F(StalenessTest, TruncationUnderAWarmPmapIsDetectedNotCrashed) {
   const std::string path = Path("w.csv");
   ASSERT_OK(WriteCsvFile(spec, path));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("t", path, spec.ToSchema()));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
 
   const std::string sql = "SELECT MAX(col5) FROM t WHERE col1 < 900000000";
-  ASSERT_OK(engine.Query(sql, options).status());
+  ASSERT_OK(session->Query(sql, options).status());
   ASSERT_OK_AND_ASSIGN(auto pmap, engine.PositionalMapSnapshot("t"));
   ASSERT_NE(nullptr, pmap) << "warm-up query did not publish a map";
 
@@ -615,7 +842,7 @@ TEST_F(StalenessTest, TruncationUnderAWarmPmapIsDetectedNotCrashed) {
   const size_t cut = contents.find('\n', contents.size() / 2) + 3;
   ASSERT_EQ(0, ::truncate(path.c_str(), static_cast<off_t>(cut)));
 
-  auto result = engine.Query(sql, options);
+  auto result = session->Query(sql, options);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().code() == StatusCode::kParseError ||
               result.status().code() == StatusCode::kDataCorruption)
@@ -895,8 +1122,9 @@ TEST_F(StalenessTest, CursorClosedAfterAReplacementPublishesNoOldShreds) {
     QueryResult expected;
     {
       RawEngine fresh;
+      auto fresh_session = fresh.OpenSession();
       ASSERT_OK(Register(fresh, c, v2.ToSchema()));
-      ASSERT_OK_AND_ASSIGN(expected, fresh.Query(sql, options));
+      ASSERT_OK_AND_ASSIGN(expected, fresh_session->Query(sql, options));
     }
     ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, v1));
     RawEngine engine;
@@ -1009,9 +1237,10 @@ TEST_F(StalenessTest, RenamedGenerationsUnderConcurrentSessionsAnswerFromOne) {
     for (size_t g = 0; g < generations.size(); ++g) {
       ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, generations[g]));
       RawEngine fresh;
+      auto fresh_session = fresh.OpenSession();
       ASSERT_OK(Register(fresh, c, generations[g].ToSchema()));
       for (const std::string& sql : sqls) {
-        ASSERT_OK_AND_ASSIGN(QueryResult r, fresh.Query(sql));
+        ASSERT_OK_AND_ASSIGN(QueryResult r, fresh_session->Query(sql));
         oracle[g].push_back(answer(r));
       }
     }
@@ -1019,7 +1248,6 @@ TEST_F(StalenessTest, RenamedGenerationsUnderConcurrentSessionsAnswerFromOne) {
     ASSERT_NO_FATAL_FAILURE(ReplaceTable(c, generations[0]));
     RawEngineOptions options;
     options.result_cache_bytes = 1 << 20;
-    options.result_cache_min_us = 0;
     RawEngine engine(options);
     ASSERT_OK(Register(engine, c, generations[0].ToSchema()));
 

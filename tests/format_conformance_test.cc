@@ -90,7 +90,8 @@ class FormatConformanceTest : public testing::TempDirTest {
 
   static int64_t Scalar(RawEngine& engine, const std::string& sql,
                         const PlannerOptions& options) {
-    auto result = engine.Query(sql, options);
+    auto session = engine.OpenSession();
+    auto result = session->Query(sql, options);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     if (!result.ok()) return INT64_MIN;
     auto datum = result->Scalar();
@@ -154,6 +155,7 @@ TEST_F(FormatConformanceTest, PlanDescriptionsNameEveryFormat) {
       {"f_gz", "csv.gz"},
   };
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.num_threads = 4;
@@ -163,12 +165,12 @@ TEST_F(FormatConformanceTest, PlanDescriptionsNameEveryFormat) {
   for (const auto& [table, format] : tables) {
     const std::string sql =
         std::string("SELECT MAX(col2) FROM ") + table + " WHERE col1 < 9999";
-    ASSERT_OK_AND_ASSIGN(QueryResult cold, engine->Query(sql, options));
+    ASSERT_OK_AND_ASSIGN(QueryResult cold, session->Query(sql, options));
     EXPECT_NE(cold.plan_description.find(std::string("[format=") + format +
                                          "]"),
               std::string::npos)
         << table << ": " << cold.plan_description;
-    ASSERT_OK_AND_ASSIGN(QueryResult warm, engine->Query(sql, options));
+    ASSERT_OK_AND_ASSIGN(QueryResult warm, session->Query(sql, options));
     EXPECT_NE(warm.plan_description.find(std::string("[format=") + format +
                                          "]"),
               std::string::npos)
@@ -276,21 +278,22 @@ TEST_F(FormatConformanceTest, RefScansAreConsistentAcrossRunsAndThreads) {
   }
 }
 
-TEST_F(FormatConformanceTest, LegacyOneShotShimMatchesSessions) {
+TEST_F(FormatConformanceTest, TwoSessionsOfOneEngineAgree) {
   const int64_t lit = 350000000;
   const int64_t expected = ExpectedMax(facts_, 2, 1, lit);
   const std::string sql =
       "SELECT MAX(col2) FROM f_jsonl WHERE col1 < " + std::to_string(lit);
   auto engine = NewEngine();
-  // Legacy surface (engine-owned default session).
-  ASSERT_OK_AND_ASSIGN(QueryResult legacy, engine->Query(sql));
-  ASSERT_OK_AND_ASSIGN(Datum legacy_value, legacy.Scalar());
-  EXPECT_EQ(*legacy_value.AsInt64(), expected);
-  // Explicit session surface.
-  auto session = engine->OpenSession();
-  ASSERT_OK_AND_ASSIGN(QueryResult modern, session->Query(sql));
-  ASSERT_OK_AND_ASSIGN(Datum modern_value, modern.Scalar());
-  EXPECT_EQ(*modern_value.AsInt64(), expected);
+  // The first session runs the query cold.
+  auto first = engine->OpenSession();
+  ASSERT_OK_AND_ASSIGN(QueryResult cold, first->Query(sql));
+  ASSERT_OK_AND_ASSIGN(Datum cold_value, cold.Scalar());
+  EXPECT_EQ(*cold_value.AsInt64(), expected);
+  // A second session sees the same answer over the shared adaptive state.
+  auto second = engine->OpenSession();
+  ASSERT_OK_AND_ASSIGN(QueryResult warm, second->Query(sql));
+  ASSERT_OK_AND_ASSIGN(Datum warm_value, warm.Scalar());
+  EXPECT_EQ(*warm_value.AsInt64(), expected);
   EXPECT_GE(engine->Stats().queries_executed, 2);
 }
 

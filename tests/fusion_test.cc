@@ -75,10 +75,11 @@ class FusionTest : public TempDirTest {
     csv_path_ = Path("f.csv");
     EXPECT_OK(WriteCsvFile(spec_, csv_path_));
     auto engine = std::make_unique<RawEngine>();
+    auto session = engine->OpenSession();
     EXPECT_OK(engine->RegisterCsv("f", csv_path_, spec_.ToSchema()));
     if (warm) {
       EXPECT_TRUE(
-          engine->Query("SELECT SUM(col0) FROM f", Opts(JitFusion::kOff, 1))
+          session->Query("SELECT SUM(col0) FROM f", Opts(JitFusion::kOff, 1))
               .ok());
     }
     return engine;
@@ -139,15 +140,16 @@ class FusionTest : public TempDirTest {
 
 TEST_F(FusionTest, CsvFusedMatchesInterpreted) {
   auto engine = CsvEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   std::vector<std::string> queries = MergeableAggQueries();
   for (const std::string& q : ProjectionQueries()) queries.push_back(q);
   for (const std::string& sql : queries) {
     for (int threads : {1, 4}) {
       ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                           engine->Query(sql, Opts(JitFusion::kOn, threads)));
+                           session->Query(sql, Opts(JitFusion::kOn, threads)));
       ASSERT_OK_AND_ASSIGN(QueryResult interp,
-                           engine->Query(sql, Opts(JitFusion::kOff, threads)));
+                           session->Query(sql, Opts(JitFusion::kOff, threads)));
       EXPECT_TRUE(Fused(fused)) << fused.plan_description << " for " << sql;
       EXPECT_FALSE(Fused(interp)) << interp.plan_description;
       ExpectSameResults(fused, interp,
@@ -158,15 +160,16 @@ TEST_F(FusionTest, CsvFusedMatchesInterpreted) {
 
 TEST_F(FusionTest, BinFusedMatchesInterpreted) {
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   std::vector<std::string> queries = MergeableAggQueries();
   for (const std::string& q : ProjectionQueries()) queries.push_back(q);
   for (const std::string& sql : queries) {
     for (int threads : {1, 4}) {
       ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                           engine->Query(sql, Opts(JitFusion::kOn, threads)));
+                           session->Query(sql, Opts(JitFusion::kOn, threads)));
       ASSERT_OK_AND_ASSIGN(QueryResult interp,
-                           engine->Query(sql, Opts(JitFusion::kOff, threads)));
+                           session->Query(sql, Opts(JitFusion::kOff, threads)));
       EXPECT_TRUE(Fused(fused)) << fused.plan_description << " for " << sql;
       EXPECT_NE(fused.plan_description.find("[fused-bin-scan"),
                 std::string::npos)
@@ -182,6 +185,7 @@ TEST_F(FusionTest, RefFusedMatchesInterpreted) {
   gen.num_events = 2000;
   ASSERT_OK(WriteRefFile(Path("e.ref"), gen, /*cluster_events=*/128));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("a", Path("e.ref")));
   if (!CompilerAvailable(engine)) GTEST_SKIP() << "no compiler";
   const std::vector<std::string> queries = {
@@ -191,9 +195,9 @@ TEST_F(FusionTest, RefFusedMatchesInterpreted) {
   for (const std::string& sql : queries) {
     for (int threads : {1, 4}) {
       ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                           engine.Query(sql, Opts(JitFusion::kOn, threads)));
+                           session->Query(sql, Opts(JitFusion::kOn, threads)));
       ASSERT_OK_AND_ASSIGN(QueryResult interp,
-                           engine.Query(sql, Opts(JitFusion::kOff, threads)));
+                           session->Query(sql, Opts(JitFusion::kOff, threads)));
       EXPECT_TRUE(Fused(fused)) << fused.plan_description << " for " << sql;
       EXPECT_NE(fused.plan_description.find("[fused-ref-scan"),
                 std::string::npos)
@@ -217,6 +221,7 @@ TEST_F(FusionTest, WarmCsvKernelScansMatchInSitu) {
     spec_.columns[3].type = DataType::kInt64;
     spec_.columns[4].type = DataType::kFloat64;
     auto engine = CsvEngine();
+    auto session = engine->OpenSession();
     if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
     const std::string lit = spec_.SelectivityLiteral(1, 0.5).ToString();
     const std::vector<std::string> queries = {
@@ -232,15 +237,17 @@ TEST_F(FusionTest, WarmCsvKernelScansMatchInSitu) {
                                   " threads=" + std::to_string(threads);
         PlannerOptions insitu = Opts(JitFusion::kOff, threads);
         insitu.access_path = AccessPathKind::kInSitu;
-        ASSERT_OK_AND_ASSIGN(QueryResult want, engine->Query(sql, insitu));
-        ASSERT_OK_AND_ASSIGN(QueryResult jit,
-                             engine->Query(sql, Opts(JitFusion::kOff, threads)));
+        ASSERT_OK_AND_ASSIGN(QueryResult want, session->Query(sql, insitu));
+        ASSERT_OK_AND_ASSIGN(
+            QueryResult jit,
+            session->Query(sql, Opts(JitFusion::kOff, threads)));
         EXPECT_NE(jit.plan_description.find("[pmap-scan f"), std::string::npos)
             << jit.plan_description;
         EXPECT_FALSE(Fused(jit)) << jit.plan_description;
         ExpectSameResults(jit, want, "kJit " + where);
-        ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                             engine->Query(sql, Opts(JitFusion::kOn, threads)));
+        ASSERT_OK_AND_ASSIGN(
+            QueryResult fused,
+            session->Query(sql, Opts(JitFusion::kOn, threads)));
         ExpectSameResults(fused, want, "kOn " + where);
         EXPECT_EQ(Fused(fused), sql.find("GROUP BY") == std::string::npos)
             << fused.plan_description;
@@ -280,11 +287,12 @@ TEST_F(FusionTest, JitGroupByPlansStayUnfused) {
   };
   for (const Case& c : cases) {
     const int64_t fused_before = c.engine->Stats().plans_fused;
+    auto session = c.engine->OpenSession();
     for (int threads : {1, 4}) {
       const PlannerOptions on_opts = Opts(JitFusion::kOn, threads);
       const PlannerOptions off_opts = Opts(JitFusion::kOff, threads);
-      ASSERT_OK_AND_ASSIGN(QueryResult on, c.engine->Query(c.sql, on_opts));
-      ASSERT_OK_AND_ASSIGN(QueryResult off, c.engine->Query(c.sql, off_opts));
+      ASSERT_OK_AND_ASSIGN(QueryResult on, session->Query(c.sql, on_opts));
+      ASSERT_OK_AND_ASSIGN(QueryResult off, session->Query(c.sql, off_opts));
       EXPECT_EQ(on.plan_description, off.plan_description) << c.sql;
       EXPECT_NE(on.plan_description.find(c.scan_tag), std::string::npos)
           << on.plan_description;
@@ -301,18 +309,19 @@ TEST_F(FusionTest, JitGroupByPlansStayUnfused) {
 
 TEST_F(FusionTest, FloatAggsFuseOnlySingleThreaded) {
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   for (const std::string& sql : FloatAggQueries()) {
     ASSERT_OK_AND_ASSIGN(QueryResult serial,
-                         engine->Query(sql, Opts(JitFusion::kOn, 1)));
+                         session->Query(sql, Opts(JitFusion::kOn, 1)));
     EXPECT_TRUE(Fused(serial)) << serial.plan_description << " for " << sql;
     // Parallel float SUM/AVG would reassociate additions; the planner must
     // keep those interpreted (morsel order preserves the serial result).
     ASSERT_OK_AND_ASSIGN(QueryResult parallel,
-                         engine->Query(sql, Opts(JitFusion::kOn, 4)));
+                         session->Query(sql, Opts(JitFusion::kOn, 4)));
     EXPECT_FALSE(Fused(parallel)) << parallel.plan_description;
     ASSERT_OK_AND_ASSIGN(QueryResult interp,
-                         engine->Query(sql, Opts(JitFusion::kOff, 1)));
+                         session->Query(sql, Opts(JitFusion::kOff, 1)));
     ExpectSameResults(serial, interp, sql + " serial");
     ExpectSameResults(parallel, interp, sql + " parallel");
   }
@@ -325,17 +334,18 @@ TEST_F(FusionTest, FusedResultsIdenticalAcrossKernelTiers) {
     ~TierRestore() { ResetKernelTierFromEnv(); }
   } restore;
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   const std::string sql = "SELECT COUNT(*), MAX(col2), SUM(col3) FROM f "
                           "WHERE col1 < " +
                           spec_.SelectivityLiteral(1, 0.4).ToString();
   ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                       engine->Query(sql, Opts(JitFusion::kOff, 1)));
+                       session->Query(sql, Opts(JitFusion::kOff, 1)));
   for (int t = 0; t <= static_cast<int>(MaxSupportedKernelTier()); ++t) {
     SetKernelTier(static_cast<KernelTier>(t));
     for (int threads : {1, 4}) {
       ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                           engine->Query(sql, Opts(JitFusion::kOn, threads)));
+                           session->Query(sql, Opts(JitFusion::kOn, threads)));
       EXPECT_TRUE(Fused(fused)) << fused.plan_description;
       ExpectSameResults(fused, baseline,
                         "tier=" + std::to_string(t) +
@@ -350,6 +360,7 @@ TEST_F(FusionTest, FallbackFormatsRunInterpretedTransparently) {
   ASSERT_OK(WriteJsonlFile(spec_, Path("f.jsonl")));
   ASSERT_OK(WriteCsvGzTable(spec_, Path("f.csv.gz")));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterJsonl("j", Path("f.jsonl"), spec_.ToSchema()));
   ASSERT_OK(engine.RegisterCsvGz("z", Path("f.csv.gz"), spec_.ToSchema()));
   const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
@@ -359,9 +370,9 @@ TEST_F(FusionTest, FallbackFormatsRunInterpretedTransparently) {
     // Same query, fusion on vs. off: the format has no fusion plug-in, so
     // both runs are interpreted and agree — fusion never breaks a format.
     ASSERT_OK_AND_ASSIGN(QueryResult on,
-                         engine.Query(sql, Opts(JitFusion::kOn, 1)));
+                         session->Query(sql, Opts(JitFusion::kOn, 1)));
     ASSERT_OK_AND_ASSIGN(QueryResult off,
-                         engine.Query(sql, Opts(JitFusion::kOff, 1)));
+                         session->Query(sql, Opts(JitFusion::kOff, 1)));
     EXPECT_FALSE(Fused(on)) << on.plan_description;
     ExpectSameResults(on, off, sql);
   }
@@ -369,20 +380,21 @@ TEST_F(FusionTest, FallbackFormatsRunInterpretedTransparently) {
 
 TEST_F(FusionTest, IneligibleShapesStayInterpreted) {
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
   // GROUP BY is out of scope for the fused tier.
   ASSERT_OK_AND_ASSIGN(
       QueryResult grouped,
-      engine->Query("SELECT col2, COUNT(*) FROM f WHERE col1 < " + lit +
-                        " GROUP BY col2",
-                    Opts(JitFusion::kOn, 1)));
+      session->Query("SELECT col2, COUNT(*) FROM f WHERE col1 < " + lit +
+                         " GROUP BY col2",
+                     Opts(JitFusion::kOn, 1)));
   EXPECT_FALSE(Fused(grouped)) << grouped.plan_description;
   // kOff wins over an otherwise perfectly fusable query.
   ASSERT_OK_AND_ASSIGN(
       QueryResult off,
-      engine->Query("SELECT COUNT(*) FROM f WHERE col1 < " + lit,
-                    Opts(JitFusion::kOff, 1)));
+      session->Query("SELECT COUNT(*) FROM f WHERE col1 < " + lit,
+                     Opts(JitFusion::kOff, 1)));
   EXPECT_FALSE(Fused(off)) << off.plan_description;
 }
 
@@ -390,6 +402,7 @@ TEST_F(FusionTest, InexactIntegerLiteralsStayInterpretedAndExact) {
   // A literal an integer column cannot hold exactly compares widened: the
   // plan stays unfused and answers like the exact predicate it implies.
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
   struct Case {
@@ -407,15 +420,16 @@ TEST_F(FusionTest, InexactIntegerLiteralsStayInterpretedAndExact) {
     const std::string sql = "SELECT COUNT(*), MAX(col2) FROM f WHERE ";
     SCOPED_TRACE(c.inexact);
     ASSERT_OK_AND_ASSIGN(QueryResult on,
-                         engine->Query(sql + c.inexact,
-                                       Opts(JitFusion::kOn, 1)));
+                         session->Query(sql + c.inexact,
+                                        Opts(JitFusion::kOn, 1)));
     EXPECT_FALSE(Fused(on)) << on.plan_description;
     ASSERT_OK_AND_ASSIGN(QueryResult off,
-                         engine->Query(sql + c.inexact,
-                                       Opts(JitFusion::kOff, 1)));
+                         session->Query(sql + c.inexact,
+                                        Opts(JitFusion::kOff, 1)));
     ExpectSameResults(on, off, c.inexact);
-    ASSERT_OK_AND_ASSIGN(QueryResult exact,
-                         engine->Query(sql + c.exact, Opts(JitFusion::kOn, 1)));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult exact,
+        session->Query(sql + c.exact, Opts(JitFusion::kOn, 1)));
     EXPECT_TRUE(Fused(exact)) << exact.plan_description;
     ExpectSameResults(on, exact, c.exact);
   }
@@ -425,12 +439,13 @@ TEST_F(FusionTest, InexactIntegerLiteralsStayInterpretedAndExact) {
 
 TEST_F(FusionTest, CachedColumnsFeedFusedPipelinesAsDenseInputs) {
   auto engine = CsvEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   // Warm col5 into the shred cache with an interpreted full-column scan.
   PlannerOptions warm = Opts(JitFusion::kOff, 1);
   warm.populate_shred_cache = true;
   ASSERT_OK_AND_ASSIGN(QueryResult warmed,
-                       engine->Query("SELECT SUM(col5) FROM f", warm));
+                       session->Query("SELECT SUM(col5) FROM f", warm));
   ASSERT_TRUE(engine->ShredCacheContainsFull("f", 5));
 
   // col5 now arrives dense while col1 is still parsed from the file: the
@@ -438,19 +453,19 @@ TEST_F(FusionTest, CachedColumnsFeedFusedPipelinesAsDenseInputs) {
   const std::string sql = "SELECT SUM(col5), MAX(col5) FROM f WHERE col1 < " +
                           spec_.SelectivityLiteral(1, 0.4).ToString();
   ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                       engine->Query(sql, Opts(JitFusion::kOn, 1)));
+                       session->Query(sql, Opts(JitFusion::kOn, 1)));
   EXPECT_TRUE(Fused(fused)) << fused.plan_description;
   PlannerOptions no_cache = Opts(JitFusion::kOff, 1);
   no_cache.use_shred_cache = false;
-  ASSERT_OK_AND_ASSIGN(QueryResult interp, engine->Query(sql, no_cache));
+  ASSERT_OK_AND_ASSIGN(QueryResult interp, session->Query(sql, no_cache));
   ExpectSameResults(fused, interp, sql);
 
   // Once every needed column is cached there is no file loop left to fuse;
   // the plan falls back to (cheap, in-memory) interpreted operators.
   ASSERT_OK_AND_ASSIGN(
       QueryResult all_cached,
-      engine->Query("SELECT SUM(col5) FROM f WHERE col5 >= 0",
-                    Opts(JitFusion::kOn, 1)));
+      session->Query("SELECT SUM(col5) FROM f WHERE col5 >= 0",
+                     Opts(JitFusion::kOn, 1)));
   EXPECT_FALSE(Fused(all_cached)) << all_cached.plan_description;
   ASSERT_OK_AND_ASSIGN(Datum full_sum, warmed.Scalar());
   ASSERT_OK_AND_ASSIGN(Datum cached_sum, all_cached.Scalar());
@@ -461,15 +476,16 @@ TEST_F(FusionTest, CachedColumnsFeedFusedPipelinesAsDenseInputs) {
 
 TEST_F(FusionTest, StatsCountFusedAndInterpretedPlans) {
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   EngineStats before = engine->Stats();
   EXPECT_EQ(before.plans_fused, 0);
 
   const std::string lit = spec_.SelectivityLiteral(1, 0.4).ToString();
   ASSERT_OK_AND_ASSIGN(QueryResult fused,
-                       engine->Query("SELECT COUNT(*) FROM f WHERE col1 < " +
-                                         lit,
-                                     Opts(JitFusion::kOn, 1)));
+                       session->Query("SELECT COUNT(*) FROM f WHERE col1 < " +
+                                          lit,
+                                      Opts(JitFusion::kOn, 1)));
   ASSERT_TRUE(Fused(fused));
   EngineStats after = engine->Stats();
   EXPECT_EQ(after.plans_fused, 1);
@@ -481,17 +497,17 @@ TEST_F(FusionTest, StatsCountFusedAndInterpretedPlans) {
 
   ASSERT_OK_AND_ASSIGN(
       QueryResult grouped,
-      engine->Query("SELECT col2, COUNT(*) FROM f GROUP BY col2",
-                    Opts(JitFusion::kOn, 1)));
+      session->Query("SELECT col2, COUNT(*) FROM f GROUP BY col2",
+                     Opts(JitFusion::kOn, 1)));
   EXPECT_FALSE(Fused(grouped));
   EXPECT_GE(engine->Stats().plans_interpreted, 1);
 
   // Re-running the same shape hits the template cache: no new compile.
   const int64_t compiles = engine->Stats().jit_cache.compiles;
   ASSERT_OK_AND_ASSIGN(QueryResult again,
-                       engine->Query("SELECT COUNT(*) FROM f WHERE col1 < " +
-                                         lit,
-                                     Opts(JitFusion::kOn, 1)));
+                       session->Query("SELECT COUNT(*) FROM f WHERE col1 < " +
+                                          lit,
+                                      Opts(JitFusion::kOn, 1)));
   ASSERT_TRUE(Fused(again));
   EXPECT_EQ(engine->Stats().jit_cache.compiles, compiles);
   EXPECT_EQ(engine->Stats().plans_fused, 2);
@@ -569,6 +585,7 @@ TEST_F(FusionTest, OneShapeCompilesOnceForEveryLiteral) {
   TableDataSource source(spec_);
   for (bool csv : {true, false}) {
     auto engine = csv ? CsvEngine() : BinEngine();
+    auto session = engine->OpenSession();
     if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
     for (int column = 0; column < 4; ++column) {
       const std::vector<Datum> literals =
@@ -579,10 +596,12 @@ TEST_F(FusionTest, OneShapeCompilesOnceForEveryLiteral) {
           "SELECT COUNT(*) FROM f WHERE col" + std::to_string(column) + " < ";
       ASSERT_OK_AND_ASSIGN(
           QueryResult at,
-          engine->Query(sql + literals[2].ToString(), Opts(JitFusion::kOff, 1)));
+          session->Query(sql + literals[2].ToString(),
+                         Opts(JitFusion::kOff, 1)));
       ASSERT_OK_AND_ASSIGN(
           QueryResult above,
-          engine->Query(sql + literals[3].ToString(), Opts(JitFusion::kOff, 1)));
+          session->Query(sql + literals[3].ToString(),
+                         Opts(JitFusion::kOff, 1)));
       ASSERT_NE(at.Scalar()->ToString(), above.Scalar()->ToString()) << sql;
 
       SweepLiterals(*engine, column, literals, csv ? "csv" : "bin");
@@ -592,7 +611,7 @@ TEST_F(FusionTest, OneShapeCompilesOnceForEveryLiteral) {
       // through the mask prepass, a new shape compiled once.
       PlannerOptions warm = Opts(JitFusion::kOff, 1);
       warm.populate_shred_cache = true;
-      ASSERT_OK(engine->Query("SELECT SUM(col0) FROM f", warm).status());
+      ASSERT_OK(session->Query("SELECT SUM(col0) FROM f", warm).status());
       ASSERT_TRUE(engine->ShredCacheContainsFull("f", 0));
       SweepLiterals(*engine, 0, LiteralsAround(source.Value(0, 0)),
                     "csv dense");
@@ -636,6 +655,7 @@ bool WaitForBackgroundCompiles(RawEngine& engine) {
 
 TEST_F(FusionTest, AutoRunsInterpretedWhileTheKernelCompilesInTheBackground) {
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   const std::string sql = "SELECT COUNT(*), MAX(col2), SUM(col3) FROM f "
                           "WHERE col1 < ";
@@ -644,7 +664,7 @@ TEST_F(FusionTest, AutoRunsInterpretedWhileTheKernelCompilesInTheBackground) {
 
   // First query of the shape: the kernel is queued, the query does not wait.
   ASSERT_OK_AND_ASSIGN(QueryResult first,
-                       engine->Query(sql + l1, Opts(JitFusion::kAuto, 1)));
+                       session->Query(sql + l1, Opts(JitFusion::kAuto, 1)));
   EXPECT_FALSE(Fused(first)) << first.plan_description;
   EXPECT_NE(first.plan_description.find("[jit: compiling]"), std::string::npos)
       << first.plan_description;
@@ -658,7 +678,7 @@ TEST_F(FusionTest, AutoRunsInterpretedWhileTheKernelCompilesInTheBackground) {
 
   // The next query of the shape (fresh literal) runs the compiled kernel.
   ASSERT_OK_AND_ASSIGN(QueryResult second,
-                       engine->Query(sql + l2, Opts(JitFusion::kAuto, 1)));
+                       session->Query(sql + l2, Opts(JitFusion::kAuto, 1)));
   EXPECT_TRUE(Fused(second)) << second.plan_description;
   EXPECT_EQ(second.compile_seconds, 0.0);
   EXPECT_EQ(engine->Stats().jit_cache.compiles, drained.jit_cache.compiles);
@@ -666,9 +686,9 @@ TEST_F(FusionTest, AutoRunsInterpretedWhileTheKernelCompilesInTheBackground) {
 
   // Interpreted and fused answers equal the compile-and-wait setting's.
   ASSERT_OK_AND_ASSIGN(QueryResult on1,
-                       engine->Query(sql + l1, Opts(JitFusion::kOn, 1)));
+                       session->Query(sql + l1, Opts(JitFusion::kOn, 1)));
   ASSERT_OK_AND_ASSIGN(QueryResult on2,
-                       engine->Query(sql + l2, Opts(JitFusion::kOn, 1)));
+                       session->Query(sql + l2, Opts(JitFusion::kOn, 1)));
   ExpectSameResults(first, on1, sql + l1);
   ExpectSameResults(second, on2, sql + l2);
 }
@@ -678,6 +698,7 @@ TEST_F(FusionTest, AutoWithoutACompilerRunsInterpretedAndSaysWhy) {
   const std::string saved_value = saved != nullptr ? saved : "";
   ASSERT_EQ(0, ::setenv("RAW_JIT_CXX", "/nonexistent/c++", 1));
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (saved != nullptr) {
     ::setenv("RAW_JIT_CXX", saved_value.c_str(), 1);
   } else {
@@ -690,27 +711,27 @@ TEST_F(FusionTest, AutoWithoutACompilerRunsInterpretedAndSaysWhy) {
       "SELECT COUNT(*), MAX(col2) FROM f WHERE col1 < " + lit;
   PlannerOptions jit = Opts(JitFusion::kAuto, 1);
   jit.access_path = AccessPathKind::kJit;
-  ASSERT_OK_AND_ASSIGN(QueryResult result, engine->Query(sql, jit));
+  ASSERT_OK_AND_ASSIGN(QueryResult result, session->Query(sql, jit));
   EXPECT_FALSE(Fused(result));
   EXPECT_NE(result.plan_description.find("[jit: no compiler]"),
             std::string::npos)
       << result.plan_description;
   // A group-by (JIT scans, no fusion) degrades the same way.
-  ASSERT_OK(engine->Query("SELECT col0, COUNT(*) FROM f WHERE col1 < " + lit +
-                              " GROUP BY col0",
-                          jit)
+  ASSERT_OK(session->Query("SELECT col0, COUNT(*) FROM f WHERE col1 < " + lit +
+                               " GROUP BY col0",
+                           jit)
                 .status());
   EXPECT_EQ(engine->Stats().plans_jit_deferred, 2);
 
   PlannerOptions insitu = Opts(JitFusion::kOff, 1);
   insitu.access_path = AccessPathKind::kInSitu;
-  ASSERT_OK_AND_ASSIGN(QueryResult reference, engine->Query(sql, insitu));
+  ASSERT_OK_AND_ASSIGN(QueryResult reference, session->Query(sql, insitu));
   ExpectSameResults(result, reference, sql);
 
   // kOn keeps its contract: the JIT scan fails with the typed error.
   PlannerOptions on = Opts(JitFusion::kOn, 1);
   on.access_path = AccessPathKind::kJit;
-  auto failed = engine->Query(sql, on);
+  auto failed = session->Query(sql, on);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kNotImplemented)
       << failed.status().ToString();
@@ -724,6 +745,7 @@ TEST_F(FusionTest, EngineDestroyedWithCompilesQueuedReturnsPromptly) {
   int64_t left_pending = 0;
   {
     auto engine = BinEngine();
+    auto session = engine->OpenSession();
     if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
     const std::vector<std::string> shapes = {
         "SELECT COUNT(*) FROM f WHERE col1 < 5",
@@ -736,7 +758,7 @@ TEST_F(FusionTest, EngineDestroyedWithCompilesQueuedReturnsPromptly) {
         "SELECT MAX(col5) FROM f WHERE col6 < 5",
     };
     for (const std::string& sql : shapes) {
-      ASSERT_OK(engine->Query(sql, Opts(JitFusion::kAuto, 1)).status());
+      ASSERT_OK(session->Query(sql, Opts(JitFusion::kAuto, 1)).status());
     }
     // Wait for the first background compile, so the next one is running.
     Stopwatch wait;
@@ -749,6 +771,7 @@ TEST_F(FusionTest, EngineDestroyedWithCompilesQueuedReturnsPromptly) {
     one_compile_s = stats.jit_cache.total_compile_seconds /
                     static_cast<double>(stats.jit_cache.compiles);
     left_pending = stats.jit_cache.pending;
+    session.reset();
     Stopwatch destroy;
     engine.reset();
     destroy_s = destroy.ElapsedSeconds();
@@ -764,6 +787,7 @@ TEST_F(FusionTest, CompileSecondsChargeOnlyThisQuerysWait) {
   // A compile finishing while another session plans is not charged to it:
   // each query reports only the time its own operators waited.
   auto engine = BinEngine();
+  auto session = engine->OpenSession();
   if (!CompilerAvailable(*engine)) GTEST_SKIP() << "no compiler";
   const std::string plan_only = "EXPLAIN SELECT COUNT(*) FROM f WHERE col0 < 7";
   PlannerOptions interpreted = Opts(JitFusion::kOff, 1);
@@ -773,8 +797,8 @@ TEST_F(FusionTest, CompileSecondsChargeOnlyThisQuerysWait) {
   // Background compile (kAuto) while the observer plans over and over.
   ASSERT_OK_AND_ASSIGN(
       QueryResult deferred,
-      engine->Query("SELECT MAX(col2) FROM f WHERE col1 < 9",
-                    Opts(JitFusion::kAuto, 1)));
+      session->Query("SELECT MAX(col2) FROM f WHERE col1 < 9",
+                     Opts(JitFusion::kAuto, 1)));
   EXPECT_EQ(deferred.compile_seconds, 0.0);
   int plans = 0;
   while (engine->Stats().jit_cache.pending > 0 && plans < 100000) {
@@ -787,8 +811,8 @@ TEST_F(FusionTest, CompileSecondsChargeOnlyThisQuerysWait) {
   // Foreground compile (kOn) in another session, same observer.
   QueryResult compiled;
   std::thread compiler([&] {
-    auto result = engine->Query("SELECT MIN(col2) FROM f WHERE col3 < 9",
-                                Opts(JitFusion::kOn, 1));
+    auto result = session->Query("SELECT MIN(col2) FROM f WHERE col3 < 9",
+                                 Opts(JitFusion::kOn, 1));
     ASSERT_OK(result.status());
     compiled = std::move(result).value();
   });

@@ -106,17 +106,18 @@ TEST_F(InferenceTest, EndToEndQueryOverInferredTable) {
   }
   ASSERT_OK(WriteStringToFile(path, content));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsvInferred("t", path));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT MAX(col1) FROM t WHERE col0 < 100", options));
+      session->Query("SELECT MAX(col1) FROM t WHERE col0 < 100", options));
   ASSERT_OK_AND_ASSIGN(Datum max, result.Scalar());
   EXPECT_DOUBLE_EQ(max.float64_value(), 49.5);
   ASSERT_OK_AND_ASSIGN(
       QueryResult names,
-      engine.Query("SELECT COUNT(*) FROM t WHERE col2 = 'name1'", options));
+      session->Query("SELECT COUNT(*) FROM t WHERE col2 = 'name1'", options));
   ASSERT_OK_AND_ASSIGN(Datum count, names.Scalar());
   EXPECT_EQ(count.int64_value(), 167);  // i % 3 == 1 for i in [0, 500)
 }
@@ -128,7 +129,9 @@ TEST_F(InferenceTest, QuotedCsvScansAgreeWithInference) {
   std::string path = Path("q.csv");
   std::string content = "id,name,score\n";
   for (int i = 0; i < 200; ++i) {
-    content += "\"" + std::to_string(i) + "\",";
+    content += '"';
+    content += std::to_string(i);
+    content += "\",";
     if (i % 7 == 0) {
       content += "\"na,me\nwith \"\"stuff\"\"\",";
     } else {
@@ -140,30 +143,31 @@ TEST_F(InferenceTest, QuotedCsvScansAgreeWithInference) {
   CsvOptions csv;
   csv.has_header = true;
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsvInferred("q", path, csv));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
 
   // Quoted integers classified (and parsed) as integers, not strings.
   ASSERT_OK_AND_ASSIGN(QueryResult all,
-                       engine.Query("SELECT COUNT(*) FROM q", options));
+                       session->Query("SELECT COUNT(*) FROM q", options));
   EXPECT_EQ((*all.Scalar()).int64_value(), 200);
   // Cold (sequential quoted scan, builds the positional map)...
   std::string sql = "SELECT COUNT(*) FROM q WHERE id < 100";
-  ASSERT_OK_AND_ASSIGN(QueryResult cold, engine.Query(sql, options));
+  ASSERT_OK_AND_ASSIGN(QueryResult cold, session->Query(sql, options));
   EXPECT_EQ((*cold.Scalar()).int64_value(), 100);
   // ...and warm (positional quoted scan + late scans) agree.
-  ASSERT_OK_AND_ASSIGN(QueryResult warm, engine.Query(sql, options));
+  ASSERT_OK_AND_ASSIGN(QueryResult warm, session->Query(sql, options));
   EXPECT_EQ((*warm.Scalar()).int64_value(), 100);
   ASSERT_OK_AND_ASSIGN(
       QueryResult score,
-      engine.Query("SELECT MAX(score) FROM q WHERE id < 100", options));
+      session->Query("SELECT MAX(score) FROM q WHERE id < 100", options));
   EXPECT_DOUBLE_EQ((*score.Scalar()).float64_value(), 49.5);
   // Outer quotes are stripped; the field's raw content ("" escapes
   // included, matching the sampler) comes back verbatim.
   ASSERT_OK_AND_ASSIGN(
       QueryResult name,
-      engine.Query("SELECT name FROM q WHERE id = 7", options));
+      session->Query("SELECT name FROM q WHERE id = 7", options));
   ASSERT_EQ(name.num_rows(), 1);
   EXPECT_EQ((*name.ValueAt(0, 0)).string_value(),
             "na,me\nwith \"\"stuff\"\"");
@@ -188,13 +192,14 @@ TEST_F(InferenceTest, ExplainReturnsPlanWithoutExecuting) {
   std::string path = Path("x.csv");
   ASSERT_OK(WriteStringToFile(path, "1,2\n3,4\n"));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsvInferred("t", path));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("EXPLAIN SELECT MAX(col1) FROM t WHERE col0 < 2",
-                   options));
+      session->Query("EXPLAIN SELECT MAX(col1) FROM t WHERE col0 < 2",
+                     options));
   ASSERT_EQ(result.num_rows(), 1);
   ASSERT_OK_AND_ASSIGN(Datum plan, result.Scalar());
   EXPECT_NE(plan.string_value().find("seq-scan"), std::string::npos);

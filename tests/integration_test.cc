@@ -73,6 +73,7 @@ TEST_F(DatasetTest, ShuffledCopyHoldsSameMultiset) {
   ASSERT_OK_AND_ASSIGN(std::string plain, dataset.D30Csv());
   ASSERT_OK_AND_ASSIGN(std::string shuffled, dataset.D30CsvShuffled());
   RawEngine engine;
+  auto session = engine.OpenSession();
   Schema schema = dataset.D30Spec().ToSchema();
   ASSERT_OK(engine.RegisterCsv("a", plain, schema));
   ASSERT_OK(engine.RegisterCsv("b", shuffled, schema));
@@ -81,10 +82,10 @@ TEST_F(DatasetTest, ShuffledCopyHoldsSameMultiset) {
   for (const char* agg : {"SUM(col0)", "MAX(col3)", "COUNT(*)"}) {
     ASSERT_OK_AND_ASSIGN(
         QueryResult ra,
-        engine.Query(std::string("SELECT ") + agg + " FROM a", options));
+        session->Query(std::string("SELECT ") + agg + " FROM a", options));
     ASSERT_OK_AND_ASSIGN(
         QueryResult rb,
-        engine.Query(std::string("SELECT ") + agg + " FROM b", options));
+        session->Query(std::string("SELECT ") + agg + " FROM b", options));
     ASSERT_OK_AND_ASSIGN(Datum va, ra.Scalar());
     ASSERT_OK_AND_ASSIGN(Datum vb, rb.Scalar());
     EXPECT_EQ(va, vb) << agg;
@@ -118,11 +119,12 @@ TEST_F(FailureTest, MalformedCsvSurfacesParseError) {
   std::string path = Path("bad.csv");
   ASSERT_OK(WriteStringToFile(path, "1,2\n3,notanumber\n"));
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv(
       "t", path, Schema{{"a", DataType::kInt32}, {"b", DataType::kInt32}}));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;  // checked parse path
-  auto result = engine.Query("SELECT MAX(b) FROM t", options);
+  auto result = session->Query("SELECT MAX(b) FROM t", options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
@@ -231,6 +233,7 @@ TEST_F(FailureTest, ThreeFormatSession) {
   ASSERT_OK(WriteRefFile(Path("e.ref"), ev, 32));
 
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterBinary("facts", Path("f.bin"), facts.ToSchema()));
   ASSERT_OK(engine.RegisterCsv(
       "dim", Path("dim.csv"),
@@ -241,9 +244,9 @@ TEST_F(FailureTest, ThreeFormatSession) {
   options.access_path = AccessPathKind::kInSitu;
   ASSERT_OK_AND_ASSIGN(
       QueryResult join,
-      engine.Query("SELECT COUNT(*) FROM facts JOIN dim ON facts.col0 = "
-                   "dim.key WHERE dim.grp = 2",
-                   options));
+      session->Query("SELECT COUNT(*) FROM facts JOIN dim ON facts.col0 = "
+                     "dim.key WHERE dim.grp = 2",
+                     options));
   ASSERT_OK_AND_ASSIGN(Datum join_count, join.Scalar());
   // Ground truth.
   TableDataSource source(facts);
@@ -254,8 +257,9 @@ TEST_F(FailureTest, ThreeFormatSession) {
   }
   EXPECT_EQ(join_count.int64_value(), expected);
 
-  ASSERT_OK_AND_ASSIGN(QueryResult events,
-                       engine.Query("SELECT COUNT(*) FROM ev_events", options));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult events,
+      session->Query("SELECT COUNT(*) FROM ev_events", options));
   ASSERT_OK_AND_ASSIGN(Datum n, events.Scalar());
   EXPECT_EQ(n.int64_value(), 120);
 }

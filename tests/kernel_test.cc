@@ -424,11 +424,12 @@ TEST_F(KernelEngineTest, QueriesIdenticalAcrossTiersAndThreadCounts) {
   {
     SetKernelTier(KernelTier::kScalar);
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(engine.RegisterCsv("t", path, schema, CsvOptions(), 1));
     PlannerOptions options;
     options.num_threads = 1;
     for (const std::string& sql : queries) {
-      ASSERT_OK_AND_ASSIGN(QueryResult result, engine.Query(sql, options));
+      ASSERT_OK_AND_ASSIGN(QueryResult result, session->Query(sql, options));
       EXPECT_NE(result.plan_description.find("[kernels=scalar]"),
                 std::string::npos)
           << result.plan_description;
@@ -439,6 +440,7 @@ TEST_F(KernelEngineTest, QueriesIdenticalAcrossTiersAndThreadCounts) {
     for (int threads : {1, 2, 4}) {
       SetKernelTier(tier);
       RawEngine engine;
+      auto session = engine.OpenSession();
       ASSERT_OK(engine.RegisterCsv("t", path, schema, CsvOptions(), 1));
       PlannerOptions options;
       options.num_threads = threads;
@@ -446,7 +448,7 @@ TEST_F(KernelEngineTest, QueriesIdenticalAcrossTiersAndThreadCounts) {
         // Cold + warm (second run uses the positional map / shred cache).
         for (int run = 0; run < 2; ++run) {
           ASSERT_OK_AND_ASSIGN(QueryResult result,
-                               engine.Query(queries[q], options));
+                               session->Query(queries[q], options));
           EXPECT_NE(result.plan_description.find(
                         "[kernels=" + std::string(KernelTierName(tier)) + "]"),
                     std::string::npos)

@@ -210,6 +210,7 @@ class ParallelScanTest : public ::testing::Test {
   static std::vector<QueryResult> RunAll(bool csv, AccessPathKind access,
                                          int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     if (csv) {
       EXPECT_OK(engine.RegisterCsv("t", *csv_path_, spec_->ToSchema(),
                                    CsvOptions(), /*pmap_stride=*/3));
@@ -223,7 +224,7 @@ class ParallelScanTest : public ::testing::Test {
     std::vector<QueryResult> results;
     for (int round = 0; round < 2; ++round) {
       for (const std::string& sql : Queries()) {
-        auto result = engine.Query(sql, options);
+        auto result = session->Query(sql, options);
         EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
         if (result.ok()) results.push_back(std::move(result).value());
       }
@@ -278,12 +279,13 @@ TEST_F(ParallelScanTest, BinaryJitDeterministicAcrossThreadCounts) {
 TEST_F(ParallelScanTest, ParallelPositionalMapMatchesSerialMap) {
   auto scan_all = [&](int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterCsv("t", *csv_path_, spec_->ToSchema(),
                                  CsvOptions(), /*pmap_stride=*/3));
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.num_threads = threads;
-    EXPECT_OK(engine.Query("SELECT COUNT(*) FROM t", options).status());
+    EXPECT_OK(session->Query("SELECT COUNT(*) FROM t", options).status());
     std::shared_ptr<const PositionalMap> pmap =
         *engine.PositionalMapSnapshot("t");
     EXPECT_NE(pmap, nullptr);
@@ -410,11 +412,12 @@ TEST_F(ParallelScanTest, GroupByDeterministicAcrossThreadCounts) {
                 {"f", DataType::kFloat64}};
   auto run = [&](int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterCsv("g", path, schema));
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.num_threads = threads;
-    auto result = engine.Query(
+    auto result = session->Query(
         "SELECT k, COUNT(*), SUM(v), SUM(f), AVG(f) FROM g GROUP BY k",
         options);
     EXPECT_OK(result.status());
@@ -432,12 +435,13 @@ TEST_F(ParallelScanTest, EmptyCsvFileAllThreadCounts) {
   Schema schema{{"a", DataType::kInt64}, {"b", DataType::kInt64}};
   for (int threads : {1, 8}) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(engine.RegisterCsv("e", path, schema));
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.num_threads = threads;
     ASSERT_OK_AND_ASSIGN(QueryResult result,
-                         engine.Query("SELECT COUNT(*) FROM e", options));
+                         session->Query("SELECT COUNT(*) FROM e", options));
     ASSERT_OK_AND_ASSIGN(Datum count, result.Scalar());
     EXPECT_EQ(count.int64_value(), 0) << "threads=" << threads;
   }
@@ -452,11 +456,12 @@ TEST_F(ParallelScanTest, MissingTrailingNewlineAllThreadCounts) {
   Schema schema{{"a", DataType::kInt64}, {"b", DataType::kInt64}};
   auto run = [&](int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterCsv("p", path, schema));
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.num_threads = threads;
-    auto result = engine.Query("SELECT COUNT(*), MAX(a) FROM p", options);
+    auto result = session->Query("SELECT COUNT(*), MAX(a) FROM p", options);
     EXPECT_OK(result.status());
     return std::move(result).value();
   };
@@ -503,6 +508,7 @@ class RefParallelScanTest : public ::testing::Test {
   /// cluster) then warm (cluster pool + shred cache hits) — with `threads`.
   static std::vector<QueryResult> RunAll(AccessPathKind access, int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterRef("a", *ref_path_));
     PlannerOptions options;
     options.access_path = access;
@@ -511,7 +517,7 @@ class RefParallelScanTest : public ::testing::Test {
     std::vector<QueryResult> results;
     for (int round = 0; round < 2; ++round) {
       for (const std::string& sql : Queries()) {
-        auto result = engine.Query(sql, options);
+        auto result = session->Query(sql, options);
         EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
         if (result.ok()) results.push_back(std::move(result).value());
       }
@@ -551,13 +557,14 @@ TEST_F(RefParallelScanTest, JitDeterministicAcrossThreadCounts) {
 
 TEST_F(RefParallelScanTest, ParallelPlanDescriptionConfirmsRefMorsels) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("a", *ref_path_));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.num_threads = 4;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT MAX(eventID) FROM a_events", options));
+      session->Query("SELECT MAX(eventID) FROM a_events", options));
   EXPECT_NE(result.plan_description.find("[ref-scan"), std::string::npos)
       << result.plan_description;
   EXPECT_NE(result.plan_description.find("[parallel x4"), std::string::npos)
@@ -571,13 +578,14 @@ TEST_F(RefParallelScanTest, ClusterCacheEquivalentAcrossThreadCounts) {
   // decoders dedup on Put, morsels align to cluster boundaries.
   auto run = [&](int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterRef("a", *ref_path_));
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.shred_policy = ShredPolicy::kFullColumns;
     options.num_threads = threads;
     EXPECT_OK(
-        engine.Query("SELECT MAX(pt), MIN(eta) FROM a_muons", options)
+        session->Query("SELECT MAX(pt), MIN(eta) FROM a_muons", options)
             .status());
     return engine.Stats().ref_pool;
   };
@@ -594,6 +602,7 @@ TEST_F(RefParallelScanTest, ClusterCacheEquivalentAcrossThreadCounts) {
 
 TEST_F(RefParallelScanTest, WarmRunHitsClusterPool) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterRef("a", *ref_path_));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
@@ -602,16 +611,16 @@ TEST_F(RefParallelScanTest, WarmRunHitsClusterPool) {
   options.use_shred_cache = false;  // force raw REF reads on the warm run
   options.populate_shred_cache = false;
   const std::string sql = "SELECT MAX(pt) FROM a_jets";
-  ASSERT_OK(engine.Query(sql, options).status());
+  ASSERT_OK(session->Query(sql, options).status());
   ClusterPoolStats cold = engine.Stats().ref_pool;
-  ASSERT_OK(engine.Query(sql, options).status());
+  ASSERT_OK(session->Query(sql, options).status());
   ClusterPoolStats warm = engine.Stats().ref_pool;
   EXPECT_EQ(warm.misses, cold.misses);  // fully served from the pool
   EXPECT_GT(warm.hits, cold.hits);
   // ResetAdaptiveState drops the cluster cache: the next run decodes again.
   engine.ResetAdaptiveState();
   EXPECT_EQ(engine.Stats().ref_pool.bytes, 0);
-  ASSERT_OK(engine.Query(sql, options).status());
+  ASSERT_OK(session->Query(sql, options).status());
   EXPECT_GT(engine.Stats().ref_pool.misses, warm.misses);
 }
 
@@ -666,6 +675,7 @@ TEST_F(ParallelScanTest, ParallelRowFetcherMatchesSerialFetch) {
 
 TEST_F(ParallelScanTest, LateScanUsesParallelFetchInPlan) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterBinary("t", *bin_path_, spec_->ToSchema()));
   PlannerOptions serial_opts;
   serial_opts.access_path = AccessPathKind::kInSitu;
@@ -678,8 +688,8 @@ TEST_F(ParallelScanTest, LateScanUsesParallelFetchInPlan) {
   // Everything passes the filter, so the late scan fetches full batches —
   // big enough row sets to exercise the chunked path.
   const std::string sql = "SELECT col1, col4 FROM t WHERE col0 >= 0";
-  ASSERT_OK_AND_ASSIGN(QueryResult expect, engine.Query(sql, serial_opts));
-  ASSERT_OK_AND_ASSIGN(QueryResult actual, engine.Query(sql, par_opts));
+  ASSERT_OK_AND_ASSIGN(QueryResult expect, session->Query(sql, serial_opts));
+  ASSERT_OK_AND_ASSIGN(QueryResult actual, session->Query(sql, par_opts));
   ExpectSameTable(expect, actual, "parallel late fetch");
   EXPECT_NE(actual.plan_description.find("[parallel-fetch x4"),
             std::string::npos)
@@ -765,20 +775,22 @@ TEST_F(ParallelScanTest, JoinOverParallelLateFetchAlwaysFinishes) {
   QueryResult reference;
   {
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(engine.RegisterCsv("lf1", f1, s1.ToSchema()));
     ASSERT_OK(engine.RegisterCsv("lf2", f2, s2.ToSchema()));
-    ASSERT_OK_AND_ASSIGN(reference, engine.Query(sql, options));
+    ASSERT_OK_AND_ASSIGN(reference, session->Query(sql, options));
   }
   options.num_threads = 2;
   WithWatchdog(std::chrono::seconds(120), "join over parallel late fetch",
                [&] {
                  for (int run = 0; run < 20; ++run) {
                    RawEngine engine;
+                   auto session = engine.OpenSession();
                    ASSERT_OK(engine.RegisterCsv("lf1", f1, s1.ToSchema()));
                    ASSERT_OK(engine.RegisterCsv("lf2", f2, s2.ToSchema()));
                    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
                      ASSERT_OK_AND_ASSIGN(QueryResult result,
-                                          engine.Query(sql, options));
+                                          session->Query(sql, options));
                      ExpectSameTable(reference, result,
                                      "run " + std::to_string(run));
                      EXPECT_NE(result.plan_description.find(
@@ -855,6 +867,7 @@ TEST_F(ParallelScanTest, JoinDeterministicAcrossThreadCountsWithBuildStats) {
 
   auto run = [&](int threads) {
     RawEngine engine;
+    auto session = engine.OpenSession();
     EXPECT_OK(engine.RegisterCsv("f1", f1, s1.ToSchema()));
     EXPECT_OK(engine.RegisterCsv("f2", f2, s2.ToSchema()));
     PlannerOptions options;
@@ -867,7 +880,7 @@ TEST_F(ParallelScanTest, JoinDeterministicAcrossThreadCountsWithBuildStats) {
           "WHERE f2.col1 < 600000000",
           "SELECT MAX(f2.col3) FROM f1 JOIN f2 ON f1.col0 = f2.col0 "
           "WHERE f1.col2 < 700000000"}) {
-      auto result = engine.Query(sql, options);
+      auto result = session->Query(sql, options);
       EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
       if (result.ok()) results.push_back(std::move(result).value());
     }

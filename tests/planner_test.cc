@@ -34,12 +34,13 @@ class PlannerTest : public testing::TempDirTest {
 
 TEST_F(PlannerTest, FirstQueryPlanIsSequentialScan) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col2) FROM t WHERE col0 < 500000000",
-                    options));
+      session->Query("SELECT MAX(col2) FROM t WHERE col0 < 500000000",
+                     options));
   EXPECT_NE(result.plan_description.find("[seq-scan t]"), std::string::npos)
       << result.plan_description;
   EXPECT_NE(result.plan_description.find("[filter"), std::string::npos);
@@ -48,16 +49,17 @@ TEST_F(PlannerTest, FirstQueryPlanIsSequentialScan) {
 
 TEST_F(PlannerTest, SecondQueryPlanUsesMapAndCache) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.shred_policy = ShredPolicy::kShreds;
-  ASSERT_OK(engine->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                           options)
                 .status());
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t WHERE col0 < 100000000",
-                    options));
+      session->Query("SELECT MAX(col5) FROM t WHERE col0 < 100000000",
+                     options));
   // Predicate column served from the shred cache, col5 fetched late.
   EXPECT_NE(result.plan_description.find("[cache-scan t]"), std::string::npos)
       << result.plan_description;
@@ -68,30 +70,32 @@ TEST_F(PlannerTest, SecondQueryPlanUsesMapAndCache) {
 
 TEST_F(PlannerTest, FullColumnsPlanHasNoLateScan) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.shred_policy = ShredPolicy::kFullColumns;
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t WHERE col0 < 100000000",
-                    options));
+      session->Query("SELECT MAX(col5) FROM t WHERE col0 < 100000000",
+                     options));
   EXPECT_EQ(result.plan_description.find("[late-scan"), std::string::npos)
       << result.plan_description;
 }
 
 TEST_F(PlannerTest, MultiColumnShredsFetchTogether) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.shred_policy = ShredPolicy::kMultiColumnShreds;
-  ASSERT_OK(engine->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                           options)
                 .status());
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t WHERE col0 < 500000000 AND "
-                    "col4 < 500000000",
-                    options));
+      session->Query("SELECT MAX(col5) FROM t WHERE col0 < 500000000 AND "
+                     "col4 < 500000000",
+                     options));
   // col4 (second predicate) and col5 (aggregate input) in one late scan.
   EXPECT_NE(result.plan_description.find("[late-scan t:4,5,]"),
             std::string::npos)
@@ -100,17 +104,18 @@ TEST_F(PlannerTest, MultiColumnShredsFetchTogether) {
 
 TEST_F(PlannerTest, ShredsFetchSeparately) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.shred_policy = ShredPolicy::kShreds;
-  ASSERT_OK(engine->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                           options)
                 .status());
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT MAX(col5) FROM t WHERE col0 < 500000000 AND "
-                    "col4 < 500000000",
-                    options));
+      session->Query("SELECT MAX(col5) FROM t WHERE col0 < 500000000 AND "
+                     "col4 < 500000000",
+                     options));
   EXPECT_NE(result.plan_description.find("[late-scan t:4,]"),
             std::string::npos)
       << result.plan_description;
@@ -121,21 +126,23 @@ TEST_F(PlannerTest, ShredsFetchSeparately) {
 
 TEST_F(PlannerTest, RowCountDiscoveredOnFullScan) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
-  ASSERT_OK(engine->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options)
+  ASSERT_OK(session->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options)
                 .status());
   EXPECT_EQ(engine->Stats().table("t")->row_count, spec_.rows);
 }
 
 TEST_F(PlannerTest, CachePopulationCanBeDisabled) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   options.populate_shred_cache = false;
   options.build_positional_map = false;
-  ASSERT_OK(engine->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                           options)
                 .status());
   EXPECT_EQ(engine->Stats().shred_cache.entries, 0);
   EXPECT_EQ(engine->Stats().table("t")->pmap_rows, 0);
@@ -143,10 +150,11 @@ TEST_F(PlannerTest, CachePopulationCanBeDisabled) {
 
 TEST_F(PlannerTest, ResetAdaptiveStateForgetsEverything) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
-  ASSERT_OK(engine->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
-                          options)
+  ASSERT_OK(session->Query("SELECT MAX(col0) FROM t WHERE col0 < 999999999",
+                           options)
                 .status());
   EXPECT_GT(engine->Stats().shred_cache.entries, 0);
   EXPECT_GT(engine->Stats().table("t")->pmap_rows, 0);
@@ -157,36 +165,39 @@ TEST_F(PlannerTest, ResetAdaptiveStateForgetsEverything) {
                        engine->PositionalMapSnapshot("t"));
   EXPECT_EQ(pmap, nullptr);
   // Still queryable afterwards.
-  ASSERT_OK(engine->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options)
+  ASSERT_OK(session->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options)
                 .status());
 }
 
 TEST_F(PlannerTest, ErrorsSurfaceCleanly) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   // Unknown column.
-  EXPECT_FALSE(engine->Query("SELECT MAX(nope) FROM t").ok());
+  EXPECT_FALSE(session->Query("SELECT MAX(nope) FROM t").ok());
   // Unknown table.
-  EXPECT_FALSE(engine->Query("SELECT COUNT(*) FROM nope").ok());
+  EXPECT_FALSE(session->Query("SELECT COUNT(*) FROM nope").ok());
   // String literal against numeric column.
-  EXPECT_FALSE(engine->Query("SELECT COUNT(*) FROM t WHERE col0 < 'x'").ok());
+  EXPECT_FALSE(session->Query("SELECT COUNT(*) FROM t WHERE col0 < 'x'").ok());
   // Aggregate over a join of a table with itself (ambiguous column).
   EXPECT_FALSE(
-      engine->Query("SELECT MAX(col1) FROM t JOIN tb ON col0 = col0").ok());
+      session->Query("SELECT MAX(col1) FROM t JOIN tb ON col0 = col0").ok());
 }
 
 TEST_F(PlannerTest, CountOverEmptyResult) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine->Query("SELECT COUNT(*) FROM t WHERE col0 < -1"));
+      session->Query("SELECT COUNT(*) FROM t WHERE col0 < -1"));
   ASSERT_OK_AND_ASSIGN(Datum count, result.Scalar());
   EXPECT_EQ(count.int64_value(), 0);
 }
 
 TEST_F(PlannerTest, QueryResultAccessors) {
   auto engine = NewEngine();
+  auto session = engine->OpenSession();
   ASSERT_OK_AND_ASSIGN(QueryResult result,
-                       engine->Query("SELECT col0, col1 FROM t LIMIT 4"));
+                       session->Query("SELECT col0, col1 FROM t LIMIT 4"));
   EXPECT_EQ(result.num_rows(), 4);
   EXPECT_EQ(result.num_columns(), 2);
   EXPECT_TRUE(result.ValueAt(0, 0).ok());
@@ -199,12 +210,13 @@ TEST_F(PlannerTest, QueryResultAccessors) {
 TEST_F(PlannerTest, BatchRowsOptionRespected) {
   for (int64_t batch_rows : {1, 7, 100, 100000}) {
     auto engine = NewEngine();
+    auto session = engine->OpenSession();
     PlannerOptions options;
     options.access_path = AccessPathKind::kInSitu;
     options.batch_rows = batch_rows;
     ASSERT_OK_AND_ASSIGN(
         QueryResult result,
-        engine->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options));
+        session->Query("SELECT COUNT(*) FROM t WHERE col0 >= 0", options));
     ASSERT_OK_AND_ASSIGN(Datum count, result.Scalar());
     EXPECT_EQ(count.int64_value(), spec_.rows) << batch_rows;
   }
@@ -229,6 +241,7 @@ TEST_F(PlannerTest, StringColumnsFallBackFromJit) {
     ASSERT_OK(writer.Close());
   }
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("s", Path("s.csv"), schema));
   if (!engine.Stats().jit_compiler_available()) GTEST_SKIP();
   PlannerOptions options;
@@ -236,7 +249,7 @@ TEST_F(PlannerTest, StringColumnsFallBackFromJit) {
   options.jit_fusion = JitFusion::kOn;  // JIT paths wait for the compiler
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT name, score FROM s WHERE id < 2", options));
+      session->Query("SELECT name, score FROM s WHERE id < 2", options));
   ASSERT_EQ(result.num_rows(), 2);
   ASSERT_OK_AND_ASSIGN(Datum name0, result.ValueAt(0, 0));
   EXPECT_EQ(name0.string_value(), "ada");
@@ -245,7 +258,7 @@ TEST_F(PlannerTest, StringColumnsFallBackFromJit) {
   // Equality predicate on the string column.
   ASSERT_OK_AND_ASSIGN(
       QueryResult grace,
-      engine.Query("SELECT COUNT(*) FROM s WHERE name = 'grace'", options));
+      session->Query("SELECT COUNT(*) FROM s WHERE name = 'grace'", options));
   ASSERT_OK_AND_ASSIGN(Datum count, grace.Scalar());
   EXPECT_EQ(count.int64_value(), 10);
 }
@@ -278,11 +291,13 @@ TEST_F(RefPlannerTest, JitAndInsituAgreeOnRefTables) {
     PlannerOptions insitu;
     insitu.access_path = AccessPathKind::kInSitu;
     RawEngine engine_jit;
+    auto jit_session = engine_jit.OpenSession();
     ASSERT_OK(engine_jit.RegisterRef("a", Path("e.ref")));
     RawEngine engine_insitu;
+    auto insitu_session = engine_insitu.OpenSession();
     ASSERT_OK(engine_insitu.RegisterRef("a", Path("e.ref")));
-    ASSERT_OK_AND_ASSIGN(QueryResult rj, engine_jit.Query(sql, jit));
-    ASSERT_OK_AND_ASSIGN(QueryResult ri, engine_insitu.Query(sql, insitu));
+    ASSERT_OK_AND_ASSIGN(QueryResult rj, jit_session->Query(sql, jit));
+    ASSERT_OK_AND_ASSIGN(QueryResult ri, insitu_session->Query(sql, insitu));
     ASSERT_OK_AND_ASSIGN(Datum vj, rj.Scalar());
     ASSERT_OK_AND_ASSIGN(Datum vi, ri.Scalar());
     EXPECT_EQ(vj, vi) << sql;

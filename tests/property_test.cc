@@ -89,6 +89,7 @@ std::map<int64_t, std::pair<int64_t, int64_t>>* ConsistencySweep::truth_ =
 TEST_P(ConsistencySweep, CsvQueriesMatchGroundTruth) {
   const SweepCase& c = GetParam();
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("p", *csv_path_, spec_->ToSchema(),
                                CsvOptions(), c.pmap_stride));
   PlannerOptions options;
@@ -105,17 +106,17 @@ TEST_P(ConsistencySweep, CsvQueriesMatchGroundTruth) {
   // Query 1 (builds pmap + caches), then query 2 (uses them) — both checked.
   ASSERT_OK_AND_ASSIGN(
       QueryResult count_result,
-      engine.Query("SELECT COUNT(*) FROM p WHERE col1 < " +
-                       std::to_string(lit),
-                   options));
+      session->Query("SELECT COUNT(*) FROM p WHERE col1 < " +
+                         std::to_string(lit),
+                     options));
   ASSERT_OK_AND_ASSIGN(Datum count, count_result.Scalar());
   EXPECT_EQ(count.int64_value(), expected_count);
 
   ASSERT_OK_AND_ASSIGN(
       QueryResult max_result,
-      engine.Query("SELECT MAX(col6) FROM p WHERE col1 < " +
-                       std::to_string(lit),
-                   options));
+      session->Query("SELECT MAX(col6) FROM p WHERE col1 < " +
+                         std::to_string(lit),
+                     options));
   if (expected_count > 0) {
     ASSERT_OK_AND_ASSIGN(Datum max, max_result.Scalar());
     EXPECT_EQ(*max.AsInt64(), expected_max);
@@ -128,6 +129,7 @@ TEST_P(ConsistencySweep, BinaryQueriesMatchGroundTruth) {
     GTEST_SKIP() << "external tables are CSV-only";
   }
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterBinary("p", *bin_path_, spec_->ToSchema()));
   PlannerOptions options;
   options.access_path = c.access;
@@ -141,9 +143,9 @@ TEST_P(ConsistencySweep, BinaryQueriesMatchGroundTruth) {
   auto [expected_count, expected_max] = Truth(lit);
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT COUNT(*) FROM p WHERE col1 < " +
-                       std::to_string(lit),
-                   options));
+      session->Query("SELECT COUNT(*) FROM p WHERE col1 < " +
+                         std::to_string(lit),
+                     options));
   ASSERT_OK_AND_ASSIGN(Datum count, result.Scalar());
   EXPECT_EQ(count.int64_value(), expected_count);
 }
@@ -187,18 +189,19 @@ TEST_P(PmapStrideSweep, JumpPlusIncrementalParseEqualsFullTokenize) {
   ASSERT_OK(WriteCsvFile(spec, path));
 
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("s", path, spec.ToSchema(), CsvOptions(),
                                stride));
   PlannerOptions options;
   options.access_path = AccessPathKind::kInSitu;
   // Query 1 builds the map; query 2 navigates via it for a far column.
   ASSERT_OK(
-      engine.Query("SELECT MAX(col0) FROM s WHERE col0 < 999999999", options)
+      session->Query("SELECT MAX(col0) FROM s WHERE col0 < 999999999", options)
           .status());
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
-      engine.Query("SELECT MAX(col11) FROM s WHERE col0 < 999999999",
-                   options));
+      session->Query("SELECT MAX(col11) FROM s WHERE col0 < 999999999",
+                     options));
   TableDataSource source(spec);
   int64_t expected = INT64_MIN;
   for (int64_t r = 0; r < spec.rows; ++r) {
@@ -235,6 +238,7 @@ TEST_P(DelimiterSweep, EngineAnswersIndependentOfDelimiter) {
   CsvOptions options;
   options.delimiter = delim;
   RawEngine engine;
+  auto session = engine.OpenSession();
   ASSERT_OK(engine.RegisterCsv("d", path, spec.ToSchema(), options, 2));
   PlannerOptions planner_options;
   planner_options.access_path = engine.Stats().jit_compiler_available()
@@ -252,16 +256,16 @@ TEST_P(DelimiterSweep, EngineAnswersIndependentOfDelimiter) {
   // Two queries: sequential scan then positional-map navigation.
   ASSERT_OK_AND_ASSIGN(
       QueryResult count,
-      engine.Query("SELECT COUNT(*) FROM d WHERE col0 < " +
-                       std::to_string(lit),
-                   planner_options));
+      session->Query("SELECT COUNT(*) FROM d WHERE col0 < " +
+                         std::to_string(lit),
+                     planner_options));
   ASSERT_OK_AND_ASSIGN(Datum n, count.Scalar());
   EXPECT_EQ(n.int64_value(), expected_count);
   ASSERT_OK_AND_ASSIGN(
       QueryResult max,
-      engine.Query("SELECT MAX(col4) FROM d WHERE col0 < " +
-                       std::to_string(lit),
-                   planner_options));
+      session->Query("SELECT MAX(col4) FROM d WHERE col0 < " +
+                         std::to_string(lit),
+                     planner_options));
   ASSERT_OK_AND_ASSIGN(Datum m, max.Scalar());
   EXPECT_EQ(*m.AsInt64(), expected_max);
 }
@@ -311,12 +315,13 @@ TEST(ParallelConsistencyProperty, RandomSchemasParallelEqualsSerial) {
     for (const std::string& sql : queries) {
       auto run = [&](int t) -> StatusOr<QueryResult> {
         RawEngine engine;
+        auto session = engine.OpenSession();
         RAW_RETURN_NOT_OK(engine.RegisterCsv(
             "r", path, spec.ToSchema(), CsvOptions(), /*pmap_stride=*/3));
         PlannerOptions options;
         options.access_path = AccessPathKind::kInSitu;
         options.num_threads = t;
-        return engine.Query(sql, options);
+        return session->Query(sql, options);
       };
       ASSERT_OK_AND_ASSIGN(QueryResult serial, run(1));
       ASSERT_OK_AND_ASSIGN(QueryResult parallel, run(threads));
@@ -376,6 +381,7 @@ TEST(FusionConsistencyProperty, RandomQueriesFusedEqualsInterpreted) {
                       : WriteBinaryFile(spec, path));
 
     RawEngine engine;
+    auto session = engine.OpenSession();
     ASSERT_OK(use_csv ? engine.RegisterCsv("q", path, spec.ToSchema(),
                                            CsvOptions(), /*pmap_stride=*/3)
                       : engine.RegisterBinary("q", path, spec.ToSchema()));
@@ -396,12 +402,12 @@ TEST(FusionConsistencyProperty, RandomQueriesFusedEqualsInterpreted) {
     PlannerOptions interp;
     interp.jit_fusion = JitFusion::kOff;
     interp.num_threads = threads;
-    ASSERT_TRUE(engine.Query(queries[0], interp).ok());
+    ASSERT_TRUE(session->Query(queries[0], interp).ok());
     PlannerOptions fused = interp;
     fused.jit_fusion = JitFusion::kOn;
     for (const std::string& sql : queries) {
-      ASSERT_OK_AND_ASSIGN(QueryResult f, engine.Query(sql, fused));
-      ASSERT_OK_AND_ASSIGN(QueryResult i, engine.Query(sql, interp));
+      ASSERT_OK_AND_ASSIGN(QueryResult f, session->Query(sql, fused));
+      ASSERT_OK_AND_ASSIGN(QueryResult i, session->Query(sql, interp));
       ASSERT_EQ(f.num_rows(), i.num_rows()) << "iter " << iter << ": " << sql;
       ASSERT_EQ(f.num_columns(), i.num_columns());
       for (int64_t r = 0; r < f.num_rows(); ++r) {

@@ -111,6 +111,7 @@ TEST(WireTest, FrameAssemblerRejectsOversizedFrame) {
 
 TEST(WireTest, TableRoundTripPreservesData) {
   RawEngine engine;
+  auto session = engine.OpenSession();
   auto dir = TempDir::Create("serve_wire_");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->FilePath("t.csv");
@@ -129,7 +130,7 @@ TEST(WireTest, TableRoundTripPreservesData) {
                 {"parity", DataType::kString},
                 {"v", DataType::kFloat64}};
   ASSERT_TRUE(engine.RegisterCsv("t", path, schema).ok());
-  auto result = engine.Query("SELECT id, parity, v FROM t WHERE id < 10");
+  auto result = session->Query("SELECT id, parity, v FROM t WHERE id < 10");
   ASSERT_TRUE(result.ok());
 
   PayloadWriter w;
@@ -676,6 +677,37 @@ TEST(RawdTest, PortZeroBindsAnEphemeralPortAndPrintsIt) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   ASSERT_TRUE(resp->status.ok()) << resp->status.ToString();
   EXPECT_EQ("100", resp->table.column(0)->GetDatum(0).ToString());
+  EXPECT_TRUE((*client)->Goodbye().ok());
+
+  ASSERT_EQ(0, ::kill(pid, SIGTERM));
+  EXPECT_EQ(0, WaitExitCode(pid));
+  std::fclose(out);
+}
+
+TEST(RawdTest, StatsBeforeTheFirstHelloCountsNoSession) {
+  FILE* out = nullptr;
+  const pid_t pid =
+      SpawnRawd({"--port=0", "--demo=100", "--autotune=0"}, &out);
+  ASSERT_GT(pid, 0);
+  ASSERT_NE(nullptr, out);
+  char line[256] = {0};
+  ASSERT_NE(nullptr, std::fgets(line, sizeof(line), out));
+  int port = 0;
+  ASSERT_EQ(1, std::sscanf(line, "rawd: listening on 127.0.0.1:%d", &port))
+      << line;
+
+  auto client = RawClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // STATS needs no HELLO, and so no session: nothing has opened one yet.
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("\"sessions_opened\":0"), std::string::npos)
+      << *stats;
+  ASSERT_TRUE((*client)->Hello().ok());
+  stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("\"sessions_opened\":1"), std::string::npos)
+      << *stats;
   EXPECT_TRUE((*client)->Goodbye().ok());
 
   ASSERT_EQ(0, ::kill(pid, SIGTERM));

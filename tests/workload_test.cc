@@ -146,7 +146,9 @@ class HiggsTest : public testing::TempDirTest {
       EventGenOptions options;
       options.num_events = 500;
       options.seed = 100 + static_cast<uint64_t>(f);
-      std::string path = Path("h" + std::to_string(f) + ".ref");
+      std::string name = "h";
+      name += std::to_string(f);
+      std::string path = Path(name + ".ref");
       ASSERT_OK(WriteRefFile(path, options, 128));
       paths_.push_back(path);
       if (f == 0) ASSERT_OK(WriteGoodRunsCsv(Path("runs.csv"), options));
