@@ -269,6 +269,18 @@ Status JsonlRowParser::ParseRow(const char** pp, const char* end,
   return Status::OK();
 }
 
+bool JsonlRowParser::KeyBefore(const char* value, const char* begin,
+                               int c) const {
+  const char* p = value;
+  while (p != begin && (p[-1] == ' ' || p[-1] == '\t' || p[-1] == '\r')) --p;
+  if (p == begin || p[-1] != ':') return false;
+  --p;
+  while (p != begin && (p[-1] == ' ' || p[-1] == '\t' || p[-1] == '\r')) --p;
+  const size_t key_size = keys_[static_cast<size_t>(c)].quoted.size();
+  return static_cast<size_t>(p - begin) >= key_size &&
+         KeyIs(p - key_size, p, c);
+}
+
 bool JsonlRowParser::ResumeRow(const char* p, const char* end,
                                const char* base, int from, int to,
                                JsonlField* fields) const {
@@ -279,6 +291,8 @@ bool JsonlRowParser::ResumeRow(const char* p, const char* end,
     p = SkipSpace(p + 1, end);
     c = 0;
     if (!MatchKey(&p, end, c)) return false;
+  } else if (!KeyBefore(p, base, c)) {
+    return false;
   }
   while (true) {
     JsonlField& f = fields[c];

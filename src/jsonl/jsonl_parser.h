@@ -70,11 +70,13 @@ class JsonlRowParser {
   /// The resume walk of a warm scan (the JSONL twin of the CSV anchor's
   /// incremental parse, §2.3), valid only for rows that list the schema's
   /// keys in schema order. `p` points at the value of schema column `from`
-  /// (or at the row start when `from` is -1). Parses that value and every
-  /// following key/value pair through column `to`, checking each key's bytes
-  /// against the schema name, and fills `fields[from..to]` (offsets relative
-  /// to `base`). Returns false on the first key mismatch or malformed byte —
-  /// a miss, after which the caller parses the whole object with ParseRow.
+  /// (or at the row start when `from` is -1), and `base` is the start of the
+  /// buffer. Checks the key just before a jumped-to value, parses that value
+  /// and every following key/value pair through column `to`, checking each
+  /// key's bytes against the schema name, and fills `fields[from..to]`
+  /// (offsets relative to `base`). Returns false on the first key mismatch
+  /// or malformed byte — a miss, after which the caller parses the whole
+  /// object with ParseRow.
   bool ResumeRow(const char* p, const char* end, const char* base, int from,
                  int to, JsonlField* fields) const;
 
@@ -83,6 +85,9 @@ class JsonlRowParser {
  private:
   /// True when the bytes at `p` are schema column `c`'s quoted name.
   bool KeyIs(const char* p, const char* end, int c) const;
+  /// True when column `c`'s quoted name, ':' and optional whitespace end
+  /// right before `value`, reading back no further than `begin`.
+  bool KeyBefore(const char* value, const char* begin, int c) const;
   /// Matches column `c`'s quoted name, ':' and the surrounding whitespace at
   /// `*pp`, leaving `*pp` at the value; false (and `*pp` unspecified) when
   /// the bytes differ.

@@ -52,48 +52,6 @@ Status GzipBlockIndex::CheckConsistency() const {
   return Status::OK();
 }
 
-Status GunzipMember(const char* data, size_t size, std::string* out,
-                    size_t* consumed) {
-  if (size == 0) return Status::InvalidArgument("empty gzip member");
-  z_stream zs;
-  std::memset(&zs, 0, sizeof(zs));
-  // 16 + MAX_WBITS: gzip wrapper (not raw deflate / zlib). inflate() stops
-  // at the member's end marker, which is how we find the next member of a
-  // multi-member file.
-  if (inflateInit2(&zs, 16 + MAX_WBITS) != Z_OK) {
-    return Status::Internal("inflateInit2 failed");
-  }
-  zs.next_in =
-      reinterpret_cast<Bytef*>(const_cast<char*>(data));
-  zs.avail_in = static_cast<uInt>(size);
-
-  char buffer[64 * 1024];
-  int rc = Z_OK;
-  while (rc != Z_STREAM_END) {
-    zs.next_out = reinterpret_cast<Bytef*>(buffer);
-    zs.avail_out = static_cast<uInt>(sizeof(buffer));
-    rc = inflate(&zs, Z_NO_FLUSH);
-    if (rc != Z_OK && rc != Z_STREAM_END) {
-      inflateEnd(&zs);
-      // Z_DATA_ERROR covers both a corrupt deflate stream and a member whose
-      // trailer CRC32/ISIZE doesn't match the decompressed bytes (zlib
-      // verifies both before returning Z_STREAM_END).
-      return Status::DataCorruption(
-          std::string("corrupt gzip member: ") +
-          (zs.msg != nullptr ? zs.msg : "inflate error"));
-    }
-    out->append(buffer, sizeof(buffer) - zs.avail_out);
-    if (rc == Z_OK && zs.avail_in == 0 && zs.avail_out != 0) {
-      inflateEnd(&zs);
-      return Status::DataCorruption(
-          "truncated gzip member (input ended mid-stream)");
-    }
-  }
-  *consumed = size - zs.avail_in;
-  inflateEnd(&zs);
-  return Status::OK();
-}
-
 Status GzipCompressMember(std::string_view data, std::string* out) {
   z_stream zs;
   std::memset(&zs, 0, sizeof(zs));

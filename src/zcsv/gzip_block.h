@@ -59,13 +59,6 @@ class GzipBlockIndex final : public FormatAdaptiveState {
   bool quoted_ = false;
 };
 
-/// Decompresses the single gzip member starting at `data` (`size` bytes
-/// available, possibly spanning further members). Appends the decompressed
-/// bytes to `*out` (not cleared) and sets `*consumed` to the member's
-/// compressed size.
-Status GunzipMember(const char* data, size_t size, std::string* out,
-                    size_t* consumed);
-
 /// Compresses `data` as one complete gzip member appended to `*out`.
 Status GzipCompressMember(std::string_view data, std::string* out);
 

@@ -35,7 +35,7 @@ int64_t CountBlockRows(const char* begin, const char* end,
 }
 
 /// Data-row start offsets within a decompressed block.
-void BuildLineStarts(const std::string& buf, const CsvOptions& options,
+void BuildLineStarts(const InflateBuffer& buf, const CsvOptions& options,
                      bool quoted, std::vector<size_t>* starts) {
   starts->clear();
   const char* begin = buf.data();
@@ -169,11 +169,10 @@ Status ZcsvScanOperator::AdvanceBlock(bool* done) {
           ") but the file holds only " + std::to_string(file_size) +
           " bytes (file truncated since the index was built?)");
     }
-    buffer_.clear();
     size_t consumed = 0;
     Status gunzip = GunzipMember(base + block.comp_offset,
                                  file_size - block.comp_offset, &buffer_,
-                                 &consumed);
+                                 &consumed, block.uncomp_size);
     if (!gunzip.ok()) {
       if (spec_.health != nullptr) {
         spec_.health->io_faults.fetch_add(1, std::memory_order_relaxed);
@@ -192,7 +191,6 @@ Status ZcsvScanOperator::AdvanceBlock(bool* done) {
       *done = true;
       return Status::OK();
     }
-    buffer_.clear();
     size_t consumed = 0;
     Status gunzip = GunzipMember(base + comp_cursor_, file_size - comp_cursor_,
                                  &buffer_, &consumed);
@@ -294,7 +292,7 @@ StatusOr<std::vector<ColumnPtr>> ZcsvRowFetcher::Fetch(const RowSet& rows) {
   // Call-local block cache: shreds arrive row-sorted, so consecutive ids
   // usually share a block and each needed block decompresses once.
   int cached_block = -1;
-  std::string buffer;
+  InflateBuffer buffer;
   std::vector<size_t> line_starts;
   int64_t block_first_row = 0;
 
@@ -316,11 +314,10 @@ StatusOr<std::vector<ColumnPtr>> ZcsvRowFetcher::Fetch(const RowSet& rows) {
             ") but the file holds only " + std::to_string(file_->size()) +
             " bytes (file truncated since the index was built?)");
       }
-      buffer.clear();
       size_t consumed = 0;
       RAW_RETURN_NOT_OK(GunzipMember(file_->data() + block.comp_offset,
                                      file_->size() - block.comp_offset,
-                                     &buffer, &consumed));
+                                     &buffer, &consumed, block.uncomp_size));
       CsvOptions block_options = options_;
       block_options.has_header = options_.has_header && bi == 0;
       BuildLineStarts(buffer, block_options, quoted, &line_starts);

@@ -12,6 +12,7 @@
 #include "scan/insitu_csv_scan.h"
 #include "scan/scan_profile.h"
 #include "zcsv/gzip_block.h"
+#include "zcsv/inflate.h"
 
 namespace raw {
 
@@ -48,9 +49,10 @@ struct ZcsvScanSpec {
   ScanProfile* profile = nullptr;  // optional instrumentation
 };
 
-/// Compressed-CSV scan operator: decompresses one gzip member at a time into
-/// a reused buffer and drains an inner in-situ CSV scan over it, rebasing
-/// the inner scan's buffer-local row ids to file-global ids.
+/// Compressed-CSV scan operator: decodes one gzip member at a time straight
+/// into a reused buffer (sized from the index on warm scans, grown
+/// geometrically on cold ones) and drains an inner in-situ CSV scan over
+/// it, rebasing the inner scan's buffer-local row ids to file-global ids.
 class ZcsvScanOperator : public Operator {
  public:
   /// `file` must outlive the operator.
@@ -78,16 +80,16 @@ class ZcsvScanOperator : public Operator {
   int block_end_ = 0;
   // Current block.
   int64_t row_base_ = 0;      // global row id of the block's first row
-  std::string buffer_;        // decompressed member text
+  InflateBuffer buffer_;      // decompressed member text
   std::unique_ptr<InsituCsvScanOperator> inner_;
   std::vector<int64_t> rebase_scratch_;
 };
 
 /// RowFetcher for compressed-CSV late scans: rows are grouped by block
-/// through the index; each needed block is decompressed into call-local
-/// scratch (re-entrant, so the parallel fetch decorator can chunk row sets
-/// across threads), line starts are rebuilt, and the needed fields are
-/// tokenized per row.
+/// through the index; each needed block is decoded into a call-local buffer
+/// sized from the index (re-entrant, so the parallel fetch decorator can
+/// chunk row sets across threads), line starts are rebuilt, and the needed
+/// fields are tokenized per row.
 class ZcsvRowFetcher : public RowFetcher {
  public:
   /// `file` and `index` must outlive the fetcher. `outputs` ascending.

@@ -908,6 +908,11 @@ TEST_F(StalenessTest, FlippedKeyByteUnderAnOrderedJsonlMapIsTypedOrCorrect) {
       std::string bad = good;
       bad[at + i] = static_cast<char>(bad[at + i] ^ 0x01);
       auto got = scan(bad, outputs, nullptr);
+      // col10's value is jumped to through the map: its key is checked
+      // too, so a flipped byte fails as it does for a cold scan.
+      if (c == 10) {
+        EXPECT_FALSE(got.ok()) << "a jumped-to key was flipped";
+      }
       if (!got.ok()) {
         EXPECT_TRUE(got.status().code() == StatusCode::kParseError ||
                     got.status().code() == StatusCode::kDataCorruption)

@@ -116,6 +116,12 @@ TEST(JsonlParserTest, ResumeWalksOnlyMatchingKeys) {
   ASSERT_TRUE(parser.ResumeRow(row.data() + fields[1].offset, end, row.data(),
                                1, 3, fields.data()));
   EXPECT_EQ(std::string(fields[3].data, fields[3].size), "true");
+  // A jump checks the key in front of the value: a different one is a miss.
+  const std::string renamed =
+      R"({"id":1, "nome" : "x","score":0.5,"active":true})";
+  EXPECT_FALSE(parser.ResumeRow(renamed.data() + fields[1].offset,
+                                renamed.data() + renamed.size(),
+                                renamed.data(), 1, 3, fields.data()));
   // A key that differs from the schema's next one is a miss.
   const std::string swapped =
       R"({"id":1,"score":0.5,"name":"x","active":true})";
