@@ -74,11 +74,12 @@ class BinaryFormatDriver final : public FormatDriver {
     return MorselScan(tc, qualified, std::move(children));
   }
 
+  /// By-row-index fetches: the generated kernel when it is ready, else the
+  /// interpreted scan.
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
                                        const std::vector<int>& cols,
                                        const Schema& qualified) const override {
-    TableEntry* entry = tc.entry;
-    const TableInfo& info = entry->info;
+    const TableInfo& info = tc.entry->info;
     if (tc.opts->access_path == AccessPathKind::kJit) {
       FusedPipelineArgs args;
       RAW_ASSIGN_OR_RETURN(
@@ -89,16 +90,16 @@ class BinaryFormatDriver final : public FormatDriver {
         args.output_schema = qualified;
         args.health = tc.health;
         args.file = tc.file.get();
-        return RowFetcherPtr(
-            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+        return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+            qualified,
+            ScanOverRows<FusedPipelineOperator>(tc.jit, std::move(args))));
       }
     }
     BinScanSpec spec;
     spec.outputs = cols;
-    auto fetcher = std::make_unique<InsituRowFetcher>(tc.bin_reader.get(),
-                                                      std::move(spec));
-    fetcher->set_fields(qualified);
-    return RowFetcherPtr(std::move(fetcher));
+    return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+        qualified, ScanOverRows<InsituBinScanOperator>(tc.bin_reader.get(),
+                                                       std::move(spec))));
   }
 
   FormatCostParams cost_params(const CostParams& base) const override {

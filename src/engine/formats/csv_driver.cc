@@ -47,6 +47,19 @@ PipelineSpec CsvSpecFor(const TableInfo& info, const FusedPipelineRequest& req,
   return spec;
 }
 
+/// The interpreted scan spec for `cols`; callers add the access path.
+CsvScanSpec InsituSpecFor(const FormatScanContext& tc,
+                          const std::vector<int>& cols) {
+  CsvScanSpec spec;
+  spec.file_schema = tc.entry->info.schema;
+  spec.outputs = cols;
+  spec.options = tc.entry->info.csv_options;
+  spec.quoted = tc.csv_quoted;
+  spec.batch_rows = tc.opts->batch_rows;
+  spec.health = tc.health;
+  return spec;
+}
+
 /// Whether the plan may scan `cols` with a generated kernel at all
 /// (JitKernelReady then decides whether it is compiled yet).
 bool CsvJitPlanned(const FormatScanContext& tc, const std::vector<int>& cols) {
@@ -58,106 +71,46 @@ bool CsvJitPlanned(const FormatScanContext& tc, const std::vector<int>& cols) {
          CsvJitEligible(tc, cols);
 }
 
-/// First-contact CSV scan: sequential, building the positional map en route.
-/// With num_threads > 1 the file splits into newline-aligned byte morsels
-/// scanned concurrently; each morsel builds a private partial map that the
-/// parallel driver stitches together in file order at end of stream.
-///
-/// The map is built into query-private storage under the table's build claim
-/// (at most one query builds at a time; losers just scan) and published to
-/// the shared entry only on a complete drain.
-StatusOr<OperatorPtr> BuildCsvSequentialScan(FormatScanContext& tc,
-                                             const std::vector<int>& cols,
-                                             const Schema& qualified,
-                                             std::vector<ScanRange> morsels) {
-  TableEntry* entry = tc.entry;
-  const TableInfo& info = entry->info;
+/// First-contact CSV scan: sequential, building the positional map en route
+/// (MapBuildingScan); with num_threads > 1 over newline-aligned byte morsels.
+OperatorPtr BuildCsvSequentialScan(FormatScanContext& tc,
+                                   const std::vector<int>& cols,
+                                   const Schema& qualified,
+                                   const std::vector<ScanRange>& morsels) {
+  const TableInfo& info = tc.entry->info;
   const PlannerOptions& opts = *tc.opts;
-  PositionalMap* build = nullptr;
-  if (opts.build_positional_map && !tc.has_complete_pmap() &&
-      !tc.pmap_build_wired && ClaimPmapBuild(tc)) {
-    tc.pmap_build_wired = true;
-    build = tc.building_pmap.get();
-  }
-  (*tc.desc) << "[seq-scan " << info.name << "] ";
+  PositionalMap* build = BeginMapBuildingScan(tc);
   PipelineSpec jit_spec = CsvSpecFor(
       info, ProjectionRequest(info.schema, cols, qualified),
       ScanMode::kSequential);
   if (build != nullptr) jit_spec.pmap_tracked = build->tracked_columns();
   const bool use_jit = CsvJitPlanned(tc, cols) && JitKernelReady(tc, jit_spec);
-  auto make_jit_args = [&](PositionalMap* build_pmap) {
-    FusedPipelineArgs args;
-    args.spec = jit_spec;
-    args.output_schema = qualified;
-    args.health = tc.health;
-    args.file = tc.file.get();
-    args.build_pmap = build_pmap;
-    args.batch_rows = opts.batch_rows;
-    return args;
-  };
-  auto make_insitu_spec = [&] {
-    CsvScanSpec spec;
-    spec.file_schema = info.schema;
-    spec.outputs = cols;
-    spec.options = info.csv_options;
-    spec.quoted = tc.csv_quoted;
-    spec.batch_rows = opts.batch_rows;
-    spec.policy = opts.malformed_row_policy;
-    spec.health = tc.health;
-    return spec;
-  };
-  auto wrap_publish = [&](OperatorPtr op) -> OperatorPtr {
-    if (build == nullptr) return op;
-    return std::make_unique<BuildPublishOperator>(
-        std::move(op), tc, AdaptiveSlot::kPositionalMap);
-  };
-
-  if (morsels.size() > 1) {
-    ParallelTableScanOperator::Options popts;
-    popts.deadline = tc.opts->deadline;
-    popts.num_threads = tc.num_threads;
-    popts.rebase_row_ids = true;  // morsel children emit range-local ids
-    popts.merge_pmap_into = build;
-    std::vector<OperatorPtr> children;
-    for (const ScanRange& m : morsels) {
-      PositionalMap* child_pmap = nullptr;
-      if (build != nullptr) {
-        popts.partial_pmaps.push_back(
-            std::make_unique<PositionalMap>(PositionalMap::WithStride(
-                info.schema.num_fields(), info.pmap_stride)));
-        child_pmap = popts.partial_pmaps.back().get();
-      }
-      if (use_jit) {
-        FusedPipelineArgs args = make_jit_args(child_pmap);
-        args.window_begin = static_cast<uint64_t>(m.begin);
-        args.window_end = static_cast<uint64_t>(m.end);
-        children.push_back(
-            std::make_unique<FusedPipelineOperator>(tc.jit, std::move(args)));
-      } else {
-        CsvScanSpec spec = make_insitu_spec();
-        spec.build_pmap = child_pmap;
-        spec.range = m;
-        children.push_back(WrapQualified(
-            std::make_unique<InsituCsvScanOperator>(tc.file.get(),
-                                                    std::move(spec)),
-            qualified));
-      }
-    }
-    (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-               << morsels.size() << "] ";
-    return wrap_publish(std::make_unique<ParallelTableScanOperator>(
-        qualified, std::move(children), std::move(popts)));
-  }
-
-  if (use_jit) {
-    return wrap_publish(
-        std::make_unique<FusedPipelineOperator>(tc.jit, make_jit_args(build)));
-  }
-  CsvScanSpec spec = make_insitu_spec();
-  spec.build_pmap = build;
-  return wrap_publish(WrapQualified(std::make_unique<InsituCsvScanOperator>(
-                                        tc.file.get(), std::move(spec)),
-                                    qualified));
+  return MapBuildingScan(
+      tc, qualified, build, morsels,
+      [&](const ScanRange& range, PositionalMap* build_pmap) -> OperatorPtr {
+        if (use_jit) {
+          FusedPipelineArgs args;
+          args.spec = jit_spec;
+          args.output_schema = qualified;
+          args.health = tc.health;
+          args.file = tc.file.get();
+          args.build_pmap = build_pmap;
+          args.batch_rows = opts.batch_rows;
+          if (!range.whole()) {
+            args.window_begin = static_cast<uint64_t>(range.begin);
+            args.window_end = static_cast<uint64_t>(range.end);
+          }
+          return std::make_unique<FusedPipelineOperator>(tc.jit,
+                                                         std::move(args));
+        }
+        CsvScanSpec spec = InsituSpecFor(tc, cols);
+        spec.policy = opts.malformed_row_policy;
+        spec.build_pmap = build_pmap;
+        spec.range = range;
+        return WrapQualified(std::make_unique<InsituCsvScanOperator>(
+                                 tc.file.get(), std::move(spec)),
+                             qualified);
+      });
 }
 
 /// Warm generated-kernel CSV scan for `req` — a ProjectionRequest (the kJit
@@ -199,15 +152,13 @@ StatusOr<OperatorPtr> BuildCsvKernelScan(FormatScanContext& tc,
 /// Warm CSV scan: jump to every mapped row via the positional map. With
 /// num_threads > 1 the mapped rows split into row-range morsels; ids are
 /// already file-global, so no rebasing is needed.
-StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
-                                             const std::vector<int>& cols,
-                                             const Schema& qualified,
-                                             std::vector<ScanRange> morsels) {
+StatusOr<OperatorPtr> BuildCsvPositionalScan(
+    FormatScanContext& tc, const std::vector<int>& cols,
+    const Schema& qualified, const std::vector<ScanRange>& morsels) {
   const TableInfo& info = tc.entry->info;
   const PositionalMap& pmap = *tc.published_pmap;
   const int anchor = AnchorFor(pmap, cols.front());
   (*tc.desc) << "[pmap-scan " << info.name << " anchor=" << anchor << "] ";
-  if (morsels.size() <= 1) morsels = {ScanRange::Rows(0, pmap.num_rows())};
   if (CsvJitPlanned(tc, cols)) {
     RAW_ASSIGN_OR_RETURN(
         OperatorPtr op,
@@ -215,25 +166,16 @@ StatusOr<OperatorPtr> BuildCsvPositionalScan(FormatScanContext& tc,
                            anchor, morsels, /*fused=*/false));
     if (op != nullptr) return op;
   }
-
-  auto make_insitu = [&](const ScanRange& rows) {
-    CsvScanSpec spec;
-    spec.file_schema = info.schema;
-    spec.outputs = cols;
-    spec.options = info.csv_options;
-    spec.quoted = tc.csv_quoted;
-    spec.batch_rows = tc.opts->batch_rows;
+  std::vector<OperatorPtr> children;
+  for (const ScanRange& m : morsels) {
+    CsvScanSpec spec = InsituSpecFor(tc, cols);
     spec.use_pmap = &pmap;
     spec.anchor_column = anchor;
-    spec.range = rows;
-    spec.health = tc.health;
-    return WrapQualified(std::make_unique<InsituCsvScanOperator>(
-                             tc.file.get(), std::move(spec)),
-                         qualified);
-  };
-  if (morsels.size() == 1) return make_insitu(morsels.front());
-  std::vector<OperatorPtr> children;
-  for (const ScanRange& m : morsels) children.push_back(make_insitu(m));
+    spec.range = m;
+    children.push_back(WrapQualified(std::make_unique<InsituCsvScanOperator>(
+                                         tc.file.get(), std::move(spec)),
+                                     qualified));
+  }
   return MorselScan(tc, qualified, std::move(children));
 }
 
@@ -267,21 +209,8 @@ class CsvFormatDriver final : public FormatDriver {
 
   /// Late scans need a positional map — one already published, or one this
   /// query can (and, as a side effect here, does) claim the right to build.
-  /// Returns false for the baselines that never build maps and for cold
-  /// tables whose build claim another in-flight session holds; callers must
-  /// then route columns into base scans instead of late scans.
   bool EnsureLateScanNavigable(FormatScanContext& tc) const override {
-    const PlannerOptions& opts = *tc.opts;
-    if (tc.has_complete_pmap()) return true;
-    if (opts.access_path == AccessPathKind::kLoaded ||
-        opts.access_path == AccessPathKind::kExternalTable ||
-        !opts.build_positional_map) {
-      return false;
-    }
-    // Claim taken here so the planning decision is binding; the base scan
-    // wires this map in (BuildBaseScan guarantees the sequential scan runs
-    // while the claim is unwired).
-    return ClaimPmapBuild(tc);
+    return PmapLateScanNavigable(tc);
   }
 
   int EstimateSkipDistance(const FormatScanContext& tc) const override {
@@ -314,29 +243,29 @@ class CsvFormatDriver final : public FormatDriver {
           tc.entry->info.csv_options, opts.batch_rows);
       return WrapQualified(std::move(ext), qualified);
     }
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      morsels = SplitMorsels(tc, tc.num_threads * 4);
-    }
     if (!tc.has_complete_pmap()) {
-      return BuildCsvSequentialScan(tc, cols, qualified, std::move(morsels));
+      return BuildCsvSequentialScan(tc, cols, qualified,
+                                    PlanMorsels(*this, tc, ScanRange::Whole()));
     }
-    return BuildCsvPositionalScan(tc, cols, qualified, std::move(morsels));
+    return BuildCsvPositionalScan(
+        tc, cols, qualified,
+        PlanMorsels(*this, tc,
+                    ScanRange::Rows(0, tc.published_pmap->num_rows())));
   }
 
+  /// By-position fetches through the map this query navigates: the
+  /// generated kernel when it is ready, else the interpreted scan.
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
                                        const std::vector<int>& cols,
                                        const Schema& qualified) const override {
-    TableEntry* entry = tc.entry;
-    const TableInfo& info = entry->info;
+    const TableInfo& info = tc.entry->info;
     const PositionalMap* pmap = tc.pmap_view();
     if (pmap == nullptr) {
       return Status::Internal(
           "CSV late scan requires a positional map (none configured)");
     }
     const int anchor = AnchorFor(*pmap, cols.front());
-    if (tc.opts->access_path == AccessPathKind::kJit &&
-        CsvJitEligible(tc, cols)) {
+    if (CsvJitPlanned(tc, cols)) {
       FusedPipelineArgs args;
       args.spec =
           CsvSpecFor(info, ProjectionRequest(info.schema, cols, qualified),
@@ -347,22 +276,17 @@ class CsvFormatDriver final : public FormatDriver {
         args.health = tc.health;
         args.file = tc.file.get();
         args.pmap = pmap;
-        return RowFetcherPtr(
-            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+        return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+            qualified,
+            ScanOverRows<FusedPipelineOperator>(tc.jit, std::move(args))));
       }
     }
-    CsvScanSpec spec;
-    spec.file_schema = info.schema;
-    spec.outputs = cols;
-    spec.options = info.csv_options;
-    spec.quoted = tc.csv_quoted;
+    CsvScanSpec spec = InsituSpecFor(tc, cols);
     spec.use_pmap = pmap;
     spec.anchor_column = anchor;
-    spec.health = tc.health;
-    auto fetcher =
-        std::make_unique<InsituRowFetcher>(tc.file.get(), std::move(spec));
-    fetcher->set_fields(qualified);
-    return RowFetcherPtr(std::move(fetcher));
+    return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+        qualified,
+        ScanOverRows<InsituCsvScanOperator>(tc.file.get(), std::move(spec))));
   }
 
   FormatCostParams cost_params(const CostParams& base) const override {

@@ -25,15 +25,71 @@ std::vector<ScanRange> PlanMorsels(const FormatDriver& driver,
 }
 
 OperatorPtr MorselScan(FormatScanContext& tc, const Schema& schema,
-                       std::vector<OperatorPtr> children) {
+                       std::vector<OperatorPtr> children,
+                       ParallelTableScanOperator::Options popts) {
   if (children.size() == 1) return std::move(children.front());
-  ParallelTableScanOperator::Options popts;
   popts.deadline = tc.opts->deadline;
   popts.num_threads = tc.num_threads;
   (*tc.desc) << "[parallel x" << tc.num_threads
              << " morsels=" << children.size() << "] ";
   return std::make_unique<ParallelTableScanOperator>(
       schema, std::move(children), std::move(popts));
+}
+
+bool PmapLateScanNavigable(FormatScanContext& tc) {
+  const PlannerOptions& opts = *tc.opts;
+  if (tc.has_complete_pmap()) return true;
+  if (opts.access_path == AccessPathKind::kLoaded ||
+      opts.access_path == AccessPathKind::kExternalTable ||
+      !opts.build_positional_map) {
+    return false;
+  }
+  // Claim taken here so the planning decision is binding; the base scan
+  // wires this map in (BuildBaseScan guarantees the first-contact scan runs
+  // while the claim is unwired).
+  return ClaimPmapBuild(tc);
+}
+
+PositionalMap* BeginMapBuildingScan(FormatScanContext& tc) {
+  PositionalMap* build = nullptr;
+  if (tc.opts->access_path != AccessPathKind::kExternalTable &&
+      tc.opts->build_positional_map && !tc.has_complete_pmap() &&
+      !tc.pmap_build_wired && ClaimPmapBuild(tc)) {
+    tc.pmap_build_wired = true;
+    build = tc.building_pmap.get();
+  }
+  (*tc.desc) << "[seq-scan " << tc.entry->info.name << "] ";
+  return build;
+}
+
+OperatorPtr MapBuildingScan(FormatScanContext& tc, const Schema& qualified,
+                            PositionalMap* build,
+                            const std::vector<ScanRange>& morsels,
+                            const MapBuildingChild& make_child) {
+  OperatorPtr op;
+  if (morsels.size() <= 1) {
+    op = make_child(ScanRange::Whole(), build);
+  } else {
+    const TableInfo& info = tc.entry->info;
+    ParallelTableScanOperator::Options popts;
+    popts.rebase_row_ids = true;  // morsel children emit range-local ids
+    popts.merge_pmap_into = build;
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m : morsels) {
+      PositionalMap* child_pmap = nullptr;
+      if (build != nullptr) {
+        popts.partial_pmaps.push_back(
+            std::make_unique<PositionalMap>(PositionalMap::WithStride(
+                info.schema.num_fields(), info.pmap_stride)));
+        child_pmap = popts.partial_pmaps.back().get();
+      }
+      children.push_back(make_child(m, child_pmap));
+    }
+    op = MorselScan(tc, qualified, std::move(children), std::move(popts));
+  }
+  if (build == nullptr) return op;
+  return std::make_unique<BuildPublishOperator>(std::move(op), tc,
+                                                AdaptiveSlot::kPositionalMap);
 }
 
 SelectColumnsOperator::SelectColumnsOperator(OperatorPtr child,

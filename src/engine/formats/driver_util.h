@@ -1,12 +1,14 @@
 #ifndef RAW_ENGINE_FORMATS_DRIVER_UTIL_H_
 #define RAW_ENGINE_FORMATS_DRIVER_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "columnar/operator.h"
 #include "engine/catalog.h"
+#include "engine/executor.h"
 
 namespace raw {
 
@@ -90,9 +92,40 @@ std::vector<ScanRange> PlanMorsels(const FormatDriver& driver,
 
 /// `children` (one per morsel, each emitting `schema`) as one scan: the
 /// only child itself, or a ParallelTableScanOperator over them on
-/// ctx.num_threads workers, noted as `[parallel xN morsels=M]`.
+/// ctx.num_threads workers (its deadline and worker count set from `ctx`,
+/// the rest from `popts`), noted as `[parallel xN morsels=M]`.
 OperatorPtr MorselScan(FormatScanContext& ctx, const Schema& schema,
-                       std::vector<OperatorPtr> children);
+                       std::vector<OperatorPtr> children,
+                       ParallelTableScanOperator::Options popts = {});
+
+/// Whether late scans can navigate a positional-map format (CSV, JSONL):
+/// the map is published, or this query can claim its build here, which the
+/// base scan then wires in. False for the baselines that never build maps
+/// and for cold tables whose build claim another query holds.
+bool PmapLateScanNavigable(FormatScanContext& ctx);
+
+/// Starts a first-contact scan of a positional-map format, noted as
+/// `[seq-scan <table>]`: returns the map the scan builds (this query's
+/// claim, taken here if free) or null when it builds none (a map is
+/// published, the build is off or already wired, another query holds the
+/// claim, or the external-table baseline).
+PositionalMap* BeginMapBuildingScan(FormatScanContext& ctx);
+
+/// One morsel's scan child for MapBuildingScan: `range` is the morsel's
+/// byte range (whole for a serial scan) and `build` the map it appends to
+/// (its private partial map, or null).
+using MapBuildingChild =
+    std::function<OperatorPtr(const ScanRange& range, PositionalMap* build)>;
+
+/// The first-contact scan that builds `build` (may be null) en route, from
+/// the driver's `make_child`. Over several byte `morsels` each child builds
+/// a private partial map; the parallel scan rebases their range-local row
+/// ids and stitches the partial maps into `build` in file order at end of
+/// stream. A BuildPublishOperator publishes the map on a complete drain.
+OperatorPtr MapBuildingScan(FormatScanContext& ctx, const Schema& qualified,
+                            PositionalMap* build,
+                            const std::vector<ScanRange>& morsels,
+                            const MapBuildingChild& make_child);
 
 /// Whether the plan may use the generated kernel for `spec` now. Under
 /// JitFusion::kAuto this asks the template cache without blocking; a kernel

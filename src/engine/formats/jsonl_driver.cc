@@ -9,119 +9,24 @@
 #include "engine/formats/drivers.h"
 #include "engine/physical_plan.h"
 #include "jsonl/jsonl_scan.h"
+#include "scan/loader.h"
 #include "scan/morsel.h"
 #include "scan/shred_scan.h"
 
 namespace raw {
 namespace {
 
-/// First-contact JSONL scan: sequential, building the field-offset map en
-/// route (same claim/publish protocol as the CSV positional map — the map
-/// machinery is format-agnostic; only what the offsets *mean* differs).
-StatusOr<OperatorPtr> BuildJsonlSequentialScan(FormatScanContext& tc,
-                                               const std::vector<int>& cols,
-                                               const Schema& qualified,
-                                               std::vector<ScanRange> morsels) {
-  TableEntry* entry = tc.entry;
-  const TableInfo& info = entry->info;
-  const PlannerOptions& opts = *tc.opts;
-  PositionalMap* build = nullptr;
-  if (opts.access_path != AccessPathKind::kExternalTable &&
-      opts.build_positional_map && !tc.has_complete_pmap() &&
-      !tc.pmap_build_wired && ClaimPmapBuild(tc)) {
-    tc.pmap_build_wired = true;
-    build = tc.building_pmap.get();
-  }
-  (*tc.desc) << "[seq-scan " << info.name << "] ";
-
-  auto make_spec = [&] {
-    JsonlScanSpec spec;
-    spec.file_schema = info.schema;
-    spec.outputs = cols;
-    spec.batch_rows = opts.batch_rows;
-    spec.policy = opts.malformed_row_policy;
-    spec.health = tc.health;
-    return spec;
-  };
-  auto wrap_publish = [&](OperatorPtr op) -> OperatorPtr {
-    if (build == nullptr) return op;
-    return std::make_unique<BuildPublishOperator>(
-        std::move(op), tc, AdaptiveSlot::kPositionalMap);
-  };
-
-  if (morsels.size() > 1) {
-    ParallelTableScanOperator::Options popts;
-    popts.deadline = tc.opts->deadline;
-    popts.num_threads = tc.num_threads;
-    popts.rebase_row_ids = true;  // morsel children emit range-local ids
-    popts.merge_pmap_into = build;
-    std::vector<OperatorPtr> children;
-    for (const ScanRange& m : morsels) {
-      PositionalMap* child_pmap = nullptr;
-      if (build != nullptr) {
-        popts.partial_pmaps.push_back(
-            std::make_unique<PositionalMap>(PositionalMap::WithStride(
-                info.schema.num_fields(), info.pmap_stride)));
-        child_pmap = popts.partial_pmaps.back().get();
-      }
-      JsonlScanSpec spec = make_spec();
-      spec.build_pmap = child_pmap;
-      spec.range = m;
-      children.push_back(WrapQualified(
-          std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
-          qualified));
-    }
-    (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-               << morsels.size() << "] ";
-    return wrap_publish(std::make_unique<ParallelTableScanOperator>(
-        qualified, std::move(children), std::move(popts)));
-  }
-
-  JsonlScanSpec spec = make_spec();
-  spec.build_pmap = build;
-  return wrap_publish(WrapQualified(
+/// The interpreted JSONL scan of `cols`, outputs renamed to `qualified`.
+/// `spec` carries the access path (morsel range, map to build or follow).
+OperatorPtr JsonlScan(FormatScanContext& tc, const std::vector<int>& cols,
+                      const Schema& qualified, JsonlScanSpec spec) {
+  spec.file_schema = tc.entry->info.schema;
+  spec.outputs = cols;
+  spec.batch_rows = tc.opts->batch_rows;
+  spec.health = tc.health;
+  return WrapQualified(
       std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
-      qualified));
-}
-
-/// Warm JSONL scan: jump to every mapped value offset. With num_threads > 1
-/// the mapped rows split into row-range morsels; ids are file-global, so no
-/// rebasing is needed.
-StatusOr<OperatorPtr> BuildJsonlPositionalScan(FormatScanContext& tc,
-                                               const std::vector<int>& cols,
-                                               const Schema& qualified,
-                                               std::vector<ScanRange> morsels) {
-  TableEntry* entry = tc.entry;
-  const TableInfo& info = entry->info;
-  const PlannerOptions& opts = *tc.opts;
-  const PositionalMap& pmap = *tc.published_pmap;
-  (*tc.desc) << "[offset-scan " << info.name << "] ";
-
-  auto make_insitu = [&](const ScanRange& rows) {
-    JsonlScanSpec spec;
-    spec.file_schema = info.schema;
-    spec.outputs = cols;
-    spec.batch_rows = opts.batch_rows;
-    spec.use_pmap = &pmap;
-    spec.range = rows;
-    spec.health = tc.health;
-    return WrapQualified(
-        std::make_unique<JsonlScanOperator>(tc.file.get(), std::move(spec)),
-        qualified);
-  };
-
-  if (morsels.size() > 1) {
-    ParallelTableScanOperator::Options popts;
-    popts.deadline = tc.opts->deadline;
-    popts.num_threads = tc.num_threads;
-    std::vector<OperatorPtr> children;
-    for (const ScanRange& m : morsels) children.push_back(make_insitu(m));
-    (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-               << morsels.size() << "] ";
-    return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-        qualified, std::move(children), std::move(popts)));
-  }
-  return StatusOr<OperatorPtr>(make_insitu(ScanRange::Whole()));
+      qualified);
 }
 
 class JsonlFormatDriver final : public FormatDriver {
@@ -141,29 +46,13 @@ class JsonlFormatDriver final : public FormatDriver {
       spec.outputs.push_back(c);
     }
     JsonlScanOperator scan(tc.file.get(), std::move(spec));
-    RAW_RETURN_NOT_OK(scan.Open());
-    auto table = std::make_unique<InMemoryTable>(scan.output_schema());
-    while (true) {
-      RAW_ASSIGN_OR_RETURN(ColumnBatch batch, scan.Next());
-      if (batch.end_of_stream()) break;
-      if (batch.empty()) continue;
-      RAW_RETURN_NOT_OK(table->AppendBatch(batch));
-    }
-    RAW_RETURN_NOT_OK(scan.Close());
-    return table;
+    return Drain(&scan);
   }
 
   /// Same protocol as CSV: a published field-offset map, or the right to
   /// build one as a side effect of this query's base scan.
   bool EnsureLateScanNavigable(FormatScanContext& tc) const override {
-    const PlannerOptions& opts = *tc.opts;
-    if (tc.has_complete_pmap()) return true;
-    if (opts.access_path == AccessPathKind::kLoaded ||
-        opts.access_path == AccessPathKind::kExternalTable ||
-        !opts.build_positional_map) {
-      return false;
-    }
-    return ClaimPmapBuild(tc);
+    return PmapLateScanNavigable(tc);
   }
 
   int EstimateSkipDistance(const FormatScanContext& tc) const override {
@@ -192,29 +81,45 @@ class JsonlFormatDriver final : public FormatDriver {
                                 target_morsels);
   }
 
+  /// Cold (and external-table) scans read the file sequentially, building
+  /// the field-offset map en route, over byte morsels when parallel; warm
+  /// scans jump to every mapped value, over row-range morsels whose ids are
+  /// file-global already.
   StatusOr<OperatorPtr> BuildScan(FormatScanContext& tc,
                                   const std::vector<int>& cols,
                                   const Schema& qualified) const override {
     // The external-table baseline re-parses per query even when a map has
     // been published, so its morsels must stay byte-addressed.
-    const bool sequential =
-        !tc.has_complete_pmap() ||
-        tc.opts->access_path == AccessPathKind::kExternalTable;
-    std::vector<ScanRange> morsels;
-    if (tc.num_threads > 1) {
-      if (sequential) {
+    if (!tc.has_complete_pmap() ||
+        tc.opts->access_path == AccessPathKind::kExternalTable) {
+      std::vector<ScanRange> morsels;
+      if (tc.num_threads > 1) {
         morsels = SplitJsonlByteRanges(tc.file->data(), tc.file->size(),
                                        tc.num_threads * 4);
-      } else {
-        morsels = SplitMorsels(tc, tc.num_threads * 4);
       }
+      PositionalMap* build = BeginMapBuildingScan(tc);
+      return MapBuildingScan(
+          tc, qualified, build, morsels,
+          [&](const ScanRange& range, PositionalMap* build_pmap) {
+            JsonlScanSpec spec;
+            spec.policy = tc.opts->malformed_row_policy;
+            spec.build_pmap = build_pmap;
+            spec.range = range;
+            return JsonlScan(tc, cols, qualified, std::move(spec));
+          });
     }
-    if (sequential) {
-      return BuildJsonlSequentialScan(tc, cols, qualified, std::move(morsels));
+    (*tc.desc) << "[offset-scan " << tc.entry->info.name << "] ";
+    std::vector<OperatorPtr> children;
+    for (const ScanRange& m : PlanMorsels(*this, tc, ScanRange::Whole())) {
+      JsonlScanSpec spec;
+      spec.use_pmap = tc.published_pmap.get();
+      spec.range = m;
+      children.push_back(JsonlScan(tc, cols, qualified, std::move(spec)));
     }
-    return BuildJsonlPositionalScan(tc, cols, qualified, std::move(morsels));
+    return MorselScan(tc, qualified, std::move(children));
   }
 
+  /// Fetches through the field-offset map this query navigates.
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
                                        const std::vector<int>& cols,
                                        const Schema& qualified) const override {
@@ -228,10 +133,9 @@ class JsonlFormatDriver final : public FormatDriver {
     spec.outputs = cols;
     spec.use_pmap = pmap;
     spec.health = tc.health;
-    auto fetcher =
-        std::make_unique<JsonlRowFetcher>(tc.file.get(), std::move(spec));
-    fetcher->set_fields(qualified);
-    return RowFetcherPtr(std::move(fetcher));
+    return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+        qualified,
+        ScanOverRows<JsonlScanOperator>(tc.file.get(), std::move(spec))));
   }
 
   FormatCostParams cost_params(const CostParams& base) const override {

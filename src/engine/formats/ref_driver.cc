@@ -25,46 +25,22 @@ int64_t RefTableRows(const TableEntry& entry) {
              : entry.ref_reader()->GroupTotal(entry.info.ref_group);
 }
 
-/// Interpreted REF fetcher (handles derived eventID on particle tables).
-class RefRowFetcher : public RowFetcher {
- public:
-  RefRowFetcher(RefReader* reader, int group, std::vector<std::string> fields,
-                Schema qualified_schema)
-      : reader_(reader),
-        group_(group),
-        field_names_(std::move(fields)),
-        schema_(std::move(qualified_schema)) {}
-
-  const Schema& fields() const override { return schema_; }
-
-  StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override {
-    RefScanSpec spec;
-    spec.group = group_;
-    spec.fields = field_names_;
-    spec.row_set = rows;
-    spec.batch_rows = std::max<int64_t>(rows.size(), 1);
-    RefTableScanOperator op(reader_, std::move(spec));
-    RAW_RETURN_NOT_OK(op.Open());
-    std::vector<ColumnPtr> out;
-    if (rows.empty()) {
-      for (const Field& f : schema_.fields()) {
-        out.push_back(std::make_shared<Column>(f.type));
-      }
-      return out;
+/// The interpreted scan spec for `cols`; `*derived_event_id` says whether
+/// one of them is a particle table's eventID, which generated kernels
+/// cannot derive.
+RefScanSpec RefSpecFor(const TableInfo& info, const std::vector<int>& cols,
+                       bool* derived_event_id) {
+  RefScanSpec spec;
+  spec.group = info.ref_group;
+  *derived_event_id = false;
+  for (int c : cols) {
+    spec.fields.push_back(info.schema.field(c).name);
+    if (spec.fields.back() == "eventID" && info.ref_group >= 0) {
+      *derived_event_id = true;
     }
-    RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op.Next());
-    for (int c = 0; c < batch.num_columns(); ++c) {
-      out.push_back(batch.column(c));
-    }
-    return out;
   }
-
- private:
-  RefReader* reader_;
-  int group_;
-  std::vector<std::string> field_names_;
-  Schema schema_;
-};
+  return spec;
+}
 
 class RefFormatDriver final : public FormatDriver {
  public:
@@ -123,17 +99,9 @@ class RefFormatDriver final : public FormatDriver {
     const TableInfo& info = entry->info;
     const PlannerOptions& opts = *tc.opts;
     (*tc.desc) << "[ref-scan " << info.name << "] ";
-    std::vector<std::string> field_names;
-    bool needs_event_id_derivation = false;
-    for (int c : cols) {
-      const std::string& f = info.schema.field(c).name;
-      field_names.push_back(f);
-      if (f == "eventID" && info.ref_group >= 0) {
-        needs_event_id_derivation = true;
-      }
-    }
-    if (opts.access_path == AccessPathKind::kJit &&
-        !needs_event_id_derivation) {
+    bool derived_event_id = false;
+    const RefScanSpec base = RefSpecFor(info, cols, &derived_event_id);
+    if (opts.access_path == AccessPathKind::kJit && !derived_event_id) {
       RAW_ASSIGN_OR_RETURN(
           OperatorPtr op,
           BuildKernelScan(tc, ProjectionRequest(info.schema, cols, qualified),
@@ -141,40 +109,28 @@ class RefFormatDriver final : public FormatDriver {
       if (op != nullptr) return op;
     }
 
-    std::vector<int> idx(cols.size());
-    std::vector<std::string> names;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      idx[i] = static_cast<int>(i);
-      names.push_back(qualified.field(static_cast<int>(i)).name);
-    }
     std::vector<OperatorPtr> children;
     for (const ScanRange& m : PlanMorsels(*this, tc, ScanRange::Rows(0, -1))) {
-      RefScanSpec spec;
-      spec.group = info.ref_group;
-      spec.fields = field_names;
+      RefScanSpec spec = base;
       spec.batch_rows = opts.batch_rows;
       spec.range = m;
-      children.push_back(std::make_unique<SelectColumnsOperator>(
-          std::make_unique<RefTableScanOperator>(entry->ref_reader(),
-                                                 std::move(spec)),
-          idx, names));
+      children.push_back(
+          WrapQualified(std::make_unique<RefTableScanOperator>(
+                            entry->ref_reader(), std::move(spec)),
+                        qualified));
     }
     return MorselScan(tc, qualified, std::move(children));
   }
 
+  /// By-row-index fetches: the generated kernel when it is ready and no
+  /// fetched column is a derived particle eventID, else the interpreted scan.
   StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
                                        const std::vector<int>& cols,
                                        const Schema& qualified) const override {
     TableEntry* entry = tc.entry;
     const TableInfo& info = entry->info;
-    std::vector<std::string> field_names;
     bool derived_event_id = false;
-    for (int c : cols) {
-      field_names.push_back(info.schema.field(c).name);
-      if (field_names.back() == "eventID" && info.ref_group >= 0) {
-        derived_event_id = true;
-      }
-    }
+    RefScanSpec spec = RefSpecFor(info, cols, &derived_event_id);
     if (tc.opts->access_path == AccessPathKind::kJit && !derived_event_id) {
       FusedPipelineArgs args;
       RAW_ASSIGN_OR_RETURN(
@@ -185,12 +141,14 @@ class RefFormatDriver final : public FormatDriver {
         args.output_schema = qualified;
         args.health = tc.health;
         args.ref_reader = entry->ref_reader();
-        return RowFetcherPtr(
-            std::make_unique<JitRowFetcher>(tc.jit, std::move(args)));
+        return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+            qualified,
+            ScanOverRows<FusedPipelineOperator>(tc.jit, std::move(args))));
       }
     }
-    return RowFetcherPtr(std::make_unique<RefRowFetcher>(
-        entry->ref_reader(), info.ref_group, field_names, qualified));
+    return RowFetcherPtr(std::make_unique<ScanRowFetcher>(
+        qualified, ScanOverRows<RefTableScanOperator>(entry->ref_reader(),
+                                                      std::move(spec))));
   }
 
   FormatCostParams cost_params(const CostParams& base) const override {

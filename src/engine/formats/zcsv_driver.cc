@@ -7,31 +7,12 @@
 #include "engine/formats/driver_util.h"
 #include "engine/formats/drivers.h"
 #include "engine/physical_plan.h"
+#include "scan/loader.h"
 #include "scan/morsel.h"
-#include "scan/shred_scan.h"
 #include "zcsv/zcsv_scan.h"
 
 namespace raw {
 namespace {
-
-/// This query's block-index build: the one it holds already, or a fresh
-/// claim; false when another query holds the claim or the index is
-/// published.
-bool ClaimIndexBuild(FormatScanContext& tc) {
-  if (tc.building_format_state != nullptr) return true;
-  if (!tc.entry->TryClaimBuild(AdaptiveSlot::kFormatState, tc.version)) {
-    return false;
-  }
-  tc.building_format_state = std::make_shared<GzipBlockIndex>();
-  return true;
-}
-
-const GzipBlockIndex* IndexView(const FormatScanContext& tc) {
-  if (tc.format_state != nullptr) {
-    return static_cast<const GzipBlockIndex*>(tc.format_state.get());
-  }
-  return static_cast<const GzipBlockIndex*>(tc.building_format_state.get());
-}
 
 class CsvGzFormatDriver final : public FormatDriver {
  public:
@@ -51,16 +32,7 @@ class CsvGzFormatDriver final : public FormatDriver {
     }
     spec.options = tc.entry->info.csv_options;
     ZcsvScanOperator scan(tc.file.get(), std::move(spec));
-    RAW_RETURN_NOT_OK(scan.Open());
-    auto table = std::make_unique<InMemoryTable>(scan.output_schema());
-    while (true) {
-      RAW_ASSIGN_OR_RETURN(ColumnBatch batch, scan.Next());
-      if (batch.end_of_stream()) break;
-      if (batch.empty()) continue;
-      RAW_RETURN_NOT_OK(table->AppendBatch(batch));
-    }
-    RAW_RETURN_NOT_OK(scan.Close());
-    return table;
+    return Drain(&scan);
   }
 
   /// A late fetch inflates every gzip member holding a wanted row, and at
@@ -71,20 +43,6 @@ class CsvGzFormatDriver final : public FormatDriver {
   std::string_view FullColumnsReason(
       const FormatScanContext& /*tc*/) const override {
     return "late fetches re-inflate members";
-  }
-
-  /// Late scans navigate through the block-offset index: published, or
-  /// claimed for construction as a side effect of this query's cold scan
-  /// (the format-state analogue of the CSV positional-map protocol).
-  bool EnsureLateScanNavigable(FormatScanContext& tc) const override {
-    const PlannerOptions& opts = *tc.opts;
-    if (tc.format_state != nullptr) return true;
-    if (opts.access_path == AccessPathKind::kLoaded ||
-        opts.access_path == AccessPathKind::kExternalTable ||
-        !opts.build_positional_map) {
-      return false;
-    }
-    return ClaimIndexBuild(tc);
   }
 
   std::vector<ScanRange> SplitMorsels(const FormatScanContext& tc,
@@ -117,51 +75,38 @@ class CsvGzFormatDriver final : public FormatDriver {
     };
 
     // The external-table baseline re-decompresses and re-parses per query,
-    // building nothing — even when an index has been published.
+    // building nothing — even when an index has been published. Warm
+    // children emit file-global row ids (rebased per block inside the
+    // operator), so the parallel driver does not rebase.
     if (tc.format_state != nullptr &&
         opts.access_path != AccessPathKind::kExternalTable) {
       const auto* index =
           static_cast<const GzipBlockIndex*>(tc.format_state.get());
       (*tc.desc) << "[zcsv-scan " << info.name << " blocks="
                  << index->num_blocks() << "] ";
-      std::vector<ScanRange> morsels;
-      if (tc.num_threads > 1) morsels = SplitMorsels(tc, tc.num_threads * 4);
-      if (morsels.size() > 1) {
-        // Warm children emit file-global row ids (rebased per block inside
-        // the operator), so the parallel driver does not rebase.
-        ParallelTableScanOperator::Options popts;
-        popts.deadline = tc.opts->deadline;
-        popts.num_threads = tc.num_threads;
-        std::vector<OperatorPtr> children;
-        for (const ScanRange& m : morsels) {
-          ZcsvScanSpec spec = make_spec();
-          spec.index = index;
-          spec.range = m;
-          children.push_back(WrapQualified(
-              std::make_unique<ZcsvScanOperator>(tc.file.get(),
-                                                 std::move(spec)),
-              qualified));
-        }
-        (*tc.desc) << "[parallel x" << tc.num_threads << " morsels="
-                   << morsels.size() << "] ";
-        return OperatorPtr(std::make_unique<ParallelTableScanOperator>(
-            qualified, std::move(children), std::move(popts)));
+      std::vector<OperatorPtr> children;
+      for (const ScanRange& m : PlanMorsels(*this, tc, ScanRange::Whole())) {
+        ZcsvScanSpec spec = make_spec();
+        spec.index = index;
+        spec.range = m;
+        children.push_back(WrapQualified(
+            std::make_unique<ZcsvScanOperator>(tc.file.get(), std::move(spec)),
+            qualified));
       }
-      ZcsvScanSpec spec = make_spec();
-      spec.index = index;
-      return WrapQualified(
-          std::make_unique<ZcsvScanOperator>(tc.file.get(), std::move(spec)),
-          qualified);
+      return MorselScan(tc, qualified, std::move(children));
     }
 
     // Cold scan: serial member-by-member streaming decompress, building the
-    // block index en route when this query holds (or can claim) the build.
+    // block index en route when this query can claim the build.
     GzipBlockIndex* build = nullptr;
     if (opts.access_path != AccessPathKind::kExternalTable &&
         opts.build_positional_map && tc.format_state == nullptr &&
-        !tc.format_state_build_wired && ClaimIndexBuild(tc)) {
+        !tc.format_state_build_wired &&
+        tc.entry->TryClaimBuild(AdaptiveSlot::kFormatState, tc.version)) {
+      auto index = std::make_shared<GzipBlockIndex>();
+      build = index.get();
+      tc.building_format_state = std::move(index);
       tc.format_state_build_wired = true;
-      build = static_cast<GzipBlockIndex*>(tc.building_format_state.get());
     }
     (*tc.desc) << "[zcsv-scan " << info.name << " cold] ";
     ZcsvScanSpec spec = make_spec();
@@ -174,22 +119,6 @@ class CsvGzFormatDriver final : public FormatDriver {
                                                   AdaptiveSlot::kFormatState);
     }
     return op;
-  }
-
-  StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& tc,
-                                       const std::vector<int>& cols,
-                                       const Schema& qualified) const override {
-    const GzipBlockIndex* index = IndexView(tc);
-    if (index == nullptr) {
-      return Status::Internal(
-          "compressed-CSV late scan requires the block index "
-          "(none configured)");
-    }
-    auto fetcher = std::make_unique<ZcsvRowFetcher>(
-        tc.file.get(), index, tc.entry->info.schema, cols,
-        tc.entry->info.csv_options);
-    fetcher->set_fields(qualified);
-    return RowFetcherPtr(std::move(fetcher));
   }
 
   FormatCostParams cost_params(const CostParams& base) const override {

@@ -360,11 +360,9 @@ Status EnsureLoaded(BuildCtx& ctx, FormatScanContext& tc) {
 
 /// Builds the raw-file scan for `cols` of the context's table by dispatching
 /// to its format driver (no cache involvement). Every driver's BuildScan is
-/// a full scan today; the out-param stays for cache bookkeeping.
+/// a full scan of the table.
 StatusOr<OperatorPtr> BuildRawScan(BuildCtx& ctx, FormatScanContext& tc,
-                                   const std::vector<int>& cols,
-                                   bool* full_scan) {
-  *full_scan = true;
+                                   const std::vector<int>& cols) {
   RAW_ASSIGN_OR_RETURN(const FormatDriver* driver, DriverFor(*tc.entry));
   (*ctx.desc) << "[format=" << driver->name() << "] ";
   Schema qualified = QualifiedSchema(*tc.entry, cols);
@@ -385,16 +383,8 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
     RAW_RETURN_NOT_OK(EnsureLoaded(ctx, tc));
     // Scan only the needed columns of the loaded table, renamed to their
     // qualified form (the scan output is already in `cols` order).
-    OperatorPtr scan = tc.loaded->CreateScan(opts.batch_rows, cols);
-    std::vector<int> identity(cols.size());
-    std::vector<std::string> names;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      identity[i] = static_cast<int>(i);
-      names.push_back(
-          QualifiedName(info.name, info.schema.field(cols[i]).name));
-    }
-    return OperatorPtr(std::make_unique<SelectColumnsOperator>(
-        std::move(scan), std::move(identity), std::move(names)));
+    return WrapQualified(tc.loaded->CreateScan(opts.batch_rows, cols),
+                         QualifiedSchema(*entry, cols));
   }
 
   // Partition into cache-served full columns and raw columns. When this
@@ -425,9 +415,7 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
         opts.batch_rows));
   }
 
-  bool full_scan = true;
-  RAW_ASSIGN_OR_RETURN(OperatorPtr op,
-                       BuildRawScan(ctx, tc, raw_cols, &full_scan));
+  RAW_ASSIGN_OR_RETURN(OperatorPtr op, BuildRawScan(ctx, tc, raw_cols));
 
   if (opts.populate_shred_cache) {
     std::vector<CacheInsertOperator::Mapping> mappings;
@@ -437,7 +425,7 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
     }
     op = std::make_unique<CacheInsertOperator>(
         std::move(op), ctx.shreds, entry, tc.version, std::move(mappings),
-        full_scan, tc.row_count);
+        /*full_scan=*/true, tc.row_count);
   }
 
   if (!cached_cols.empty()) {
@@ -449,12 +437,11 @@ StatusOr<OperatorPtr> BuildBaseScan(BuildCtx& ctx, FormatScanContext& tc,
   return op;
 }
 
-/// Builds a cache-aware late-scan fetcher for `cols` of the context's table:
-/// the format driver supplies the raw fetcher, the planner adds the generic
-/// parallel and cache-aware wrappers.
+/// Builds a cache-aware late-scan fetcher for `cols` (ascending) of the
+/// context's table: the format driver supplies the raw fetcher, the planner
+/// adds the generic parallel and cache-aware wrappers.
 StatusOr<RowFetcherPtr> BuildFetcher(BuildCtx& ctx, FormatScanContext& tc,
-                                     std::vector<int> cols) {
-  cols = SortedUnique(std::move(cols));
+                                     const std::vector<int>& cols) {
   const PlannerOptions& opts = *ctx.opts;
   if (opts.count_accesses) tc.entry->NoteColumnAccesses(cols);
   Schema qualified = QualifiedSchema(*tc.entry, cols);
@@ -471,6 +458,28 @@ StatusOr<RowFetcherPtr> BuildFetcher(BuildCtx& ctx, FormatScanContext& tc,
   if (!opts.use_shred_cache) return inner;
   return RowFetcherPtr(std::make_unique<CacheAwareFetcher>(
       ctx.shreds, tc.entry->info.name, tc.version, cols, std::move(inner)));
+}
+
+/// An aggregate's output column name: its alias, else `KIND(table.column)`
+/// or `COUNT(*)`.
+std::string AggOutputName(const AggItemSpec& agg) {
+  if (!agg.output_name.empty()) return agg.output_name;
+  return std::string(AggKindToString(agg.kind)) + "(" +
+         (agg.count_star ? "*" : agg.column.ToString()) + ")";
+}
+
+/// A projection's output column names: the bare column name, qualified when
+/// an earlier projection took it already.
+std::vector<std::string> ProjectionOutputNames(
+    const std::vector<ColumnRefSpec>& projections) {
+  std::vector<std::string> names;
+  std::set<std::string> used;
+  for (const ColumnRefSpec& p : projections) {
+    names.push_back(used.insert(p.column).second
+                        ? p.column
+                        : QualifiedName(p.table, p.column));
+  }
+  return names;
 }
 
 // =============================================================================
@@ -626,17 +635,12 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
     req.aggs = std::move(aggs);
   } else {
     req.mode = PipelineOutputMode::kProject;
-    // Output names exactly as the interpreted SelectColumnsOperator emits
-    // them: the bare column name, qualified on duplicates.
+    // Output names exactly as the interpreted SelectColumnsOperator emits.
+    const std::vector<std::string> names = ProjectionOutputNames(q.projections);
     Schema out;
-    std::set<std::string> used;
     for (size_t i = 0; i < q.projections.size(); ++i) {
       req.projections.push_back(input_of(proj_inputs[i]));
-      std::string name = q.projections[i].column;
-      if (!used.insert(name).second) {
-        name = QualifiedName(q.projections[i].table, q.projections[i].column);
-      }
-      out.AddField(std::move(name), schema.field(proj_inputs[i]).type);
+      out.AddField(names[i], schema.field(proj_inputs[i]).type);
     }
     req.output_schema = std::move(out);
   }
@@ -663,14 +667,7 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
       AggSpec spec;
       spec.kind = q.aggregates[i].kind;
       spec.input = -1;  // partial-state columns are positional, not indexed
-      spec.output_name =
-          !q.aggregates[i].output_name.empty()
-              ? q.aggregates[i].output_name
-              : std::string(AggKindToString(q.aggregates[i].kind)) + "(" +
-                    (q.aggregates[i].count_star
-                         ? "*"
-                         : q.aggregates[i].column.ToString()) +
-                    ")";
+      spec.output_name = AggOutputName(q.aggregates[i]);
       input_types.push_back(q.aggregates[i].kind != AggKind::kCount
                                 ? schema.field(agg_inputs[i]).type
                                 : DataType::kInt64);
@@ -686,25 +683,26 @@ StatusOr<OperatorPtr> TryPlanFusedPipeline(BuildCtx& ctx, const QuerySpec& q,
   return op;
 }
 
-/// True when late scans (selective row fetches) against `tc`'s table can
-/// navigate to arbitrary rows — delegated to the format driver, which may
-/// claim an adaptive-state build (positional map, block index) as a side
-/// effect. Returns false for baselines that never build navigation state and
-/// for cold tables whose build claim another in-flight session holds;
-/// callers must then route columns into base scans instead of late scans.
-StatusOr<bool> LateScanFeasible(FormatScanContext& tc) {
-  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver, DriverFor(*tc.entry));
-  if (!driver->FullColumnsReason(tc).empty()) return false;
-  return driver->EnsureLateScanNavigable(tc);
-}
+/// Whether late scans (selective row fetches) may serve `tc`'s table, and
+/// the format's reason when it would rather read full columns.
+struct LateScanAccess {
+  bool feasible = false;
+  std::string_view full_columns_reason;  // empty unless the format objects
+};
 
-/// Why `tc`'s table would rather not serve late scans (formats whose
-/// selective fetch re-reads as much as a full scan), or empty.
-std::string_view FullColumnsReason(const FormatScanContext& tc) {
-  const FormatDriver* driver =
-      FormatRegistry::Global().Find(tc.entry->info.format);
-  return driver != nullptr ? driver->FullColumnsReason(tc)
-                           : std::string_view();
+/// One dispatch to the table's format driver: no full-columns reason, and
+/// late scans can navigate to arbitrary rows (the driver may claim an
+/// adaptive-state build as a side effect). Infeasible for baselines that
+/// never build navigation state and for cold tables whose build claim
+/// another in-flight session holds; callers must then route columns into
+/// base scans instead of late scans.
+StatusOr<LateScanAccess> LateScanAccessFor(FormatScanContext& tc) {
+  RAW_ASSIGN_OR_RETURN(const FormatDriver* driver, DriverFor(*tc.entry));
+  LateScanAccess access;
+  access.full_columns_reason = driver->FullColumnsReason(tc);
+  access.feasible = access.full_columns_reason.empty() &&
+                    driver->EnsureLateScanNavigable(tc);
+  return access;
 }
 
 // =============================================================================
@@ -816,23 +814,54 @@ ShredPolicy ResolveAdaptivePolicy(BuildCtx& ctx, const SidePlan& side) {
   return policy;
 }
 
-/// Wraps `op` (a LateScanOperator output) so the freshly fetched columns are
-/// registered in the shred pool at Close() — "creating only subsets (shreds)
-/// of columns ... preserved in a pool" (§3/§5.1). Only used below filter
-/// cascades, where row ids are strictly increasing (post-join order is not).
-OperatorPtr WrapLateScanCacheInsert(BuildCtx& ctx, OperatorPtr op,
-                                    const FormatScanContext& tc,
-                                    int base_fields,
-                                    const std::vector<int>& fetch_cols) {
+/// Where a late scan sits: in a table's filter cascade (row ids strictly
+/// increasing), or above the join on its pipelined (probe) or
+/// pipeline-breaking (build, row ids in kBuildRowIdColumn) side.
+enum class LateScanSite {
+  kFilterCascade,
+  kPipelinedJoinSide,
+  kBreakingJoinSide
+};
+
+/// Puts a late scan of `cols` from `tc`'s table on top of `op` and notes it
+/// in the plan. In a filter cascade the fetched columns are registered in
+/// the shred pool at Close() too — "creating only subsets (shreds) of
+/// columns ... preserved in a pool" (§3/§5.1); post-join row order is not
+/// increasing, so join-side fetches are not.
+StatusOr<OperatorPtr> AddLateScan(BuildCtx& ctx, FormatScanContext& tc,
+                                  OperatorPtr op, std::vector<int> cols,
+                                  LateScanSite site) {
+  cols = SortedUnique(std::move(cols));  // the fetched columns' order
+  RAW_ASSIGN_OR_RETURN(RowFetcherPtr fetcher, BuildFetcher(ctx, tc, cols));
+  const std::string& table = tc.entry->info.name;
+  switch (site) {
+    case LateScanSite::kPipelinedJoinSide:
+      (*ctx.desc) << "[late-scan(post-join,pipelined) " << table << "] ";
+      return OperatorPtr(std::make_unique<LateScanOperator>(
+          std::move(op), std::move(fetcher)));
+    case LateScanSite::kBreakingJoinSide:
+      (*ctx.desc) << "[late-scan(post-join,breaking) " << table << "] ";
+      return OperatorPtr(std::make_unique<LateScanOperator>(
+          std::move(op), std::move(fetcher),
+          HashJoinOperator::kBuildRowIdColumn));
+    case LateScanSite::kFilterCascade:
+      break;
+  }
+  (*ctx.desc) << "[late-scan " << table << ":";
+  for (int c : cols) (*ctx.desc) << c << ",";
+  (*ctx.desc) << "] ";
+  RAW_RETURN_NOT_OK(op->Open());  // idempotent; exposes the field count
+  const int base_fields = op->output_schema().num_fields();
+  op = std::make_unique<LateScanOperator>(std::move(op), std::move(fetcher));
   if (!ctx.opts->populate_shred_cache) return op;
   std::vector<CacheInsertOperator::Mapping> mappings;
-  for (size_t j = 0; j < fetch_cols.size(); ++j) {
+  for (size_t j = 0; j < cols.size(); ++j) {
     mappings.push_back(CacheInsertOperator::Mapping{
-        base_fields + static_cast<int>(j), fetch_cols[j]});
+        base_fields + static_cast<int>(j), cols[j]});
   }
-  return std::make_unique<CacheInsertOperator>(
+  return OperatorPtr(std::make_unique<CacheInsertOperator>(
       std::move(op), ctx.shreds, tc.entry, tc.version, std::move(mappings),
-      /*full_scan=*/false, /*expected_rows=*/-1);
+      /*full_scan=*/false, /*expected_rows=*/-1));
 }
 
 /// Builds scan -> [late scan, filter]* -> [late scan] for one table.
@@ -848,9 +877,11 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
   bool can_late_scan = true;
   if (opts.access_path != AccessPathKind::kLoaded &&
       opts.access_path != AccessPathKind::kExternalTable) {
-    RAW_ASSIGN_OR_RETURN(can_late_scan, LateScanFeasible(tc));
-    if (const std::string_view why = FullColumnsReason(tc); !why.empty()) {
-      (*ctx.desc) << "[full columns " << table << ": " << why << "] ";
+    RAW_ASSIGN_OR_RETURN(const LateScanAccess access, LateScanAccessFor(tc));
+    can_late_scan = access.feasible;
+    if (!access.full_columns_reason.empty()) {
+      (*ctx.desc) << "[full columns " << table << ": "
+                  << access.full_columns_reason << "] ";
     } else if (!can_late_scan) {
       (*ctx.desc) << "[no-pmap: full columns " << table << "] ";
     }
@@ -903,18 +934,8 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
           }
         }
       }
-      fetch_cols = SortedUnique(std::move(fetch_cols));
-      RAW_ASSIGN_OR_RETURN(RowFetcherPtr fetcher,
-                           BuildFetcher(ctx, tc, fetch_cols));
-      (*ctx.desc) << "[late-scan " << table << ":";
-      for (int c : fetch_cols) (*ctx.desc) << c << ",";
-      (*ctx.desc) << "] ";
-      RAW_RETURN_NOT_OK(op->Open());  // idempotent; exposes the field count
-      int base_fields = op->output_schema().num_fields();
-      op = std::make_unique<LateScanOperator>(std::move(op),
-                                              std::move(fetcher));
-      op = WrapLateScanCacheInsert(ctx, std::move(op), tc, base_fields,
-                                   fetch_cols);
+      RAW_ASSIGN_OR_RETURN(op, AddLateScan(ctx, tc, std::move(op), fetch_cols,
+                                           LateScanSite::kFilterCascade));
       for (int c : fetch_cols) have.insert(c);
     }
     // Operator Open() is idempotent before the first Next(); opening here
@@ -931,17 +952,8 @@ StatusOr<OperatorPtr> BuildTableSubplan(BuildCtx& ctx, SidePlan& side) {
     if (have.count(c) == 0) missing.push_back(c);
   }
   if (!missing.empty()) {
-    missing = SortedUnique(std::move(missing));
-    RAW_ASSIGN_OR_RETURN(RowFetcherPtr fetcher,
-                         BuildFetcher(ctx, tc, missing));
-    (*ctx.desc) << "[late-scan " << table << ":";
-    for (int c : missing) (*ctx.desc) << c << ",";
-    (*ctx.desc) << "] ";
-    RAW_RETURN_NOT_OK(op->Open());
-    int base_fields = op->output_schema().num_fields();
-    op = std::make_unique<LateScanOperator>(std::move(op), std::move(fetcher));
-    op = WrapLateScanCacheInsert(ctx, std::move(op), tc, base_fields,
-                                 missing);
+    RAW_ASSIGN_OR_RETURN(op, AddLateScan(ctx, tc, std::move(op), missing,
+                                         LateScanSite::kFilterCascade));
   }
   return op;
 }
@@ -1156,22 +1168,23 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
     // build_positional_map off, or another session holds the build claim)
     // the columns demote to intermediate placement instead of failing at
     // fetch time.
-    RAW_ASSIGN_OR_RETURN(const bool probe_late_ok,
-                         LateScanFeasible(ctx.Ctx(probe_entry)));
-    RAW_ASSIGN_OR_RETURN(const bool build_late_ok,
-                         LateScanFeasible(ctx.Ctx(build_entry)));
-    std::vector<OutCol> late_probe, late_build;
+    RAW_ASSIGN_OR_RETURN(const LateScanAccess probe_access,
+                         LateScanAccessFor(ctx.Ctx(probe_entry)));
+    RAW_ASSIGN_OR_RETURN(const LateScanAccess build_access,
+                         LateScanAccessFor(ctx.Ctx(build_entry)));
+    std::vector<int> late_probe, late_build;
     auto place = [&](const OutCol& c) {
       if (c.entry == nullptr) return;
       SidePlan& side = c.entry == probe_entry ? probe : build;
+      const LateScanAccess& access =
+          c.entry == probe_entry ? probe_access : build_access;
       JoinProjectionPlacement placement = effective.join_placement;
-      if (placement == JoinProjectionPlacement::kLate &&
-          !(c.entry == probe_entry ? probe_late_ok : build_late_ok)) {
+      if (placement == JoinProjectionPlacement::kLate && !access.feasible) {
         placement = JoinProjectionPlacement::kIntermediate;
         const std::string& name = c.entry->info.name;
-        if (const std::string_view why = FullColumnsReason(ctx.Ctx(c.entry));
-            !why.empty()) {
-          (*ctx.desc) << "[late->intermediate " << name << ": " << why << "] ";
+        if (!access.full_columns_reason.empty()) {
+          (*ctx.desc) << "[late->intermediate " << name << ": "
+                      << access.full_columns_reason << "] ";
         } else {
           (*ctx.desc) << "[no-pmap: late->intermediate " << name << "] ";
         }
@@ -1184,11 +1197,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
           side.needed_after.push_back(c.column);
           break;
         case JoinProjectionPlacement::kLate:
-          if (c.entry == probe_entry) {
-            late_probe.push_back(c);
-          } else {
-            late_build.push_back(c);
-          }
+          (c.entry == probe_entry ? late_probe : late_build)
+              .push_back(c.column);
           break;
       }
     };
@@ -1245,25 +1255,14 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
     op = std::move(join);
 
     if (!late_probe.empty()) {
-      std::vector<int> cols;
-      for (const OutCol& c : late_probe) cols.push_back(c.column);
-      RAW_ASSIGN_OR_RETURN(RowFetcherPtr fetcher,
-                           BuildFetcher(ctx, ctx.Ctx(probe_entry), cols));
-      (*ctx.desc) << "[late-scan(post-join,pipelined) " << probe_entry->info.name
-                  << "] ";
-      op = std::make_unique<LateScanOperator>(std::move(op),
-                                              std::move(fetcher));
+      RAW_ASSIGN_OR_RETURN(
+          op, AddLateScan(ctx, ctx.Ctx(probe_entry), std::move(op), late_probe,
+                          LateScanSite::kPipelinedJoinSide));
     }
     if (!late_build.empty()) {
-      std::vector<int> cols;
-      for (const OutCol& c : late_build) cols.push_back(c.column);
-      RAW_ASSIGN_OR_RETURN(RowFetcherPtr fetcher,
-                           BuildFetcher(ctx, ctx.Ctx(build_entry), cols));
-      (*ctx.desc) << "[late-scan(post-join,breaking) " << build_entry->info.name
-                  << "] ";
-      op = std::make_unique<LateScanOperator>(
-          std::move(op), std::move(fetcher),
-          HashJoinOperator::kBuildRowIdColumn);
+      RAW_ASSIGN_OR_RETURN(
+          op, AddLateScan(ctx, ctx.Ctx(build_entry), std::move(op), late_build,
+                          LateScanSite::kBreakingJoinSide));
     }
   }
 
@@ -1286,14 +1285,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
         RAW_ASSIGN_OR_RETURN(spec.input,
                              QualifiedIndex(in, q.aggregates[i].column));
       }
-      spec.output_name =
-          !q.aggregates[i].output_name.empty()
-              ? q.aggregates[i].output_name
-              : std::string(AggKindToString(q.aggregates[i].kind)) + "(" +
-                    (q.aggregates[i].count_star
-                         ? "*"
-                         : q.aggregates[i].column.ToString()) +
-                    ")";
+      spec.output_name = AggOutputName(q.aggregates[i]);
       specs.push_back(std::move(spec));
     }
     if (q.group_by.empty()) {
@@ -1319,18 +1311,13 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query,
     RAW_RETURN_NOT_OK(op->Open());
     const Schema& in = op->output_schema();
     std::vector<int> indices;
-    std::vector<std::string> names;
-    std::set<std::string> used;
     for (const ColumnRefSpec& p : q.projections) {
       RAW_ASSIGN_OR_RETURN(int idx, QualifiedIndex(in, p));
       indices.push_back(idx);
-      std::string name = p.column;
-      if (!used.insert(name).second) name = QualifiedName(p.table, p.column);
-      names.push_back(name);
     }
-    op = std::make_unique<SelectColumnsOperator>(std::move(op),
-                                                 std::move(indices),
-                                                 std::move(names));
+    op = std::make_unique<SelectColumnsOperator>(
+        std::move(op), std::move(indices),
+        ProjectionOutputNames(q.projections));
     (*ctx.desc) << "[project] ";
   }
 

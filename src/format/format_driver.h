@@ -136,9 +136,10 @@ struct FormatScanContext {
 ///    operator for `cols`, with outputs renamed to `qualified`; morsels come
 ///    from the driver's own SplitMorsels and must cover every row exactly
 ///    once, aligned so workers never split a row.
-///  * BuildFetcher returns a re-entrant RowFetcher (Fetch may be called
-///    concurrently; build private cursors per call over shared immutable
-///    state).
+///  * BuildFetcher returns a ScanRowFetcher: the format's own scan, run
+///    over explicit row sets (re-entrant: each Fetch builds a private scan
+///    over shared immutable state). The planner asks only after the late
+///    scan is feasible (no FullColumnsReason, navigable).
 ///  * Adaptive-state hooks (EnsureLateScanNavigable, the claim fields on
 ///    FormatScanContext) let a driver gate late scans on navigation
 ///    structures and build them as scan side effects.
@@ -222,13 +223,18 @@ class FormatDriver {
                                           const std::vector<int>& cols,
                                           const Schema& qualified) const = 0;
 
-  /// Builds the late-scan row fetcher for `cols` (fields() == `qualified`).
-  /// Must be re-entrant (see class comment). The planner adds the parallel
-  /// and cache-aware wrappers.
-  virtual StatusOr<RowFetcherPtr> BuildFetcher(FormatScanContext& ctx,
-                                               const std::vector<int>& cols,
-                                               const Schema& qualified)
-      const = 0;
+  /// Builds the late-scan row fetcher for `cols` (fields() == `qualified`):
+  /// a ScanRowFetcher over the format's scan (see class comment). The
+  /// planner asks for one only when FullColumnsReason is empty and
+  /// EnsureLateScanNavigable returned true, and adds the parallel and
+  /// cache-aware wrappers. Default: NotImplemented, for formats that always
+  /// give a FullColumnsReason.
+  virtual StatusOr<RowFetcherPtr> BuildFetcher(
+      FormatScanContext& /*ctx*/, const std::vector<int>& /*cols*/,
+      const Schema& /*qualified*/) const {
+    return Status::NotImplemented("format '" + std::string(name()) +
+                                  "' serves no late fetches");
+  }
 
   // --- cost model ------------------------------------------------------------
 

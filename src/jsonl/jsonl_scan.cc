@@ -402,27 +402,4 @@ StatusOr<ColumnBatch> JsonlScanOperator::Next() {
   return NextSequential();
 }
 
-JsonlRowFetcher::JsonlRowFetcher(const MmapFile* file, JsonlScanSpec spec)
-    : file_(file), spec_(std::move(spec)) {
-  schema_ = SchemaForColumns(spec_.file_schema, spec_.outputs);
-}
-
-StatusOr<std::vector<ColumnPtr>> JsonlRowFetcher::Fetch(const RowSet& rows) {
-  JsonlScanSpec spec = spec_;
-  spec.row_set = rows;
-  spec.batch_rows = std::max<int64_t>(rows.size(), 1);
-  JsonlScanOperator op(file_, std::move(spec));
-  RAW_RETURN_NOT_OK(op.Open());
-  std::vector<ColumnPtr> out;
-  if (rows.empty()) {
-    for (const Field& f : schema_.fields()) {
-      out.push_back(std::make_shared<Column>(f.type));
-    }
-    return out;
-  }
-  RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op.Next());
-  for (int c = 0; c < batch.num_columns(); ++c) out.push_back(batch.column(c));
-  return out;
-}
-
 }  // namespace raw

@@ -120,26 +120,6 @@ class JsonlScanOperator : public Operator {
   std::string unescape_scratch_;
 };
 
-/// RowFetcher for JSONL late scans: each Fetch runs a private positional
-/// JsonlScanOperator over the shared map — re-entrant, so the parallel
-/// fetch decorator can chunk row sets across threads.
-class JsonlRowFetcher : public RowFetcher {
- public:
-  /// `spec.use_pmap` must be set; its row_set is supplied per Fetch call.
-  JsonlRowFetcher(const MmapFile* file, JsonlScanSpec spec);
-
-  /// Overrides the published field schema (e.g. qualified names).
-  void set_fields(Schema fields) { schema_ = std::move(fields); }
-
-  const Schema& fields() const override { return schema_; }
-  StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override;
-
- private:
-  const MmapFile* file_;
-  JsonlScanSpec spec_;
-  Schema schema_;
-};
-
 }  // namespace raw
 
 #endif  // RAW_JSONL_JSONL_SCAN_H_

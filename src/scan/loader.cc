@@ -6,7 +6,6 @@
 
 namespace raw {
 
-namespace {
 StatusOr<std::unique_ptr<InMemoryTable>> Drain(Operator* scan) {
   // Open first: some scans (REF) resolve their output schema at Open().
   RAW_RETURN_NOT_OK(scan->Open());
@@ -20,7 +19,6 @@ StatusOr<std::unique_ptr<InMemoryTable>> Drain(Operator* scan) {
   RAW_RETURN_NOT_OK(scan->Close());
   return table;
 }
-}  // namespace
 
 StatusOr<std::unique_ptr<InMemoryTable>> LoadCsvTable(
     const MmapFile* file, const Schema& file_schema,

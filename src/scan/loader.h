@@ -17,6 +17,10 @@ namespace raw {
 /// can run. Loading cost is what the first-query experiments charge to the
 /// DBMS baseline (Fig. 1a, Table 2).
 
+/// Opens `scan`, appends every batch it emits to a new in-memory table and
+/// closes it: the load of any format whose scan reads all columns.
+StatusOr<std::unique_ptr<InMemoryTable>> Drain(Operator* scan);
+
 /// Loads `columns` of a CSV file (pass all columns for the full DBMS load).
 /// `quoted` routes the scan through the quote-aware tokenizer (see
 /// CsvScanSpec::quoted).

@@ -1,6 +1,7 @@
 #include "scan/shred_scan.h"
 
 #include <algorithm>
+#include <string>
 
 namespace raw {
 
@@ -73,68 +74,26 @@ StatusOr<ColumnBatch> LateScanOperator::Next() {
   return out;
 }
 
-// --- JitRowFetcher -----------------------------------------------------------
+// --- ScanRowFetcher ----------------------------------------------------------
 
-JitRowFetcher::JitRowFetcher(JitTemplateCache* cache, FusedPipelineArgs args)
-    : cache_(cache), args_(std::move(args)) {}
+ScanRowFetcher::ScanRowFetcher(Schema fields, RowSetScan scan)
+    : fields_(std::move(fields)), scan_(std::move(scan)) {}
 
-StatusOr<std::vector<ColumnPtr>> JitRowFetcher::Fetch(const RowSet& rows) {
+StatusOr<std::vector<ColumnPtr>> ScanRowFetcher::Fetch(const RowSet& rows) {
   std::vector<ColumnPtr> out;
   if (rows.empty()) {
-    for (const Field& f : args_.output_schema.fields()) {
+    for (const Field& f : fields_.fields()) {
       out.push_back(std::make_shared<Column>(f.type));
     }
     return out;
   }
-  FusedPipelineArgs args = args_;
-  args.row_set = rows;
-  args.batch_rows = rows.size();
-  FusedPipelineOperator op(cache_, std::move(args));
-  RAW_RETURN_NOT_OK(op.Open());
-  RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op.Next());
+  OperatorPtr scan = scan_(rows);
+  RAW_RETURN_NOT_OK(scan->Open());
+  RAW_ASSIGN_OR_RETURN(ColumnBatch batch, scan->Next());
   if (batch.num_rows() != rows.size()) {
-    return Status::Internal("JIT fetch produced wrong row count");
-  }
-  for (int c = 0; c < batch.num_columns(); ++c) out.push_back(batch.column(c));
-  return out;
-}
-
-// --- InsituRowFetcher --------------------------------------------------------
-
-InsituRowFetcher::InsituRowFetcher(const MmapFile* file, CsvScanSpec spec)
-    : csv_file_(file), csv_spec_(std::move(spec)), is_csv_(true) {
-  schema_ = SchemaForColumns(csv_spec_.file_schema, csv_spec_.outputs);
-}
-
-InsituRowFetcher::InsituRowFetcher(const BinaryReader* reader, BinScanSpec spec)
-    : bin_reader_(reader), bin_spec_(std::move(spec)), is_csv_(false) {
-  schema_ = SchemaForColumns(bin_reader_->layout().schema(), bin_spec_.outputs);
-}
-
-StatusOr<std::vector<ColumnPtr>> InsituRowFetcher::Fetch(const RowSet& rows) {
-  std::vector<ColumnPtr> out;
-  if (rows.empty()) {
-    for (const Field& f : schema_.fields()) {
-      out.push_back(std::make_shared<Column>(f.type));
-    }
-    return out;
-  }
-  OperatorPtr op;
-  if (is_csv_) {
-    CsvScanSpec spec = csv_spec_;
-    spec.row_set = rows;
-    spec.batch_rows = std::max<int64_t>(rows.size(), 1);
-    op = std::make_unique<InsituCsvScanOperator>(csv_file_, std::move(spec));
-  } else {
-    BinScanSpec spec = bin_spec_;
-    spec.row_set = rows;
-    spec.batch_rows = std::max<int64_t>(rows.size(), 1);
-    op = std::make_unique<InsituBinScanOperator>(bin_reader_, std::move(spec));
-  }
-  RAW_RETURN_NOT_OK(op->Open());
-  RAW_ASSIGN_OR_RETURN(ColumnBatch batch, op->Next());
-  if (batch.num_rows() != rows.size()) {
-    return Status::Internal("in-situ fetch produced wrong row count");
+    return Status::Internal("late fetch of " + std::to_string(rows.size()) +
+                            " rows produced " +
+                            std::to_string(batch.num_rows()));
   }
   for (int c = 0; c < batch.num_columns(); ++c) out.push_back(batch.column(c));
   return out;

@@ -1,15 +1,13 @@
 #ifndef RAW_SCAN_SHRED_SCAN_H_
 #define RAW_SCAN_SHRED_SCAN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "scan/access_path.h"
-#include "scan/insitu_bin_scan.h"
-#include "scan/insitu_csv_scan.h"
-#include "scan/fused_pipeline.h"
 
 namespace raw {
 
@@ -47,47 +45,41 @@ class LateScanOperator : public Operator {
   int64_t values_fetched_ = 0;
 };
 
-/// RowFetcher running a generated projection kernel per Fetch() call (CSV
-/// by-position, binary / REF by-row-index). For CSV, byte positions are
-/// resolved through `args.pmap` at fetch time.
-class JitRowFetcher : public RowFetcher {
- public:
-  /// `args` must describe a selective-mode spec; its row_set is supplied per
-  /// Fetch call.
-  JitRowFetcher(JitTemplateCache* cache, FusedPipelineArgs args);
+/// The format's scan over one explicit row set: a late fetch is the same
+/// scan operator pushed up the plan, told which rows to visit.
+using RowSetScan = std::function<OperatorPtr(const RowSet& rows)>;
 
-  const Schema& fields() const override { return args_.output_schema; }
+/// The one RowFetcher over raw files: each Fetch builds the format's scan
+/// for the requested rows, opens it and takes its single batch. The factory
+/// captures only immutable pinned state (file, reader, map, kernel spec), so
+/// Fetch is re-entrant. An empty row set returns empty typed columns without
+/// opening a scan; a scan that returns other than `rows.size()` rows is an
+/// internal error.
+class ScanRowFetcher : public RowFetcher {
+ public:
+  ScanRowFetcher(Schema fields, RowSetScan scan);
+
+  const Schema& fields() const override { return fields_; }
   StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override;
 
  private:
-  JitTemplateCache* cache_;
-  FusedPipelineArgs args_;
+  Schema fields_;
+  RowSetScan scan_;
 };
 
-/// RowFetcher using the interpreted access paths (the in-situ baseline for
-/// shred experiments).
-class InsituRowFetcher : public RowFetcher {
- public:
-  /// CSV flavour: by-position via `pmap` from `anchor_column`.
-  InsituRowFetcher(const MmapFile* file, CsvScanSpec spec);
-  /// Binary flavour: by row index.
-  InsituRowFetcher(const BinaryReader* reader, BinScanSpec spec);
-
-  /// Overrides the published field schema (e.g. qualified names); must have
-  /// one field per fetched column, matching types.
-  void set_fields(Schema fields) { schema_ = std::move(fields); }
-
-  const Schema& fields() const override { return schema_; }
-  StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override;
-
- private:
-  const MmapFile* csv_file_ = nullptr;
-  CsvScanSpec csv_spec_;
-  const BinaryReader* bin_reader_ = nullptr;
-  BinScanSpec bin_spec_;
-  Schema schema_;
-  bool is_csv_ = false;
-};
+/// A RowSetScan over `ScanOp(source, spec)` for every scan whose spec takes
+/// explicit rows (`row_set`, read in one batch of `batch_rows`): the
+/// interpreted CSV, binary, JSONL and REF scans, and the generated kernels
+/// (source = the template cache, spec = FusedPipelineArgs).
+template <typename ScanOp, typename Source, typename Spec>
+RowSetScan ScanOverRows(Source* source, Spec spec) {
+  return [source, spec = std::move(spec)](const RowSet& rows) -> OperatorPtr {
+    Spec copy = spec;
+    copy.row_set = rows;
+    copy.batch_rows = rows.size();
+    return std::make_unique<ScanOp>(source, std::move(copy));
+  };
+}
 
 /// RowFetcher decorator that chunks big row sets across the thread pool and
 /// reassembles the fetched columns in chunk order — the parallel late-scan
@@ -95,9 +87,9 @@ class InsituRowFetcher : public RowFetcher {
 /// per-chunk results in chunk order reproduces the serial output bit for
 /// bit. Small requests (under ~2 chunks) skip the pool entirely.
 ///
-/// The inner fetcher's Fetch must be re-entrant: every fetcher in this
-/// module is (each call builds a private scan operator over shared immutable
-/// state), which is what makes this decorator safe.
+/// The inner fetcher's Fetch must be re-entrant: ScanRowFetcher is (each
+/// call builds a private scan operator over shared immutable state), which
+/// is what makes this decorator safe.
 class ParallelRowFetcher : public RowFetcher {
  public:
   static constexpr int64_t kDefaultMinChunkRows = 2048;

@@ -19,9 +19,7 @@ namespace raw {
 /// Configuration of a scan over multi-member gzip-compressed CSV. One spec
 /// describes either:
 ///  * a cold scan: serial, member-by-member streaming decompress of the
-///    whole file, optionally building the block-offset index en route
-///    (each member's entry is appended *before* its rows are emitted, so
-///    late scans in the same pipeline can already navigate them), or
+///    whole file, optionally building the block-offset index en route, or
 ///  * a warm scan: decompress only an assigned contiguous range of blocks —
 ///    what makes warm compressed scans morsel-parallel.
 struct ZcsvScanSpec {
@@ -83,33 +81,6 @@ class ZcsvScanOperator : public Operator {
   InflateBuffer buffer_;      // decompressed member text
   std::unique_ptr<InsituCsvScanOperator> inner_;
   std::vector<int64_t> rebase_scratch_;
-};
-
-/// RowFetcher for compressed-CSV late scans: rows are grouped by block
-/// through the index; each needed block is decoded into a call-local buffer
-/// sized from the index (re-entrant, so the parallel fetch decorator can
-/// chunk row sets across threads), line starts are rebuilt, and the needed
-/// fields are tokenized per row.
-class ZcsvRowFetcher : public RowFetcher {
- public:
-  /// `file` and `index` must outlive the fetcher. `outputs` ascending.
-  ZcsvRowFetcher(const MmapFile* file, const GzipBlockIndex* index,
-                 Schema file_schema, std::vector<int> outputs,
-                 CsvOptions options);
-
-  /// Overrides the published field schema (e.g. qualified names).
-  void set_fields(Schema fields) { schema_ = std::move(fields); }
-
-  const Schema& fields() const override { return schema_; }
-  StatusOr<std::vector<ColumnPtr>> Fetch(const RowSet& rows) override;
-
- private:
-  const MmapFile* file_;
-  const GzipBlockIndex* index_;
-  Schema file_schema_;
-  std::vector<int> outputs_;
-  CsvOptions options_;
-  Schema schema_;
 };
 
 }  // namespace raw

@@ -6,13 +6,22 @@
 // whole engine.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mmap_file.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "engine/catalog.h"
+#include "engine/formats/builtin.h"
+#include "engine/formats/driver_util.h"
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
+#include "jit/template_cache.h"
+#include "scan/shred_scan.h"
 #include "tests/test_util.h"
 #include "workload/data_gen.h"
 #include "zcsv/gzip_block.h"
@@ -126,25 +135,209 @@ TEST_F(FormatConformanceTest, ColdWarmSerialParallelAgreeOnEveryFormat) {
   }
 }
 
+/// Whether `plan` late-scans `table` (in a filter cascade or after a join).
+bool LateScans(const std::string& plan, const std::string& table) {
+  return std::regex_search(
+      plan, std::regex("\\[late-scan(\\([^)]*\\))? " + table + "[:\\]]"));
+}
+
 TEST_F(FormatConformanceTest, LateScanShredFetchAgreesOnEveryFormat) {
-  // kShreds forces the aggregate column through a late scan, exercising
-  // every driver's BuildFetcher (positional CSV, field-offset JSONL,
-  // block-indexed compressed CSV) cold and warm, serial and parallel.
+  // kShreds and kMultiColumnShreds put the aggregate column in a late scan,
+  // exercising the fetchers of the positional CSV, binary and field-offset
+  // JSONL drivers, cold and warm, serial and parallel. Compressed CSV serves
+  // no late fetch (it would re-inflate members): its plans say so and read
+  // full columns.
   const int64_t lit = 300000000;
   const int64_t expected = ExpectedMax(facts_, 5, 1, lit);
-  for (const char* table : kFactsTables) {
-    const std::string sql = std::string("SELECT MAX(col5) FROM ") + table +
-                            " WHERE col1 < " + std::to_string(lit);
+  for (ShredPolicy policy :
+       {ShredPolicy::kShreds, ShredPolicy::kMultiColumnShreds}) {
+    for (const char* table : kFactsTables) {
+      const std::string sql = std::string("SELECT MAX(col5) FROM ") + table +
+                              " WHERE col1 < " + std::to_string(lit);
+      const bool gz = std::string(table) == "f_gz";
+      for (int threads : {1, 4}) {
+        auto engine = NewEngine();
+        auto session = engine->OpenSession();
+        PlannerOptions options;
+        options.access_path = AccessPathKind::kInSitu;
+        options.shred_policy = policy;
+        options.num_threads = threads;
+        for (const char* run : {"cold", "warm"}) {
+          ASSERT_OK_AND_ASSIGN(QueryResult result,
+                               session->Query(sql, options));
+          ASSERT_OK_AND_ASSIGN(Datum value, result.Scalar());
+          EXPECT_EQ(*value.AsInt64(), expected)
+              << table << " " << run << " x" << threads;
+          const std::string& plan = result.plan_description;
+          if (gz) {
+            EXPECT_NE(plan.find("[full columns f_gz: late fetches re-inflate "
+                                "members]"),
+                      std::string::npos)
+                << plan;
+            EXPECT_FALSE(LateScans(plan, table)) << plan;
+          } else if (std::string(run) == "cold") {
+            EXPECT_TRUE(LateScans(plan, table)) << plan;
+          }
+        }
+      }
+    }
+  }
+
+  // Late placement after a join demotes csv.gz columns to intermediate, on
+  // the pipelined (probe) and the pipeline-breaking (build) side alike.
+  const std::pair<const char*, const char*> joins[] = {
+      {"f_csv", "d_csv"}, {"f_gz", "d_csv"}, {"d_csv", "f_gz"}};
+  int64_t want = INT64_MIN;  // the CSV join's answer
+  for (const auto& [probe, build] : joins) {
+    const std::string facts = std::string(probe)[0] == 'f' ? probe : build;
+    const std::string dim = std::string(probe)[0] == 'd' ? probe : build;
+    const std::string sql = "SELECT MAX(" + facts + ".col4) FROM " + probe +
+                            " JOIN " + build + " ON " + probe +
+                            ".col0 = " + build + ".col0 WHERE " + dim +
+                            ".col1 < 50";
+    auto engine = NewEngine();
+    auto session = engine->OpenSession();
+    PlannerOptions options;
+    options.access_path = AccessPathKind::kInSitu;
+    options.join_placement = JoinProjectionPlacement::kLate;
     for (int threads : {1, 4}) {
-      auto engine = NewEngine();
-      PlannerOptions options;
-      options.access_path = AccessPathKind::kInSitu;
-      options.shred_policy = ShredPolicy::kShreds;
       options.num_threads = threads;
-      EXPECT_EQ(Scalar(*engine, sql, options), expected)
-          << table << " cold x" << threads;
-      EXPECT_EQ(Scalar(*engine, sql, options), expected)
-          << table << " warm x" << threads;
+      ASSERT_OK_AND_ASSIGN(QueryResult result, session->Query(sql, options));
+      ASSERT_OK_AND_ASSIGN(Datum value, result.Scalar());
+      if (want == INT64_MIN) want = *value.AsInt64();
+      EXPECT_EQ(*value.AsInt64(), want) << sql << " x" << threads;
+      const std::string& plan = result.plan_description;
+      if (facts == "f_gz") {
+        EXPECT_NE(plan.find("[late->intermediate f_gz: late fetches "
+                            "re-inflate members]"),
+                  std::string::npos)
+            << plan;
+        EXPECT_FALSE(LateScans(plan, "f_gz")) << plan;
+      } else {
+        EXPECT_TRUE(LateScans(plan, facts)) << plan;
+      }
+    }
+  }
+}
+
+TEST_F(FormatConformanceTest, EveryFetcherMatchesAGatherFromTheFullScan) {
+  // Each driver's late fetcher is its scan over explicit rows, so a fetch
+  // must return exactly what a gather from the table's full scan returns —
+  // in situ and through generated kernels, bare and chunked over 4 threads.
+  EnsureBuiltinFormatDriversRegistered();
+  {
+    // The facts with every object's keys reversed: an unordered offset map.
+    TableDataSource source(facts_);
+    std::string text;
+    for (int64_t r = 0; r < facts_.rows; ++r) {
+      text += "{";
+      for (int c = 5; c >= 0; --c) {
+        text += "\"col" + std::to_string(c) + "\":" +
+                std::to_string(*source.Value(r, c).AsInt64()) +
+                (c > 0 ? "," : "}\n");
+      }
+    }
+    ASSERT_OK(WriteStringToFile(Path("u.jsonl"), text));
+  }
+  EventGenOptions events;
+  events.num_events = 300;
+  ASSERT_OK(WriteRefFile(Path("e.ref"), events, /*cluster_rows=*/32));
+  Catalog catalog;
+  const std::string facts = Path("f");
+  ASSERT_OK(catalog.RegisterCsv("f_csv", facts + ".csv", facts_.ToSchema()));
+  ASSERT_OK(
+      catalog.RegisterBinary("f_bin", facts + ".bin", facts_.ToSchema()));
+  ASSERT_OK(
+      catalog.RegisterJsonl("f_jsonl", facts + ".jsonl", facts_.ToSchema()));
+  ASSERT_OK(
+      catalog.RegisterJsonl("u_jsonl", Path("u.jsonl"), facts_.ToSchema()));
+  ASSERT_OK(catalog.RegisterRef("ev", Path("e.ref")));
+  JitTemplateCache jit;
+
+  struct FetchCase {
+    std::string table;
+    std::vector<int> cols;
+    bool kernel;
+  };
+  const FetchCase cases[] = {
+      {"f_csv", {2, 5}, false},     {"f_csv", {2, 5}, true},
+      {"f_bin", {2, 5}, false},     {"f_bin", {2, 5}, true},
+      {"f_jsonl", {1, 4}, false},   {"u_jsonl", {1, 4}, false},
+      {"ev_events", {0, 1}, false}, {"ev_events", {0, 1}, true},
+      // Particle eventID is derived from the event branch: in situ only.
+      {"ev_muons", {0, 1, 3}, false}, {"ev_muons", {1, 2}, true},
+  };
+  for (const FetchCase& fc : cases) {
+    SCOPED_TRACE(fc.table + (fc.kernel ? " kernel" : " in situ"));
+    if (fc.kernel && !jit.compiler_available()) continue;  // no compiler
+    ASSERT_OK_AND_ASSIGN(std::vector<FormatScanContext> pinned,
+                         catalog.Pin({fc.table}));
+    FormatScanContext& tc = pinned[0];
+    ASSERT_OK_AND_ASSIGN(
+        const FormatDriver* driver,
+        FormatRegistry::Global().Require(tc.entry->info.format));
+    std::ostringstream desc;
+    PlannerOptions scan_options;
+    scan_options.access_path = AccessPathKind::kInSitu;
+    tc.opts = &scan_options;
+    tc.jit = &jit;
+    tc.desc = &desc;
+    const Schema qualified = QualifiedSchema(*tc.entry, fc.cols);
+
+    // The reference, whose cold pass also builds the map fetches navigate.
+    ASSERT_OK_AND_ASSIGN(OperatorPtr scan,
+                         driver->BuildScan(tc, fc.cols, qualified));
+    ASSERT_OK_AND_ASSIGN(ColumnBatch full, CollectAll(scan.get()));
+    const int64_t n = full.num_rows();
+    ASSERT_GT(n, 100);
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(full.row_ids()[static_cast<size_t>(i)], i);
+    }
+    if (tc.entry->info.format == FileFormat::kJsonl) {
+      ASSERT_NE(tc.pmap_view(), nullptr);
+      EXPECT_EQ(tc.pmap_view()->keys_in_schema_order(), fc.table == "f_jsonl");
+    }
+
+    std::vector<RowSet> row_sets(5);  // empty, first, last, subset, all
+    row_sets[1].ids = {0};
+    row_sets[2].ids = {n - 1};
+    Rng rng(11);
+    for (int64_t i = 0; i < n; ++i) {
+      if (rng.NextBelow(4) == 0) row_sets[3].ids.push_back(i);
+      row_sets[4].ids.push_back(i);
+    }
+    PlannerOptions fetch_options = scan_options;
+    if (fc.kernel) {
+      fetch_options.access_path = AccessPathKind::kJit;
+      fetch_options.jit_fusion = JitFusion::kOn;
+    }
+    tc.opts = &fetch_options;
+    for (int threads : {1, 4}) {
+      ASSERT_OK_AND_ASSIGN(RowFetcherPtr fetcher,
+                           driver->BuildFetcher(tc, fc.cols, qualified));
+      if (threads > 1) {
+        fetcher = std::make_unique<ParallelRowFetcher>(
+            std::move(fetcher), ThreadPool::Shared(), threads,
+            /*min_chunk_rows=*/64);
+      }
+      EXPECT_EQ(fetcher->fields().ToString(), qualified.ToString());
+      const JitCacheStats before = jit.Stats();
+      for (const RowSet& rows : row_sets) {
+        ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> got, fetcher->Fetch(rows));
+        ASSERT_EQ(got.size(), fc.cols.size());
+        for (size_t c = 0; c < got.size(); ++c) {
+          const Column want = full.column(static_cast<int>(c))
+                                  ->Gather(rows.ids.data(), rows.size());
+          EXPECT_TRUE(got[c]->Equals(want))
+              << "column " << c << ", " << rows.size() << " rows, x"
+              << threads;
+        }
+      }
+      if (fc.kernel) {
+        const JitCacheStats after = jit.Stats();
+        EXPECT_GT(after.hits + after.misses, before.hits + before.misses)
+            << "the fetch ran no generated kernel";
+      }
     }
   }
 }

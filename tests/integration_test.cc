@@ -11,6 +11,7 @@
 #include "engine/raw_engine.h"
 #include "eventsim/ref_reader.h"
 #include "scan/fused_pipeline.h"
+#include "scan/insitu_bin_scan.h"
 #include "scan/shred_scan.h"
 #include "tests/test_util.h"
 #include "workload/data_gen.h"
@@ -199,7 +200,9 @@ TEST_F(FailureTest, LateScanViaRowIdColumn) {
 
   BinScanSpec fetch_spec;
   fetch_spec.outputs = {2};
-  auto fetcher = std::make_unique<InsituRowFetcher>(reader.get(), fetch_spec);
+  auto fetcher = std::make_unique<ScanRowFetcher>(
+      SchemaForColumns(spec.ToSchema(), {2}),
+      ScanOverRows<InsituBinScanOperator>(reader.get(), fetch_spec));
   LateScanOperator late(table.CreateScan(), std::move(fetcher), "__row");
   ASSERT_OK_AND_ASSIGN(ColumnBatch out, CollectAll(&late));
   ASSERT_EQ(out.num_rows(), 5);

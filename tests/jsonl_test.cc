@@ -15,6 +15,7 @@
 #include "jsonl/jsonl_scan.h"
 #include "jsonl/jsonl_writer.h"
 #include "scan/morsel.h"
+#include "scan/shred_scan.h"
 #include "tests/test_util.h"
 #include "workload/table_spec.h"
 
@@ -260,7 +261,9 @@ TEST_F(JsonlScanTest, FieldOffsetMapMatchesSequentialScan) {
   fspec.file_schema = TestSchema();
   fspec.outputs = {2};
   fspec.use_pmap = &pmap;
-  JsonlRowFetcher fetcher(file_.get(), fspec);
+  ScanRowFetcher fetcher(
+      SchemaForColumns(TestSchema(), {2}),
+      ScanOverRows<JsonlScanOperator>(file_.get(), fspec));
   RowSet rows;
   rows.ids = {499, 0, 77};
   ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> cols, fetcher.Fetch(rows));
@@ -670,7 +673,9 @@ TEST_F(JsonlKeyOrderSweepTest, FastPathsEqualTheReferenceOnEveryRowKind) {
             ASSERT_EQ(got[i], expected(ids[i])) << "mask " << mask;
           }
 
-          JsonlRowFetcher fetcher(file.get(), warm);
+          ScanRowFetcher fetcher(
+              SchemaForColumns(schema, outputs),
+              ScanOverRows<JsonlScanOperator>(file.get(), warm));
           ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> cols,
                                fetcher.Fetch(fetch_rows));
           ASSERT_EQ(cols.size(), outputs.size());

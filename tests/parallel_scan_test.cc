@@ -27,6 +27,7 @@
 #include "engine/raw_engine.h"
 #include "eventsim/event_generator.h"
 #include "jsonl/jsonl_scan.h"
+#include "scan/insitu_bin_scan.h"
 #include "scan/insitu_csv_scan.h"
 #include "scan/morsel.h"
 #include "scan/shred_scan.h"
@@ -641,7 +642,9 @@ TEST_F(ParallelScanTest, ParallelRowFetcherMatchesSerialFetch) {
   auto make_fetcher = [&]() {
     BinScanSpec spec;
     spec.outputs = {1, 4};
-    return std::make_unique<InsituRowFetcher>(reader.get(), std::move(spec));
+    return std::make_unique<ScanRowFetcher>(
+        SchemaForColumns(spec_->ToSchema(), {1, 4}),
+        ScanOverRows<InsituBinScanOperator>(reader.get(), std::move(spec)));
   };
 
   std::vector<RowSet> requests(3);

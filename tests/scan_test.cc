@@ -299,10 +299,14 @@ TEST_F(ScanTest, JitFetchersMatchInterpreted) {
   bin.spec.column_offsets = {layout.ColumnOffset(2), layout.ColumnOffset(5)};
   bin.output_schema = SchemaForColumns(schema, {2, 5});
   bin.file = bin_reader_->file();
-  JitRowFetcher bin_fetcher(&cache, std::move(bin));
+  ScanRowFetcher bin_fetcher(
+      SchemaForColumns(schema, {2, 5}),
+      ScanOverRows<FusedPipelineOperator>(&cache, std::move(bin)));
   BinScanSpec bin_interp;
   bin_interp.outputs = {2, 5};
-  InsituRowFetcher bin_ref(bin_reader_.get(), bin_interp);
+  ScanRowFetcher bin_ref(
+      SchemaForColumns(schema, {2, 5}),
+      ScanOverRows<InsituBinScanOperator>(bin_reader_.get(), bin_interp));
   ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> got, bin_fetcher.Fetch(rows));
   ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> want, bin_ref.Fetch(rows));
   ASSERT_EQ(got.size(), 2u);
@@ -325,7 +329,9 @@ TEST_F(ScanTest, JitFetchersMatchInterpreted) {
   csv.output_schema = SchemaForColumns(schema, {4, 5});
   csv.file = csv_file_.get();
   csv.pmap = &pmap;
-  JitRowFetcher csv_fetcher(&cache, std::move(csv));
+  ScanRowFetcher csv_fetcher(
+      SchemaForColumns(schema, {4, 5}),
+      ScanOverRows<FusedPipelineOperator>(&cache, std::move(csv)));
   ASSERT_OK_AND_ASSIGN(got, csv_fetcher.Fetch(rows));
   ASSERT_EQ(got.size(), 2u);
   for (size_t i = 0; i < rows.ids.size(); ++i) {
@@ -348,8 +354,9 @@ TEST_F(ScanTest, LateScanFetchesOnlySurvivors) {
 
   BinScanSpec fetch_spec;
   fetch_spec.outputs = {5};
-  auto fetcher =
-      std::make_unique<InsituRowFetcher>(bin_reader_.get(), fetch_spec);
+  auto fetcher = std::make_unique<ScanRowFetcher>(
+      SchemaForColumns(spec_.ToSchema(), {5}),
+      ScanOverRows<InsituBinScanOperator>(bin_reader_.get(), fetch_spec));
   LateScanOperator late(std::move(filter), std::move(fetcher));
   ASSERT_OK_AND_ASSIGN(ColumnBatch out, CollectAll(&late));
   ASSERT_GT(out.num_rows(), 0);
@@ -375,8 +382,9 @@ TEST_F(ScanTest, LateScanFetchCountEqualsSurvivors) {
     FilterOperator* filter_ptr = filter.get();
     BinScanSpec fetch_spec;
     fetch_spec.outputs = {5};
-    auto fetcher =
-        std::make_unique<InsituRowFetcher>(bin_reader_.get(), fetch_spec);
+    auto fetcher = std::make_unique<ScanRowFetcher>(
+        SchemaForColumns(spec_.ToSchema(), {5}),
+        ScanOverRows<InsituBinScanOperator>(bin_reader_.get(), fetch_spec));
     LateScanOperator late(std::move(filter), std::move(fetcher));
     ASSERT_OK_AND_ASSIGN(ColumnBatch out, CollectAll(&late));
     EXPECT_EQ(late.values_fetched(), filter_ptr->rows_out());
@@ -538,7 +546,9 @@ TEST_F(RefScanTest, JitKernelsMatchInterpreted) {
   // By-row-index fetch.
   args = base;
   args.spec.scan_mode = ScanMode::kByRowIndex;
-  JitRowFetcher fetcher(&cache, std::move(args));
+  const Schema fields = args.output_schema;
+  ScanRowFetcher fetcher(
+      fields, ScanOverRows<FusedPipelineOperator>(&cache, std::move(args)));
   RowSet rows;
   rows.ids = {want.num_rows() - 1, 0, 77, 77};
   ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> fetched, fetcher.Fetch(rows));

@@ -155,43 +155,6 @@ TEST_F(ZcsvScanTest, ColdScanBuildsIndexAndWarmScanAgrees) {
   EXPECT_EQ(seen, index.block(mid).num_rows);
 }
 
-TEST_F(ZcsvScanTest, FetcherDecompressesOnlyNeededBlocks) {
-  constexpr int kRows = 1000;
-  WriteAndOpen(kRows, /*block_bytes=*/256);
-  GzipBlockIndex index;
-  {
-    ZcsvScanSpec cold;
-    cold.file_schema = TwoColSchema();
-    cold.outputs = {0};
-    cold.build_index = &index;
-    ZcsvScanOperator scan(file_.get(), cold);
-    ASSERT_OK(scan.Open());
-    while (true) {
-      ASSERT_OK_AND_ASSIGN(ColumnBatch batch, scan.Next());
-      if (batch.empty()) break;
-    }
-  }
-  ASSERT_OK(index.CheckConsistency());
-
-  ZcsvRowFetcher fetcher(file_.get(), &index, TwoColSchema(), {0, 1},
-                         CsvOptions());
-  RowSet rows;
-  rows.ids = {0, 1, 500, 999};
-  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> cols, fetcher.Fetch(rows));
-  ASSERT_EQ(cols.size(), 2u);
-  for (size_t i = 0; i < rows.ids.size(); ++i) {
-    EXPECT_EQ(cols[0]->Value<int32_t>(static_cast<int64_t>(i)), rows.ids[i]);
-    EXPECT_EQ(cols[1]->StringValue(static_cast<int64_t>(i)),
-              SVal(rows.ids[i]));
-  }
-  RowSet out_of_range;
-  out_of_range.ids = {kRows + 5};
-  EXPECT_FALSE(fetcher.Fetch(out_of_range).ok());
-  RowSet empty;
-  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> none, fetcher.Fetch(empty));
-  EXPECT_EQ(none[0]->length(), 0);
-}
-
 TEST_F(ZcsvScanTest, QuotedFieldsWithEmbeddedNewlinesSurvive) {
   // Member cuts are quote-aware: the embedded "\n" must not split a row.
   std::string text;
@@ -223,15 +186,6 @@ TEST_F(ZcsvScanTest, QuotedFieldsWithEmbeddedNewlinesSurvive) {
   ASSERT_OK(index.CheckConsistency());
   EXPECT_TRUE(index.quoted());
   EXPECT_GT(index.num_blocks(), 1);
-
-  // Quoted late-scan fetch through the index.
-  ZcsvRowFetcher fetcher(file.get(), &index, TwoColSchema(), {1},
-                         CsvOptions());
-  RowSet rows;
-  rows.ids = {199, 3};
-  ASSERT_OK_AND_ASSIGN(std::vector<ColumnPtr> cols, fetcher.Fetch(rows));
-  EXPECT_EQ(cols[0]->StringValue(0), QuotedVal(199));
-  EXPECT_EQ(cols[0]->StringValue(1), QuotedVal(3));
 }
 
 TEST_F(ZcsvScanTest, EmptyFileYieldsZeroRowsAndEmptyIndex) {
@@ -858,12 +812,6 @@ TEST_F(ZcsvScanTest, WarmScanOverAStaleSizeIsDataCorruption) {
     if (batch->empty()) break;
   }
   EXPECT_EQ(failed.code(), StatusCode::kDataCorruption) << failed.ToString();
-
-  ZcsvRowFetcher fetcher(file_.get(), &stale, TwoColSchema(), {0},
-                         CsvOptions());
-  RowSet rows;
-  rows.ids = {index.block(1).first_row};
-  EXPECT_EQ(fetcher.Fetch(rows).status().code(), StatusCode::kDataCorruption);
 }
 
 }  // namespace
